@@ -52,6 +52,7 @@ from .integrator import (
 )
 from .lyapunov import (
     Certificate,
+    LagIntegrals,
     LyapunovBreakdown,
     TERM_NAMES,
     certify,
@@ -78,6 +79,7 @@ __all__ = [
     "EquilibriumSet",
     "History",
     "HistoryValidation",
+    "LagIntegrals",
     "LyapunovBreakdown",
     "ModelParams",
     "SimConfig",

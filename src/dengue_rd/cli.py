@@ -20,7 +20,7 @@ from .config import (
     load_config,
     validate_for_certification,
 )
-from .core import ModelParams
+from .core import NONNEGATIVE_PARAMS, ModelParams
 from .equilibria import basic_reproduction_number, compute_equilibria, regime_classify
 from .integrator import SimulationError, run
 from .lyapunov import certify as certify_trajectory
@@ -95,13 +95,15 @@ def load_sweep(source: str | Path | dict) -> SweepSpec:
             f"sweep parameter must be one of the model parameters, got {parameter!r}"
         )
     values = doc["values"]
+    zero_ok = parameter in NONNEGATIVE_PARAMS
     if (
         not isinstance(values, list)
         or not values
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)
-        or any(v <= 0 for v in values)
+        or any(v < 0 if zero_ok else v <= 0 for v in values)
     ):
-        raise ConfigError("sweep values must be a nonempty list of positive numbers")
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ConfigError(f"sweep values must be a nonempty list of {kind} numbers")
     if not isinstance(doc["tag"], str):
         raise ConfigError("sweep tag must be a string")
     return SweepSpec(

@@ -164,10 +164,10 @@ def load_config(source: str | Path | dict) -> SimConfig:
 def validate_for_certification(config: SimConfig) -> None:
     """Checks the extra constraints a certifying run needs.
 
-    Certification evaluates kernel matrices at the delay times and at
-    every multiple of dt up to them, so all those times must sit above
-    the minimal resolvable time of the truncated series; and an endemic
-    state must exist.
+    Certification applies kernel matrices at the delay times and checks
+    the kernel's column mass at every multiple of dt up to them, so all
+    those times must sit above the minimal resolvable time of the
+    truncated series; and an endemic state must exist.
     """
     params, domain = config.params, config.domain
     eqs = compute_equilibria(params)

@@ -26,6 +26,7 @@ __all__ = [
     "History",
     "HistoryValidation",
     "ModelParams",
+    "NONNEGATIVE_PARAMS",
     "StateTriple",
     "bound_vector",
     "lag_steps",
@@ -35,6 +36,9 @@ __all__ = [
 
 # Relative slack allowed above the invariant box ceiling (roundoff margin).
 BOX_SLACK = 1e-9
+
+# Model parameters for which zero is admissible: no recovery, no delay.
+NONNEGATIVE_PARAMS = ("gamma_h", "tau_a", "tau_b")
 
 # Divisibility tolerance for dt against the delays, relative.
 DT_DIVISIBILITY_RTOL = 1e-12
@@ -92,7 +96,7 @@ class ModelParams:
             if not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
         # gamma_h = 0 (no recovery) is admissible: rho_h = mu_h stays positive.
-        for name in ("gamma_h", "tau_a", "tau_b"):
+        for name in NONNEGATIVE_PARAMS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")

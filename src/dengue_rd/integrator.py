@@ -29,7 +29,7 @@ differential system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import LyapunovBreakdown, eval_V, prepare_kernels
+from .lyapunov import LagIntegrals, LyapunovBreakdown, eval_V, prepare_kernels
 from .spectral import heat_apply
 
 __all__ = [
@@ -174,7 +174,8 @@ class Trajectory:
     when no endemic state exists.  V, dVdt_fd and dissipation are NaN
     unless the run certified; dVdt_fd[k] is the backward difference
     (V[k] - V[k-1]) / dt.  snapshots holds (time, state) pairs at the
-    configured stride plus the first and last step.
+    configured stride plus the first and last step.  kernel_mass_defect is
+    the kernels' worst column-mass defect, recorded by certifying runs.
     """
 
     times: np.ndarray
@@ -191,15 +192,18 @@ class Trajectory:
     final_state: StateTriple
     equilibria: EquilibriumSet
     config: SimConfig
+    kernel_mass_defect: float | None = None
 
 
 def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
-    dissipation identity at every step, with the W integrals checked
-    through both evaluation paths; they require R0 > 1 and a strictly
-    positive initial history.
+    dissipation identity at every step, reading the W integrals from a
+    ring of per-lag values that gains one entry per step.  At checkpoint
+    steps, every max(k_a, k_b) steps plus the first and the last, the
+    ring is compared with W recomputed from the raw window.  Certifying
+    runs require R0 > 1 and a strictly positive initial history.
 
     Raises:
         ValueError: on inconsistent history or inadmissible certification
@@ -223,7 +227,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     eqs = compute_equilibria(params)
     bound = bound_vector(params)
 
-    kernels = None
+    kernels = ring = None
     if config.certify:
         if eqs.endemic is None:
             raise ValueError("certification requires R0 > 1")
@@ -233,7 +237,12 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 "certification requires a strictly positive admissible history: "
                 + "; ".join(report.violations[:5])
             )
-        kernels = prepare_kernels(params, domain, dt, two_path=True)
+        kernels = prepare_kernels(params, domain, dt)
+        ring = LagIntegrals(initial, params, eqs.endemic, domain)
+        # A value pushed at step s sits in the longer delay's window
+        # through step s + max(k_a, k_b), so this stride checks each one
+        # at least once while it still weighs in that delay's W.
+        checkpoint_stride = max(k_a, k_b, 1)
 
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
@@ -267,9 +276,11 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 )
             bounds_ok = False
         if config.certify:
-            bd = eval_V(
-                initial, params, eqs.endemic, domain, kernels=kernels, two_path=True
-            )
+            if k:
+                ring.push(initial)
+            bd = eval_V(initial, params, eqs.endemic, domain, kernels=kernels, ring=ring)
+            if k % checkpoint_stride == 0 or k == n_steps:
+                bd = replace(bd, two_path_rel_err=ring.window_rel_err(initial))
             v_arr[k] = bd.V
             d_arr[k] = bd.dissipation
             breakdowns.append(bd)
@@ -302,6 +313,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         final_state=initial.latest,
         equilibria=eqs,
         config=config,
+        kernel_mass_defect=kernels.mass_defect if kernels else None,
     )
 
 

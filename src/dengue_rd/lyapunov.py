@@ -36,28 +36,39 @@ integral, so V is non-increasing, and V = 0 only at the endemic state.
 
 The time integrals in W1, W2 are discretised by the trapezoid rule on
 the integrator's step grid; the s = 0 endpoint uses the identity
-operator, which is exact.  The inner y-integrals are evaluated two
-independent ways on demand, once through assembled kernel matrices and
-once collapsed by the kernel's unit mass, and certification requires the
-two to agree.
+operator, which is exact.  The inner y-integrals collapse, by the
+kernel's unit column mass, to plain integrals of g over y, so W1 and W2
+need one scalar per lag: the integral of g(u3 / u3*) and of
+g(u1 u2 / (u1* u2*)) over the state that many steps ago.  Those scalars
+never change once a state enters the delay window, so LagIntegrals keeps
+them in a ring aligned with the history and computes each one once.
+
+Two checks stand behind the shortcut.  The column mass is checked once
+per run at every lag, in the cosine basis, and reported in the
+certificate.  At checkpoint steps W1 and W2 are recomputed from the raw
+window and compared with the ring's values, so a stale, misaligned or
+corrupted cache fails certification.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Domain, History, ModelParams, lag_steps
-from .spectral import gradient_energy, heat_apply, kernel_matrix
+from .spectral import gradient_energy, heat_apply, kernel_mass_defect, kernel_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
 
 __all__ = [
     "Certificate",
+    "LagIntegrals",
     "LyapunovBreakdown",
     "LyapunovKernels",
     "TERM_NAMES",
@@ -107,34 +118,39 @@ def g(omega):
 
 @dataclass(frozen=True)
 class LyapunovKernels:
-    """Kernel matrices a certification run evaluates repeatedly.
+    """Kernel data a certification run needs, assembled once.
 
     delay_a and delay_b realise Gamma(d_m tau_a) and Gamma(d_h tau_b) for
     the dissipation terms (None when the delay vanishes and the operator
-    is the identity).  theta_a and theta_b hold the matrices for the
-    kernel-matrix path of the W integrals at lags dt, 2 dt, ..., tau.
+    is the identity).  mass_defect is the worst relative column-mass
+    defect of the kernels at lags dt, 2 dt, ..., tau of both delays (see
+    spectral.kernel_mass_defect); it bounds how far the collapsed W
+    integrals can stray from the kernel-weighted ones.
+
+    theta_a and theta_b are always empty.  They once held one kernel
+    matrix per lag for a second evaluation of W that the unit column
+    mass made equal to the first term by term; they stay only because
+    the benchmark's tracing sums the sizes of all four kernel fields.
     """
 
     delay_a: np.ndarray | None
     delay_b: np.ndarray | None
+    mass_defect: float
     theta_a: list[np.ndarray] = field(default_factory=list)
     theta_b: list[np.ndarray] = field(default_factory=list)
 
 
-def prepare_kernels(
-    params: ModelParams, domain: Domain, dt: float, *, two_path: bool = True
-) -> LyapunovKernels:
-    """Assembles every kernel matrix needed along one certification run."""
+def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> LyapunovKernels:
+    """Assembles the delay kernels and checks the column mass at every lag."""
     k_a = lag_steps(params.tau_a, dt)
     k_b = lag_steps(params.tau_b, dt)
     delay_a = kernel_matrix(params.d_m, params.tau_a, domain) if k_a else None
     delay_b = kernel_matrix(params.d_h, params.tau_b, domain) if k_b else None
-    theta_a: list[np.ndarray] = []
-    theta_b: list[np.ndarray] = []
-    if two_path:
-        theta_a = [kernel_matrix(params.d_m, j * dt, domain) for j in range(1, k_a + 1)]
-        theta_b = [kernel_matrix(params.d_h, j * dt, domain) for j in range(1, k_b + 1)]
-    return LyapunovKernels(delay_a=delay_a, delay_b=delay_b, theta_a=theta_a, theta_b=theta_b)
+    mass_defect = max(
+        kernel_mass_defect(params.d_m, np.arange(1, k_a + 1) * dt, domain),
+        kernel_mass_defect(params.d_h, np.arange(1, k_b + 1) * dt, domain),
+    )
+    return LyapunovKernels(delay_a=delay_a, delay_b=delay_b, mass_defect=mass_defect)
 
 
 @dataclass(frozen=True)
@@ -143,8 +159,9 @@ class LyapunovBreakdown:
 
     dissipation is the full right-hand side of the identity, the sum of
     grad_terms, quad_terms and g_terms; every summand is nonpositive up
-    to roundoff.  two_path_rel_err records the relative disagreement of
-    the two W-integral evaluation paths when both were computed.
+    to roundoff.  two_path_rel_err is set only at checkpoint steps of a
+    certifying run, where it records the relative disagreement between
+    the cached W1, W2 and their recomputation from the raw window.
     """
 
     V: float
@@ -182,6 +199,100 @@ def _theta_trapezoid(values: list[float], dt: float) -> float:
     return dt * acc
 
 
+class LagIntegrals:
+    """Per-lag integrals of g over the delay window, in a ring aligned with History.
+
+    a[j] is the trapezoid integral of g(u3 / u3*) and b[j] that of
+    g(u1 u2 / (u1* u2*)), both over the state j steps before t_now.  The
+    ring has max(k_a, k_b) + 1 slots, newest first; a delay of zero
+    steps caches nothing and its W is zero.  A state's values, and its
+    positivity check, are computed once, when it enters the window:
+    built from the whole window here, then one push after every
+    History.append.
+
+    Raises:
+        ValueError: if the history spans fewer lags than the longer
+            delay, the endemic triple is not strictly positive, or a
+            cached state is not strictly positive.
+    """
+
+    def __init__(
+        self, history: History, params: ModelParams, ustar: np.ndarray, domain: Domain
+    ):
+        dt = history.dt
+        self.k_a = lag_steps(params.tau_a, dt)
+        self.k_b = lag_steps(params.tau_b, dt)
+        if history.n_lags < max(self.k_a, self.k_b):
+            raise ValueError(
+                f"history spans {history.n_lags} lags, need {max(self.k_a, self.k_b)}"
+            )
+        u1s, u2s, u3s = (float(v) for v in ustar)
+        if min(u1s, u2s, u3s) <= 0.0:
+            raise ValueError("endemic triple must be strictly positive")
+        self._dt = dt
+        self._w = domain.trapezoid_weights
+        self._u3s = u3s
+        self._u12s = u1s * u2s
+        self._bstar = params.beta_h * u1s * u2s
+        self._floors = tuple(
+            1e-12 * self._bstar * tau * domain.L + 1e-300
+            for tau in (params.tau_a, params.tau_b)
+        )
+        self.a, self.b = self._window(history)
+        self.t_now = history.t_now
+
+    def _window(self, history: History) -> tuple[deque, deque]:
+        """Per-lag values computed afresh from every state in the window."""
+        size = max(self.k_a, self.k_b) + 1
+        a: deque = deque(maxlen=size)
+        b: deque = deque(maxlen=size)
+        for j in range(size - 1, -1, -1):
+            self._append(a, b, history.lookup_arrays(j), j)
+        return a, b
+
+    def _append(self, a: deque, b: deque, state: np.ndarray, lag: int) -> None:
+        if self.k_a:
+            _require_positive(f"u3 at lag {lag}", state[2])
+            a.appendleft(float(self._w @ g(state[2] / self._u3s)))
+        if self.k_b:
+            prod = state[0] * state[1]
+            _require_positive(f"u1*u2 at lag {lag}", prod)
+            b.appendleft(float(self._w @ g(prod / self._u12s)))
+
+    def push(self, history: History) -> None:
+        """Caches the newest state's values; call after each History.append."""
+        self._append(self.a, self.b, history.lookup_arrays(0), 0)
+        self.t_now = history.t_now
+
+    def _w_values(self, a: deque, b: deque) -> tuple[float, float]:
+        w1 = self._bstar * _theta_trapezoid(list(islice(a, self.k_a + 1)), self._dt)
+        w2 = self._bstar * _theta_trapezoid(list(islice(b, self.k_b + 1)), self._dt)
+        return w1, w2
+
+    def integrals(self) -> tuple[float, float]:
+        """W1 and W2 from the cached per-lag values."""
+        return self._w_values(self.a, self.b)
+
+    def window_rel_err(self, history: History) -> float:
+        """Relative disagreement of the cached W1, W2 with the raw window's.
+
+        Recomputes every per-lag value from the states stored in history,
+        so this costs as much as building the ring; 0.0 when no delay
+        has lag steps.
+        """
+        errs = [
+            abs(cached - fresh) / max(abs(fresh), floor)
+            for cached, fresh, floor, k in zip(
+                self.integrals(),
+                self._w_values(*self._window(history)),
+                self._floors,
+                (self.k_a, self.k_b),
+            )
+            if k
+        ]
+        return max(errs, default=0.0)
+
+
 def _kernel_g_integral(
     kernel: np.ndarray | None,
     w: np.ndarray,
@@ -206,7 +317,7 @@ def eval_V(
     domain: Domain,
     *,
     kernels: LyapunovKernels | None = None,
-    two_path: bool = False,
+    ring: LagIntegrals | None = None,
 ) -> LyapunovBreakdown:
     """Evaluates V and the dissipation identity on the current history.
 
@@ -216,27 +327,29 @@ def eval_V(
         params: Model parameters; R0 > 1 is assumed (ustar exists).
         ustar: The endemic triple (u1*, u2*, u3*).
         domain: Spatial discretisation.
-        kernels: Precomputed kernel matrices; built on the fly if omitted.
-        two_path: Also evaluate the W integrals through kernel matrices
-            and record the relative disagreement with the collapsed path.
-            The breakdown always stores the collapsed values.
+        kernels: Precomputed kernels; built on the fly if omitted.
+        ring: Cached per-lag integrals, pushed up to the current state;
+            built from the whole window if omitted.
 
     Returns:
         The full breakdown; V equals L1 + L2 + L3 + W1 + W2 by
         construction.
+
+    Raises:
+        ValueError: on a nonpositive state or endemic triple, a history
+            shorter than the delays, or a ring out of step with it.
     """
-    dt = history.dt
-    k_a = lag_steps(params.tau_a, dt)
-    k_b = lag_steps(params.tau_b, dt)
-    if history.n_lags < max(k_a, k_b):
+    if ring is None:
+        ring = LagIntegrals(history, params, ustar, domain)
+    elif ring.t_now != history.t_now:
         raise ValueError(
-            f"history spans {history.n_lags} lags, need {max(k_a, k_b)}"
+            f"lag ring is at t={ring.t_now!r}, history at t={history.t_now!r}; "
+            "push the ring after every append"
         )
     if kernels is None:
-        kernels = prepare_kernels(params, domain, dt, two_path=two_path)
+        kernels = prepare_kernels(params, domain, history.dt)
+    k_a, k_b = ring.k_a, ring.k_b
     u1s, u2s, u3s = (float(v) for v in ustar)
-    if min(u1s, u2s, u3s) <= 0.0:
-        raise ValueError("endemic triple must be strictly positive")
     w = domain.trapezoid_weights
     bstar = params.beta_h * u1s * u2s
     expb = math.exp(params.mu_h * params.tau_b)
@@ -250,42 +363,7 @@ def eval_V(
     l2 = u2s * float(w @ g(u2 / u2s))
     l3 = expb * u3s * float(w @ g(u3 / u3s))
 
-    # W integrals, collapsed path: the x-integral of the kernel average
-    # equals the plain y-integral because the kernel has unit mass.
-    g_a: list[np.ndarray] = []
-    for j in range(k_a + 1):
-        u3_lag = history.lookup_arrays(j)[2]
-        _require_positive(f"u3 at lag {j}", u3_lag)
-        g_a.append(g(u3_lag / u3s))
-    g_b: list[np.ndarray] = []
-    for j in range(k_b + 1):
-        lag = history.lookup_arrays(j)
-        prod = lag[0] * lag[1]
-        _require_positive(f"u1*u2 at lag {j}", prod)
-        g_b.append(g(prod / (u1s * u2s)))
-    w1 = bstar * _theta_trapezoid([float(w @ v) for v in g_a], dt)
-    w2 = bstar * _theta_trapezoid([float(w @ v) for v in g_b], dt)
-
-    two_path_rel_err: float | None = None
-    if two_path:
-        errs = []
-        for tau, mats, gvals, collapsed in (
-            (params.tau_a, kernels.theta_a, g_a, w1),
-            (params.tau_b, kernels.theta_b, g_b, w2),
-        ):
-            if len(gvals) <= 1:
-                continue
-            if len(mats) != len(gvals) - 1:
-                raise ValueError(
-                    "kernels were prepared without the per-lag matrices "
-                    "needed for the two-path check"
-                )
-            per_lag = [float(w @ gvals[0])]  # lag 0: identity operator
-            per_lag += [float(w @ (mats[j - 1] @ gvals[j])) for j in range(1, len(gvals))]
-            matrix_path = bstar * _theta_trapezoid(per_lag, dt)
-            floor = 1e-12 * bstar * tau * domain.L + 1e-300
-            errs.append(abs(matrix_path - collapsed) / max(abs(collapsed), floor))
-        two_path_rel_err = max(errs) if errs else 0.0
+    w1, w2 = ring.integrals()
 
     # Dissipation terms.
     grad1 = -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain)
@@ -322,7 +400,6 @@ def eval_V(
         grad_terms=grad_terms,
         g_terms=g_terms,
         quad_terms=quad_terms,
-        two_path_rel_err=two_path_rel_err,
     )
 
 
@@ -340,7 +417,13 @@ def eval_dissipation(
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the attractivity checks on one recorded trajectory."""
+    """Outcome of the attractivity checks on one recorded trajectory.
+
+    two_path_max_rel_err is the worst checkpoint disagreement between the
+    cached and the recomputed W integrals; kernel_mass_max_rel_err is the
+    kernels' worst column-mass defect over the lags (None when the run
+    did not record it).
+    """
 
     passed: bool
     v_monotone: bool
@@ -350,6 +433,7 @@ class Certificate:
     v_initial: float
     v_final: float
     two_path_max_rel_err: float | None
+    kernel_mass_max_rel_err: float | None
     v_tol: float
     d_tol: float
     two_path_tol: float
@@ -366,6 +450,7 @@ class Certificate:
             "v_initial": self.v_initial,
             "v_final": self.v_final,
             "two_path_max_rel_err": self.two_path_max_rel_err,
+            "kernel_mass_max_rel_err": self.kernel_mass_max_rel_err,
             "tolerances": {
                 "v_step_slack": self.v_tol,
                 "dissipation_sign": self.d_tol,
@@ -390,15 +475,17 @@ def certify(
     floor), (ii) the dissipation and
     each of its eight terms stay below d_tol at every step, and (iii) V
     strictly decreased over the run when the start was off equilibrium.
-    When two-path data was recorded its worst disagreement must stay
-    below two_path_tol.
+    The worst checkpoint disagreement between the cached and the
+    recomputed W integrals, and the kernels' column-mass defect, must
+    each stay within two_path_tol when recorded.
 
     Args:
         trajectory: A run recorded with Lyapunov evaluation enabled.
         v_tol: Per-step monotonicity slack, relative to V(0).
         d_tol: Absolute sign slack for dissipation terms.
-        two_path_tol: Relative agreement required of the two W-integral
-            evaluation paths.
+        two_path_tol: Relative agreement required of the cached W
+            integrals with the raw window, and of the kernels' column
+            mass with the quadrature weights.
 
     Returns:
         The certificate; passed is True only if every check holds.
@@ -462,30 +549,47 @@ def certify(
                 }
             )
 
-    rel_errs = [
-        b.two_path_rel_err for b in breakdowns if b.two_path_rel_err is not None
+    checkpoints = [
+        (k, b.two_path_rel_err)
+        for k, b in enumerate(breakdowns)
+        if b.two_path_rel_err is not None
     ]
     two_path_ok: bool | None = None
     max_rel = None
-    if rel_errs:
-        max_rel = float(max(rel_errs))
+    if checkpoints:
+        worst_step, max_rel = max(checkpoints, key=lambda item: item[1])
+        max_rel = float(max_rel)
         two_path_ok = max_rel <= two_path_tol
         if not two_path_ok:
             violations.append(
                 {
                     "kind": "two_path_disagreement",
-                    "step": int(np.argmax(rel_errs)),
-                    "time": float("nan"),
+                    "step": worst_step,
+                    "time": float(times[worst_step]),
                     "value": max_rel,
                     "threshold": float(two_path_tol),
                 }
             )
+
+    mass = trajectory.kernel_mass_defect
+    mass_ok = mass is None or mass <= two_path_tol
+    if not mass_ok:
+        violations.append(
+            {
+                "kind": "kernel_mass_defect",
+                "step": 0,
+                "time": float(times[0]),
+                "value": float(mass),
+                "threshold": float(two_path_tol),
+            }
+        )
 
     passed = (
         v_monotone
         and dissipation_nonpositive
         and v_decreased is not False
         and two_path_ok is not False
+        and mass_ok
     )
     return Certificate(
         passed=passed,
@@ -496,6 +600,7 @@ def certify(
         v_initial=float(v[0]),
         v_final=float(v[-1]),
         two_path_max_rel_err=max_rel,
+        kernel_mass_max_rel_err=mass,
         v_tol=v_tol,
         d_tol=d_tol,
         two_path_tol=two_path_tol,

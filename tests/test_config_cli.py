@@ -321,6 +321,24 @@ def test_load_sweep_validation():
             load_sweep(bad)
 
 
+def test_sweep_over_zero_delay_and_recovery():
+    doc = sweep_doc()
+    doc.update(parameter="tau_b", values=[0.0, 0.5])
+    rows = run_sweep(load_sweep(doc), seed=0)
+    assert [r.value for r in rows] == [0.0, 0.5]
+    assert all(r.error is None for r in rows), [r.error for r in rows]
+    assert all(np.isfinite(r.final_dist) for r in rows)
+    for parameter in ("gamma_h", "tau_a"):
+        doc.update(parameter=parameter, values=[0.0, 0.5])
+        assert load_sweep(doc).values == (0.0, 0.5)
+    doc.update(parameter="tau_b", values=[0.0, -0.5])
+    with pytest.raises(ConfigError, match="nonnegative"):
+        load_sweep(doc)
+    doc.update(parameter="b", values=[0.0, 1.0])
+    with pytest.raises(ConfigError, match="positive"):
+        load_sweep(doc)
+
+
 def test_run_sweep_regimes_and_certification():
     rows = run_sweep(load_sweep(sweep_doc()), seed=0)
     assert [r.value for r in rows] == [0.5, 1.0, 4.0]
