@@ -1,7 +1,8 @@
 """Command line entry points: simulate, equilibria, certify, sweep.
 
-Exit codes: 0 on success, 2 on any validation error, 3 when a
-certification run completes but the certificate fails.
+Exit codes: 0 on success, 2 on any validation error or when an output
+file cannot be written (for example --out naming an existing regular
+file), 3 when a certification run completes but the certificate fails.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _sweep_one(spec: SweepSpec, value: float, seed: int) -> SweepRow:
             certified=certified,
             error=None,
         )
-    except (ConfigError, ValueError, SimulationError) as exc:
+    except (ConfigError, ValueError, SimulationError, FloatingPointError, MemoryError) as exc:
         r0 = regime = None
         try:
             params = ModelParams(**{k: float(doc[k]) for k in PARAM_KEYS})
@@ -149,7 +150,7 @@ def _sweep_one(spec: SweepSpec, value: float, seed: int) -> SweepRow:
             pass
         return SweepRow(
             value=value, r0=r0, regime=regime, final_dist=None, certified=None,
-            error=str(exc),
+            error=str(exc) or type(exc).__name__,
         )
 
 
@@ -157,8 +158,9 @@ def run_sweep(spec: SweepSpec, seed: int = 0, max_workers: int | None = None) ->
     """Runs every swept value; rows come back in input order.
 
     Runs are independent and execute concurrently; row i perturbs its
-    initial history with seed + i.  A failing row records its error and
-    leaves the others untouched.
+    initial history with seed + i.  A failing row, including one that
+    hits a floating-point trap or runs out of memory, records its error
+    and leaves the others untouched.
     """
     if max_workers is None:
         max_workers = min(8, len(spec.values))
@@ -293,10 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, SimulationError) as exc:
+    except (ConfigError, ValueError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

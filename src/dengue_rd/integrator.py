@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .core import (
 )
 from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import LagIntegrals, LyapunovBreakdown, eval_V, prepare_kernels
-from .spectral import heat_apply
+from .spectral import _heat_decay, _heat_rows, heat_apply
 
 __all__ = [
     "SimConfig",
@@ -77,6 +78,16 @@ def stability_dt_bound(params: ModelParams) -> float:
     return 0.2 / stiffest
 
 
+def _mosquito_infection(
+    u1_now: np.ndarray, smoothed: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    return params.beta_m * (params.A - u1_now) * smoothed
+
+
+def _human_infection(smoothed: np.ndarray, params: ModelParams) -> np.ndarray:
+    return params.beta_h * params.survival_b * smoothed
+
+
 def infection_term_u1(
     u1_now: np.ndarray, u3_lagged: np.ndarray, params: ModelParams, domain: Domain
 ) -> np.ndarray:
@@ -86,7 +97,7 @@ def infection_term_u1(
     kernel average accounts for mosquito movement during incubation.
     """
     smoothed = heat_apply(u3_lagged, params.d_m, params.tau_a, domain)
-    return params.beta_m * (params.A - u1_now) * smoothed
+    return _mosquito_infection(u1_now, smoothed, params)
 
 
 def infection_term_u3(
@@ -98,29 +109,67 @@ def infection_term_u3(
     kernel average, then scaled by beta_h exp(-mu_h tau_b).
     """
     smoothed = heat_apply(u1_lagged * u2_lagged, params.d_h, params.tau_b, domain)
-    return params.beta_h * params.survival_b * smoothed
+    return _human_infection(smoothed, params)
+
+
+@dataclass(frozen=True)
+class _StepPlan:
+    """What step derives from (params, domain, dt) alone, built once per run.
+
+    decay holds the heat flow over dt for the rows u1, u2, u3.  The
+    delayed fields (u3 at lag k_a, u1 u2 at lag k_b) are smoothed by the
+    kernels over tau_a and tau_b; lag_rows lists which of the two have a
+    nonzero delay, with their decays in lag_decay, so a zero delay skips
+    its transform.
+    """
+
+    k_a: int
+    k_b: int
+    decay: np.ndarray      # (3, N)
+    lag_rows: tuple[int, ...]
+    lag_decay: np.ndarray  # (len(lag_rows), N)
+
+
+@lru_cache(maxsize=32)
+def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
+    kernels = ((params.d_m, params.tau_a), (params.d_h, params.tau_b))
+    lag_rows = tuple(i for i, (_, tau) in enumerate(kernels) if tau > 0.0)
+    plan = _StepPlan(
+        k_a=lag_steps(params.tau_a, dt),
+        k_b=lag_steps(params.tau_b, dt),
+        decay=np.array([_heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)]),
+        lag_rows=lag_rows,
+        lag_decay=np.array([_heat_decay(*kernels[i], domain) for i in lag_rows]),
+    )
+    plan.decay.flags.writeable = plan.lag_decay.flags.writeable = False
+    return plan
 
 
 def step(history: History, params: ModelParams, domain: Domain, dt: float) -> StateTriple:
-    """Advances the history by one split step and returns the new state."""
+    """Advances the history by one split step and returns the new state.
+
+    Equivalent to the reaction terms of infection_term_u1/u3 followed by
+    one heat_apply per component.  The decays come from a plan cached per
+    (params, domain, dt), and the two kernel averages, then the three heat
+    flows, each go to the shared transform as one batch.
+    """
     if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
         raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
-    k_a = lag_steps(params.tau_a, history.dt)
-    k_b = lag_steps(params.tau_b, history.dt)
-    cur = history.lookup_arrays(0)
-    u1, u2, u3 = cur[0], cur[1], cur[2]
-    u3_lag = history.lookup_arrays(k_a)[2]
-    lag_b = history.lookup_arrays(k_b)
+    plan = _step_plan(params, domain, dt)
+    u1, u2, u3 = history.lookup_arrays(0)
+    lag_b = history.lookup_arrays(plan.k_b)
+    delayed = [history.lookup_arrays(plan.k_a)[2], lag_b[0] * lag_b[1]]
+    rows = plan.lag_rows
+    if rows:
+        for i, row in zip(rows, _heat_rows([delayed[i] for i in rows], plan.lag_decay, domain)):
+            delayed[i] = row
 
-    r1 = infection_term_u1(u1, u3_lag, params, domain) - params.mu_m * u1
+    r1 = _mosquito_infection(u1, delayed[0], params) - params.mu_m * u1
     r2 = params.H - params.beta_h * u1 * u2 - params.mu_h * u2
-    r3 = infection_term_u3(lag_b[0], lag_b[1], params, domain) - params.rho_h * u3
+    r3 = _human_infection(delayed[1], params) - params.rho_h * u3
 
-    new = StateTriple(
-        heat_apply(u1 + dt * r1, params.d_m, dt, domain),
-        heat_apply(u2 + dt * r2, params.d_h, dt, domain),
-        heat_apply(u3 + dt * r3, params.d_h, dt, domain),
-    )
+    post = (u1 + dt * r1, u2 + dt * r2, u3 + dt * r3)
+    new = StateTriple(*_heat_rows(post, plan.decay, domain))
     history.append(new)
     return new
 
@@ -201,7 +250,8 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     Certifying runs additionally evaluate the Lyapunov functional and the
     dissipation identity at every step, reading the W integrals from a
     ring of per-lag values that gains one entry per step.  At checkpoint
-    steps, every max(k_a, k_b) steps plus the first and the last, the
+    steps, every min(k_a, k_b) steps (over the nonzero ones, and every
+    step when both delays are zero) plus the first and the last, the
     ring is compared with W recomputed from the raw window.  Certifying
     runs require R0 > 1 and a strictly positive initial history.
 
@@ -218,8 +268,8 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         )
     if abs(initial.dt - dt) > 1e-15 * max(initial.dt, dt):
         raise ValueError(f"history dt {initial.dt!r} does not match config dt {dt!r}")
-    k_a = lag_steps(params.tau_a, dt)
-    k_b = lag_steps(params.tau_b, dt)
+    plan = _step_plan(params, domain, dt)
+    k_a, k_b = plan.k_a, plan.k_b
     if initial.n_lags < max(k_a, k_b):
         raise ValueError(
             f"history spans {initial.n_lags} lags, need {max(k_a, k_b)}"
@@ -239,10 +289,10 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             )
         kernels = prepare_kernels(params, domain, dt)
         ring = LagIntegrals(initial, params, eqs.endemic, domain)
-        # A value pushed at step s sits in the longer delay's window
-        # through step s + max(k_a, k_b), so this stride checks each one
-        # at least once while it still weighs in that delay's W.
-        checkpoint_stride = max(k_a, k_b, 1)
+        # A value pushed at step s weighs in a delay's W through step
+        # s + k for that delay's k, so a stride of the shortest nonzero k
+        # checks each cached value while it still counts in every W.
+        checkpoint_stride = min((k for k in (k_a, k_b) if k), default=1)
 
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1

@@ -22,6 +22,27 @@ constants are exact fixed points of the semigroup, mode 0 equals the
 trapezoid mean (mass conservation becomes an identity), and the
 assembled kernel matrix reproduces heat_apply to roundoff at every t.
 
+The heat flow is one transform pair, shared by heat_apply and the
+integrator's step: forward to the cosine basis, scale mode k by its
+decay, back to the grid.  That pair is exactly the DCT-I, so on grids of
+FFT_MIN_N points or more it runs as irfft(rfft(e) * decay) of the even
+extension e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), with the modes
+from N on set to zero (Makhoul, IEEE Trans. ASSP 28, 1980).  That costs
+O(n log n) per row and never forms the n x n matrices.  Below FFT_MIN_N
+the dense matrix-vector products, one row at a time, are faster.  The
+two paths agree to about 1e-14 of sup |f|.
+
+FFT_MIN_N comes from timing the fused (3, n) heat flow of one step both
+ways at n = 64, 72, ..., 448 (2-core x86-64, numpy 2.4, one OpenBLAS
+thread, best of 21 repeats).  The FFT's cost depends on the factors of
+n - 1.  When n - 1 has no prime factor above about 150 the FFT was
+faster from n = 136 on, and 2-3x faster from n = 208 on.  When n - 1 is
+prime, numpy.fft falls back to Bluestein's algorithm, and the FFT stayed
+slower up to n = 312 (about 3x slower at n = 264 and 272).  From 256 on
+the FFT was faster on every size with a smooth n - 1, and at n = 1024 it
+was 13x faster; grids of 256 to about 360 points with a prime n - 1
+are better served by a neighbouring n.
+
 Truncation caveat: the spectrally truncated kernel is not pointwise
 positive for very small times.  Applying the semigroup to a nonnegative
 field can undershoot zero by about 1e-9 of its sup for rough data;
@@ -32,6 +53,7 @@ where the truncated series cannot represent the near-delta kernel.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +75,10 @@ __all__ = [
 # is too close to a delta for the retained modes to resolve.
 KERNEL_TIME_FLOOR_FACTOR = 1e-3
 
+# Grids of at least this many points run the heat flow through numpy.fft;
+# smaller ones use the dense transform matrices (see the module docstring).
+FFT_MIN_N = 256
+
 
 @dataclass(frozen=True)
 class _Operators:
@@ -68,14 +94,21 @@ class _Operators:
 
 
 @lru_cache(maxsize=32)
+def _eigenvalues(domain: Domain) -> np.ndarray:
+    """Laplacian eigenvalues (k pi / L)^2 of the retained modes, read-only."""
+    lam = (np.arange(domain.N) * math.pi / domain.L) ** 2
+    lam.flags.writeable = False
+    return lam
+
+
+@lru_cache(maxsize=32)
 def _operators(domain: Domain) -> _Operators:
     n, N, L = domain.n, domain.N, domain.L
     m = n - 1
     x = domain.grid
     w = domain.trapezoid_weights
-    k = np.arange(N)
-    freq = k * math.pi / L
-    lam = freq**2
+    freq = np.arange(N) * math.pi / L
+    lam = _eigenvalues(domain)
     cos = np.cos(np.outer(x, freq))
     # Discrete orthogonality weight: 2 everywhere except mode 0 and, when
     # all n modes are retained, the top mode, where the closed grid sums
@@ -118,6 +151,31 @@ def to_grid(a: np.ndarray, domain: Domain) -> np.ndarray:
     return ops.cos @ a
 
 
+def _heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
+    """Per-mode factors exp(-d t lam_k) of the heat flow, k = 0 .. N - 1."""
+    return np.exp(-d * t * _eigenvalues(domain))
+
+
+def _heat_rows(
+    rows: Sequence[np.ndarray], decay: np.ndarray, domain: Domain
+) -> Sequence[np.ndarray]:
+    """Scales the cosine modes of each grid field in rows by that row of decay, (r, N).
+
+    The transform pair behind every heat flow: dense products row by row
+    below FFT_MIN_N grid points, the DCT-I through rfft at and above it.
+    rows is a sequence of r fields of length n; so is the result.
+    """
+    n, N = domain.n, domain.N
+    if n < FFT_MIN_N:
+        ops = _operators(domain)
+        return [ops.cos @ (decay[i] * (ops.fwd @ row)) for i, row in enumerate(rows)]
+    f = np.asarray(rows)
+    spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
+    spec[:, :N] *= decay
+    spec[:, N:] = 0.0
+    return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
+
+
 def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
     """Applies the Neumann heat semigroup exp(d t Laplacian) to f.
 
@@ -140,10 +198,7 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return f.copy()
-    ops = _operators(domain)
-    a = ops.fwd @ f
-    a *= np.exp(-d * t * ops.lam)
-    return ops.cos @ a
+    return _heat_rows((f,), _heat_decay(d, t, domain)[None, :], domain)[0]
 
 
 def min_resolvable_time(d: float, domain: Domain) -> float:
@@ -173,7 +228,7 @@ def kernel_matrix(d: float, t: float, domain: Domain) -> np.ndarray:
             f"for d={d!r}; increase t or the mode count"
         )
     ops = _operators(domain)
-    decay = ops.weight * np.exp(-d * t * ops.lam)
+    decay = ops.weight * _heat_decay(d, t, domain)
     gamma = (ops.cos * decay[None, :]) @ ops.cos.T
     return gamma * ops.w[None, :]
 

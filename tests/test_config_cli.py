@@ -287,6 +287,16 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, config_doc(t_end=0.1))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file, not a directory")
+    assert main(["simulate", "--config", path, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert blocker.read_text() == "a regular file, not a directory"
+
+
 # ---------------------------------------------------------------------- sweep
 
 
@@ -361,6 +371,28 @@ def test_run_sweep_isolates_failing_rows():
     assert rows[1].error is not None and "stability" in rows[1].error
     assert rows[1].final_dist is None
     assert rows[1].r0 is not None  # still reported for the failing row
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, MemoryError])
+def test_run_sweep_isolates_numeric_and_memory_errors(monkeypatch, error):
+    import dengue_rd.cli as cli
+
+    real_run = cli.run
+
+    def failing_for_b2(config, initial):
+        if config.params.b == 2.0:
+            raise error("overflow in row b = 2" if error is FloatingPointError else "")
+        return real_run(config, initial)
+
+    monkeypatch.setattr(cli, "run", failing_for_b2)
+    doc = sweep_doc(certify=False)
+    doc["values"] = [1.0, 2.0, 3.0]
+    rows = run_sweep(load_sweep(doc), seed=0)
+    assert [r.value for r in rows] == [1.0, 2.0, 3.0]
+    assert rows[1].error == ("overflow in row b = 2" if error is FloatingPointError else "MemoryError")
+    assert rows[1].final_dist is None and rows[1].r0 is not None
+    for row in (rows[0], rows[2]):
+        assert row.error is None and np.isfinite(row.final_dist)
 
 
 def test_cli_sweep_csv(tmp_path, capsys):

@@ -341,6 +341,33 @@ def checkpoint_steps(traj):
     return [k for k, bd in enumerate(traj.lyapunov) if bd.two_path_rel_err is not None]
 
 
+def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
+    # k_a = 2, k_b = 5: a value of the shorter delay's cache weighs in W1
+    # for two steps only, so the stride must be 2, not 5.
+    import dengue_rd.integrator as integrator
+
+    params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)
+    domain = Domain(L=1.0, n=12)
+    real_eval_V = integrator.eval_V
+
+    def corrupting(history, *args, ring, **kwargs):
+        if round(history.t_now / history.dt) == 6:
+            ring.a[0] += 1.0
+        return real_eval_V(history, *args, ring=ring, **kwargs)
+
+    monkeypatch.setattr(integrator, "eval_V", corrupting)
+    traj = certifying_trajectory(params, domain, t_end=0.75)  # 15 steps
+    assert checkpoint_steps(traj) == [0, 2, 4, 6, 8, 10, 12, 14, 15]
+    cert = certify(traj)
+    assert cert.two_path_ok is False
+    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
+    assert violation["step"] == 6
+    assert traj.lyapunov[6].two_path_rel_err > cert.two_path_tol
+    # it still sits at lag k_a = 2 at step 8 and has left W1's window by 10
+    assert traj.lyapunov[8].two_path_rel_err > cert.two_path_tol
+    assert traj.lyapunov[10].two_path_rel_err == 0.0
+
+
 def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     params = dataclasses.replace(worked_params, tau_a=0.0, tau_b=0.0)
     domain = Domain(L=1.0, n=12)
