@@ -13,7 +13,6 @@ from .core import (
     History,
     HistoryValidation,
     ModelParams,
-    StateTriple,
     bound_vector,
     lag_steps,
     sup_distance,
@@ -57,7 +56,6 @@ from .lyapunov import (
     TERM_NAMES,
     certify,
     eval_V,
-    eval_dissipation,
     g,
     prepare_kernels,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "ModelParams",
     "SimConfig",
     "SimulationError",
-    "StateTriple",
     "TERM_NAMES",
     "Trajectory",
     "basic_reproduction_number",
@@ -97,7 +94,6 @@ __all__ = [
     "endemic_equilibrium",
     "endemic_newton_multistart",
     "eval_V",
-    "eval_dissipation",
     "g",
     "gradient_energy",
     "heat_apply",

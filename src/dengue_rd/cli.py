@@ -24,7 +24,7 @@ from .config import (
 from .core import NONNEGATIVE_PARAMS, ModelParams
 from .equilibria import basic_reproduction_number, compute_equilibria, regime_classify
 from .integrator import SimulationError, run
-from .lyapunov import certify as certify_trajectory
+from .lyapunov import certify as certify_trajectory, check_tolerances
 from .output import (
     equilibria_report,
     fmt_float,
@@ -203,16 +203,17 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if not config.certify:
-        config = replace(config, certify=True)
-        validate_for_certification(config)
-    traj = run(config, build_initial_history(config, args.seed))
     kwargs = {}
     if args.tol is not None:
         kwargs["v_tol"] = args.tol
     if args.dissipation_tol is not None:
         kwargs["d_tol"] = args.dissipation_tol
+    check_tolerances(**kwargs)
+    config = load_config(args.config)
+    if not config.certify:
+        config = replace(config, certify=True)
+        validate_for_certification(config)
+    traj = run(config, build_initial_history(config, args.seed))
     certificate = certify_trajectory(traj, **kwargs)
     out = _out_dir(args)
     write_timeseries(out / "timeseries.csv", traj)
@@ -276,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cert, out_required=True)
     p_cert.add_argument(
         "--tol", type=float, default=None,
-        help="per-step V monotonicity slack, relative to V(0)",
+        help="per-step V monotonicity slack v_tol, relative to V(0)",
     )
     p_cert.add_argument(
         "--dissipation-tol", type=float, default=None,
-        help="absolute sign slack for dissipation terms",
+        help="absolute sign slack d_tol for dissipation terms",
     )
     p_cert.set_defaults(handler=_cmd_certify)
 

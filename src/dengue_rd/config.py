@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Domain, History, ModelParams, StateTriple, bound_vector, lag_steps
+from .core import Domain, History, ModelParams, bound_vector, lag_steps
 from .equilibria import compute_equilibria
-from .integrator import SimConfig, stability_dt_bound
+from .integrator import SimConfig
 from .spectral import min_resolvable_time
 
 __all__ = [
@@ -112,28 +112,6 @@ def load_config(source: str | Path | dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    dt = _as_number(doc, "dt")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    for tau in (params.tau_a, params.tau_b):
-        try:
-            lag_steps(tau, dt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    bound = stability_dt_bound(params)
-    if dt > bound:
-        raise ConfigError(
-            f"dt={dt!r} exceeds the explicit-Euler stability bound {bound!r}"
-        )
-
-    t_end = _as_number(doc, "t_end")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigError(f"t_end must be nonnegative and finite, got {t_end!r}")
-
-    history_mode = doc.get("history_mode", "constant")
-    if history_mode not in ("constant", "modulated"):
-        raise ConfigError(f"history_mode must be 'constant' or 'modulated', got {history_mode!r}")
-
     strict_box = doc.get("strict_box", None)
     if strict_box is not None and not isinstance(strict_box, bool):
         raise ConfigError(f"key 'strict_box' must be a boolean, got {strict_box!r}")
@@ -142,17 +120,19 @@ def load_config(source: str | Path | dict) -> SimConfig:
         config = SimConfig(
             params=params,
             domain=domain,
-            dt=dt,
-            t_end=t_end,
+            dt=_as_number(doc, "dt"),
+            t_end=_as_number(doc, "t_end"),
             snapshot_every=_as_int(doc, "snapshot_every", default=0),
             certify=_as_bool(doc, "certify", default=False),
             strict_box=strict_box,
-            history_mode=history_mode,
+            history_mode=doc.get("history_mode", "constant"),
             perturb_amplitude=(
                 _as_number(doc, "perturb_amplitude") if "perturb_amplitude" in doc else 0.2
             ),
             perturb_modes=_as_int(doc, "perturb_modes", default=3),
         )
+        for tau in (params.tau_a, params.tau_b):
+            lag_steps(tau, config.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -241,7 +221,7 @@ def build_initial_history(config: SimConfig, seed: int = 0) -> History:
 
     n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
 
-    def state_at(s: float) -> StateTriple:
+    def state_at(s: float) -> np.ndarray:
         factor = 1.0
         if config.history_mode == "modulated":
             tau_max = max(params.tau_a, params.tau_b, dt)
@@ -250,7 +230,7 @@ def build_initial_history(config: SimConfig, seed: int = 0) -> History:
         for i in range(3):
             xi, scale = shapes[i]
             comps.append(base[i] * scale * (1.0 + amp * factor * xi))
-        return StateTriple(*comps)
+        return np.array(comps)
 
     if config.history_mode == "constant":
         return History.constant(state_at(0.0), n_lags, dt)

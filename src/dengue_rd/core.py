@@ -7,16 +7,16 @@ tau_b (intrinsic, in the human), during which the carrier diffuses, so the
 delayed terms enter through heat-kernel averages rather than point values.
 
 This module holds everything the numerics share: validated parameter and
-domain records, the invariant box that bounds all admissible states, the
-grid state triple, and the ring buffer of past states that feeds the
-delayed terms.
+domain records, the invariant box that bounds all admissible states, and
+the ring buffer of past states that feeds the delayed terms.  A state is
+a float (3, n) array on the grid, rows u1, u2, u3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "HistoryValidation",
     "ModelParams",
     "NONNEGATIVE_PARAMS",
-    "StateTriple",
     "bound_vector",
     "lag_steps",
     "sup_distance",
@@ -180,58 +179,9 @@ class Domain:
         return w
 
 
-@dataclass(frozen=True)
-class StateTriple:
-    """One snapshot (u1, u2, u3) of the three densities on the grid."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (self.u1.shape == self.u2.shape == self.u3.shape) or self.u1.ndim != 1:
-            raise ValueError("u1, u2, u3 must be 1-d arrays of equal length")
-
-    @classmethod
-    def constant(cls, values: tuple[float, float, float] | np.ndarray, n: int) -> StateTriple:
-        """Spatially constant state with the given component values."""
-        v = np.asarray(values, dtype=float)
-        return cls(np.full(n, v[0]), np.full(n, v[1]), np.full(n, v[2]))
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> StateTriple:
-        return cls(arr[0].copy(), arr[1].copy(), arr[2].copy())
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.u1, self.u2, self.u3])
-
-    @property
-    def n(self) -> int:
-        return self.u1.shape[0]
-
-    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.u1, self.u2, self.u3
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.u1).all()
-            and np.isfinite(self.u2).all()
-            and np.isfinite(self.u3).all()
-        )
-
-    def in_box(self, bound: np.ndarray, slack: float = BOX_SLACK) -> bool:
-        """Whether every component lies in [0, M_i * (1 + slack)]."""
-        for i, u in enumerate(self.components()):
-            if u.min() < 0.0 or u.max() > bound[i] * (1.0 + slack):
-                return False
-        return True
-
-
-def sup_distance(state: StateTriple, point: np.ndarray) -> float:
+def sup_distance(state: np.ndarray, point: np.ndarray) -> float:
     """Sup-norm distance max_i sup_x |u_i(x) - point_i| to a constant state."""
-    return max(
-        float(np.abs(u - point[i]).max()) for i, u in enumerate(state.components())
-    )
+    return float(np.abs(state - point[:, None]).max())
 
 
 def lag_steps(tau: float, dt: float, rtol: float = DT_DIVISIBILITY_RTOL) -> int:
@@ -258,29 +208,33 @@ def lag_steps(tau: float, dt: float, rtol: float = DT_DIVISIBILITY_RTOL) -> int:
 class History:
     """Ring buffer of the most recent states, spanning the longest delay.
 
-    Holds n_lags + 1 snapshots at times t_now, t_now - dt, ...,
-    t_now - n_lags * dt, where n_lags * dt >= max(tau_a, tau_b).  Lag
-    lookups are exact grid reads; appending advances time by dt and drops
-    the oldest snapshot.  A simulation owns its history exclusively.
+    Each state is a float (3, n) array, rows u1, u2, u3.  Holds n_lags + 1
+    states at times t_now, t_now - dt, ..., t_now - n_lags * dt, where
+    n_lags * dt >= max(tau_a, tau_b).  Lag lookups are exact grid reads;
+    appending advances time by dt and overwrites the oldest slot.  A
+    simulation owns its history exclusively.
     """
 
-    def __init__(self, window: list[StateTriple], dt: float, t_now: float = 0.0):
-        """Builds the buffer from a full window ordered oldest to newest."""
+    def __init__(self, window: Sequence[np.ndarray], dt: float, t_now: float = 0.0):
+        """Builds the buffer from a full window of states ordered oldest to newest."""
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt!r}")
-        if not window:
+        if not len(window):
             raise ValueError("history window must contain at least one state")
-        n = window[0].n
-        if any(s.n != n for s in window):
+        shapes = {np.shape(s) for s in window}
+        if len(shapes) != 1:
             raise ValueError("all history states must share the same grid size")
+        (shape,) = shapes
+        if len(shape) != 2 or shape[0] != 3:
+            raise ValueError(f"history states must be (3, n) arrays, got shape {shape}")
         self._dt = float(dt)
         self._t_now = float(t_now)
-        self._buf = np.stack([s.as_array() for s in window])
+        self._buf = np.array(window, dtype=float)
         self._head = len(window) - 1  # index of the newest snapshot
 
     @classmethod
     def constant(
-        cls, state: StateTriple, n_lags: int, dt: float, t_now: float = 0.0
+        cls, state: np.ndarray, n_lags: int, dt: float, t_now: float = 0.0
     ) -> History:
         """Window holding the same state at every lag (time-constant history)."""
         return cls([state] * (n_lags + 1), dt, t_now)
@@ -288,7 +242,7 @@ class History:
     @classmethod
     def from_function(
         cls,
-        phi: Callable[[float], StateTriple],
+        phi: Callable[[float], np.ndarray],
         n_lags: int,
         dt: float,
         t_now: float = 0.0,
@@ -314,15 +268,12 @@ class History:
         return self._buf.shape[2]
 
     @property
-    def latest(self) -> StateTriple:
+    def latest(self) -> np.ndarray:
         return self.lookup(0)
 
-    def lookup(self, k: int) -> StateTriple:
-        """State recorded k steps ago, i.e. at time t_now - k * dt."""
-        if not (0 <= k <= self.n_lags):
-            raise ValueError(f"lag {k} outside stored window 0..{self.n_lags}")
-        idx = (self._head - k) % self._buf.shape[0]
-        return StateTriple.from_array(self._buf[idx])
+    def lookup(self, k: int) -> np.ndarray:
+        """Copy of the state recorded k steps ago, at time t_now - k * dt."""
+        return self.lookup_arrays(k).copy()
 
     def lookup_arrays(self, k: int) -> np.ndarray:
         """Raw (3, n) view of the state k steps ago; callers must not write."""
@@ -330,14 +281,25 @@ class History:
             raise ValueError(f"lag {k} outside stored window 0..{self.n_lags}")
         return self._buf[(self._head - k) % self._buf.shape[0]]
 
-    def append(self, state: StateTriple) -> None:
-        """Pushes the state at time t_now + dt, evicting the oldest entry."""
-        self._head = (self._head + 1) % self._buf.shape[0]
-        self._buf[self._head] = state.as_array()
-        self._t_now += self._dt
+    def append(self, state: Sequence[np.ndarray]) -> np.ndarray:
+        """Writes the state at time t_now + dt over the oldest slot.
 
-    def entries(self) -> Iterator[tuple[int, StateTriple]]:
-        """Yields (lag, state) pairs from lag 0 back to the oldest."""
+        state is a (3, n) array or a sequence of three length-n rows.
+        Returns the stored state as a read-only view of its slot, valid
+        until the slot is reused n_lags + 1 appends later.
+        """
+        if len(state) != 3:
+            raise ValueError(f"a state has 3 rows, got {len(state)}")
+        head = (self._head + 1) % self._buf.shape[0]
+        slot = self._buf[head]
+        slot[...] = state
+        self._head = head
+        self._t_now += self._dt
+        slot.flags.writeable = False
+        return slot
+
+    def entries(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yields (lag, state copy) pairs from lag 0 back to the oldest."""
         for k in range(self.n_lags + 1):
             yield k, self.lookup(k)
 
@@ -376,7 +338,7 @@ def validate_initial_history(
     floor = STRICT_POSITIVITY_FLOOR * bound
     violations: list[str] = []
     for k, state in history.entries():
-        for i, u in enumerate(state.components()):
+        for i, u in enumerate(state):
             label = f"u{i + 1} at lag {k}"
             if not np.isfinite(u).all():
                 violations.append(f"{label}: non-finite values")
@@ -394,7 +356,5 @@ def validate_initial_history(
                     f"floor {floor[i]:.6g}"
                 )
     latest = history.latest
-    degenerate = bool(
-        np.all(latest.u1 == 0.0) and np.all(latest.u3 == 0.0)
-    )
+    degenerate = bool(np.all(latest[0] == 0.0) and np.all(latest[2] == 0.0))
     return HistoryValidation(ok=not violations, degenerate=degenerate, violations=violations)

@@ -19,11 +19,10 @@ The explicit reaction substep keeps states in the invariant box when
 
     dt <= 0.2 / max(mu_m, mu_h + beta_h M1, rho_h, beta_m M3),
 
-the net loss coefficient of each component at the box ceiling; the
-configuration loader rejects larger steps.  A spatially homogeneous
-reduction of the step doubles as an oracle: on constant data the split
-step coincides with an explicit Euler step of the underlying delay
-differential system.
+the net loss coefficient of each component at the box ceiling; SimConfig
+rejects larger steps.  A spatially homogeneous reduction of the step
+doubles as an oracle: on constant data the split step coincides with an
+explicit Euler step of the underlying delay differential system.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    BOX_SLACK,
     Domain,
     History,
     ModelParams,
-    StateTriple,
     bound_vector,
     lag_steps,
     sup_distance,
@@ -145,13 +144,17 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     return plan
 
 
-def step(history: History, params: ModelParams, domain: Domain, dt: float) -> StateTriple:
+def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np.ndarray:
     """Advances the history by one split step and returns the new state.
 
     Equivalent to the reaction terms of infection_term_u1/u3 followed by
     one heat_apply per component.  The decays come from a plan cached per
     (params, domain, dt), and the two kernel averages, then the three heat
     flows, each go to the shared transform as one batch.
+
+    The new state is a (3, n) array, rows u1, u2, u3: a read-only view of
+    the history's ring slot, valid until the slot is reused n_lags + 1
+    steps later.  Copy it to keep it longer.
     """
     if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
         raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
@@ -169,20 +172,19 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> St
     r3 = _human_infection(delayed[1], params) - params.rho_h * u3
 
     post = (u1 + dt * r1, u2 + dt * r2, u3 + dt * r3)
-    new = StateTriple(*_heat_rows(post, plan.decay, domain))
-    history.append(new)
-    return new
+    return history.append(_heat_rows(post, plan.decay, domain))
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs besides the initial history.
 
-    strict_box None defers to certify: certification runs stop on a box
-    violation, exploratory runs record it and continue.  The perturbation
-    fields control the seeded initial history built for CLI runs: a
-    smooth low-mode relative perturbation of the predicted attractor,
-    either constant in time or modulated in the time argument.
+    dt must not exceed stability_dt_bound(params).  strict_box None
+    defers to certify: certification runs stop on a box violation,
+    exploratory runs record it and continue.  The perturbation fields
+    control the seeded initial history built for CLI runs: a smooth
+    low-mode relative perturbation of the predicted attractor, either
+    constant in time or modulated in the time argument.
     """
 
     params: ModelParams
@@ -199,12 +201,19 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        bound = stability_dt_bound(self.params)
+        if self.dt > bound:
+            raise ValueError(
+                f"dt={self.dt!r} exceeds the explicit-Euler stability bound {bound!r}"
+            )
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end!r}")
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
         if self.history_mode not in ("constant", "modulated"):
-            raise ValueError(f"unknown history_mode {self.history_mode!r}")
+            raise ValueError(
+                f"history_mode must be 'constant' or 'modulated', got {self.history_mode!r}"
+            )
         if not (0.0 <= self.perturb_amplitude < 1.0):
             raise ValueError("perturb_amplitude must lie in [0, 1)")
         if self.perturb_modes < 1:
@@ -223,8 +232,10 @@ class Trajectory:
     when no endemic state exists.  V, dVdt_fd and dissipation are NaN
     unless the run certified; dVdt_fd[k] is the backward difference
     (V[k] - V[k-1]) / dt.  snapshots holds (time, state) pairs at the
-    configured stride plus the first and last step.  kernel_mass_defect is
-    the kernels' worst column-mass defect, recorded by certifying runs.
+    configured stride plus the first and last step; each state, like
+    final_state, is a (3, n) array, rows u1, u2, u3, owned by the
+    trajectory.  kernel_mass_defect is the kernels' worst column-mass
+    defect, recorded by certifying runs.
     """
 
     times: np.ndarray
@@ -236,9 +247,9 @@ class Trajectory:
     dVdt_fd: np.ndarray
     dissipation: np.ndarray
     lyapunov: list[LyapunovBreakdown]
-    snapshots: list[tuple[float, StateTriple]]
+    snapshots: list[tuple[float, np.ndarray]]
     bounds_ok: bool
-    final_state: StateTriple
+    final_state: np.ndarray
     equilibria: EquilibriumSet
     config: SimConfig
     kernel_mass_defect: float | None = None
@@ -275,7 +286,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             f"history spans {initial.n_lags} lags, need {max(k_a, k_b)}"
         )
     eqs = compute_equilibria(params)
-    bound = bound_vector(params)
+    ceiling = bound_vector(params) * (1.0 + BOX_SLACK)
 
     kernels = ring = None
     if config.certify:
@@ -304,22 +315,22 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     v_arr = np.full(size, np.nan)
     d_arr = np.full(size, np.nan)
     breakdowns: list[LyapunovBreakdown] = []
-    snapshots: list[tuple[float, StateTriple]] = []
+    snapshots: list[tuple[float, np.ndarray]] = []
     bounds_ok = True
 
-    def record(k: int, state: StateTriple) -> None:
+    def record(k: int, state: np.ndarray) -> None:
         nonlocal bounds_ok
-        arr = state.as_array()
-        comp_min[k] = arr.min(axis=1)
-        comp_max[k] = arr.max(axis=1)
+        lo = comp_min[k] = state.min(axis=1)
+        hi = comp_max[k] = state.max(axis=1)
         if eqs.endemic is not None:
             dist_endemic[k] = sup_distance(state, eqs.endemic)
         dist_dfe[k] = sup_distance(state, eqs.dfe)
-        if not state.is_finite():
+        # min and max propagate NaN, so they see every non-finite value.
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise SimulationError(
                 f"non-finite state at step {k}, t={times[k]:.6g}"
             )
-        if not state.in_box(bound):
+        if (lo < 0.0).any() or (hi > ceiling).any():
             if config.box_strict:
                 raise SimulationError(
                     f"state left the invariant box at step {k}, t={times[k]:.6g}"
@@ -337,7 +348,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):
-            snapshots.append((float(times[k]), state))
+            snapshots.append((float(times[k]), state.copy()))
 
     record(0, initial.latest)
     for k in range(1, size):

@@ -73,8 +73,8 @@ __all__ = [
     "LyapunovKernels",
     "TERM_NAMES",
     "certify",
+    "check_tolerances",
     "eval_V",
-    "eval_dissipation",
     "g",
     "prepare_kernels",
 ]
@@ -403,16 +403,15 @@ def eval_V(
     )
 
 
-def eval_dissipation(
-    history: History,
-    params: ModelParams,
-    ustar: np.ndarray,
-    domain: Domain,
-    *,
-    kernels: LyapunovKernels | None = None,
-) -> float:
-    """The full dissipation D(t) <= 0 on the current history."""
-    return eval_V(history, params, ustar, domain, kernels=kernels).dissipation
+def check_tolerances(**tolerances: float) -> None:
+    """Raises ValueError unless every named tolerance is finite and >= 0.
+
+    A NaN slack would pass every comparison vacuously, and it could not
+    be written to the certificate's JSON.
+    """
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -489,7 +488,12 @@ def certify(
 
     Returns:
         The certificate; passed is True only if every check holds.
+
+    Raises:
+        ValueError: on a negative or non-finite tolerance, or a trajectory
+            without Lyapunov data.
     """
+    check_tolerances(v_tol=v_tol, d_tol=d_tol, two_path_tol=two_path_tol)
     breakdowns = trajectory.lyapunov
     if not breakdowns:
         raise ValueError("trajectory carries no Lyapunov data; rerun with certify")

@@ -62,9 +62,8 @@ def write_snapshots(path: Path, traj: Trajectory) -> None:
     x = traj.config.domain.grid
     lines = ["t,x,u1,u2,u3"]
     for t, state in traj.snapshots:
-        for j in range(len(x)):
-            cols = (t, x[j], state.u1[j], state.u2[j], state.u3[j])
-            lines.append(",".join(fmt_float(c) for c in cols))
+        for cols in zip(x, *state):
+            lines.append(",".join(fmt_float(c) for c in (t, *cols)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -47,6 +47,11 @@ def config_doc(**overrides) -> dict:
     return doc
 
 
+def constant_state(values, n: int) -> np.ndarray:
+    """Spatially constant (3, n) state, rows u1, u2, u3."""
+    return np.repeat(np.asarray(values, dtype=float)[:, None], n, axis=1)
+
+
 def random_smooth_field(domain: Domain, rng: np.random.Generator, offset: float = 0.0) -> np.ndarray:
     """Random field resolved well inside the retained modes."""
     x = domain.grid

@@ -17,7 +17,6 @@ from dengue_rd import (
     History,
     ModelParams,
     SimConfig,
-    StateTriple,
     basic_reproduction_number,
     bound_vector,
     build_initial_history,
@@ -32,7 +31,7 @@ from dengue_rd import (
     solve_endemic_newton,
 )
 
-from conftest import WORKED
+from conftest import WORKED, constant_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,9 +176,9 @@ def test_criterion_3_homogeneous_reduction():
     errors = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
         n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
-        hist = History.constant(StateTriple.constant(y0, domain.n), n_lags, dt)
+        hist = History.constant(constant_state(y0, domain.n), n_lags, dt)
         traj = run(SimConfig(params=params, domain=domain, dt=dt, t_end=10.0), hist)
-        final = traj.final_state.as_array()[:, 0]
+        final = traj.final_state[:, 0]
         errors.append(float(np.abs(final - reference).max()))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     elapsed = time.perf_counter() - start

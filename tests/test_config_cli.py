@@ -141,16 +141,16 @@ def test_initial_history_admissible_and_deterministic():
     assert validate_initial_history(h1, config.params, strict_positive=True).ok
     h2 = build_initial_history(config, seed=0)
     for (_, a), (_, b) in zip(h1.entries(), h2.entries()):
-        assert np.array_equal(a.as_array(), b.as_array())
+        assert np.array_equal(a, b)
     h3 = build_initial_history(config, seed=1)
-    assert not np.array_equal(h1.latest.as_array(), h3.latest.as_array())
+    assert not np.array_equal(h1.latest, h3.latest)
 
 
 def test_initial_history_zero_amplitude_sits_on_attractor():
     config = load_config(config_doc(perturb_amplitude=0.0))
     hist = build_initial_history(config, seed=0)
     star = endemic_equilibrium(config.params)
-    assert np.abs(hist.latest.as_array() - star[:, None]).max() < 1e-14
+    assert np.abs(hist.latest - star[:, None]).max() < 1e-14
 
 
 def test_initial_history_below_threshold_is_positive():
@@ -162,12 +162,12 @@ def test_initial_history_below_threshold_is_positive():
 
 def test_initial_history_modes():
     frozen = build_initial_history(load_config(config_doc()), seed=5)
-    arrays = [s.as_array() for _, s in frozen.entries()]
+    arrays = [s for _, s in frozen.entries()]
     for arr in arrays[1:]:
         assert np.array_equal(arr, arrays[0])
     wavy_config = load_config(config_doc(history_mode="modulated"))
     wavy = build_initial_history(wavy_config, seed=5)
-    arrays = [s.as_array() for _, s in wavy.entries()]
+    arrays = [s for _, s in wavy.entries()]
     assert np.abs(arrays[0] - arrays[-1]).max() > 1e-3
     assert validate_initial_history(wavy, wavy_config.params, strict_positive=True).ok
 
@@ -257,6 +257,24 @@ def test_cli_certify_tolerance_flags(tmp_path, capsys):
     doc = json.loads((out / "certificate.json").read_text())
     assert doc["tolerances"]["v_step_slack"] == 1e-3
     assert doc["tolerances"]["dissipation_sign"] == 1e-9
+
+
+def test_cli_certify_rejects_bad_tolerances_before_running(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated despite a bad tolerance")
+
+    monkeypatch.setattr("dengue_rd.cli.run", no_run)
+    path = write_doc(tmp_path, config_doc(t_end=0.5))
+    for flags in (
+        ["--tol", "nan", "--dissipation-tol=nan"],
+        ["--tol=-1e-3"],
+        ["--dissipation-tol", "inf"],
+    ):
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", path, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite and nonnegative" in err
+        assert not (out / "certificate.json").exists()
 
 
 def test_cli_certify_failure_exit_code(tmp_path, capsys, monkeypatch):

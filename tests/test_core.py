@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from dengue_rd import (
-    BOX_SLACK,
     Domain,
     History,
     ModelParams,
-    StateTriple,
     bound_vector,
     lag_steps,
     sup_distance,
     validate_initial_history,
 )
 
-from conftest import WORKED
+from conftest import WORKED, constant_state
 
 
 def test_derived_rates_are_exact_products(worked_params):
@@ -112,31 +110,28 @@ def test_domain_grid_and_weights(domain):
     assert w[0] == w[-1] == 0.5 * w[1]
 
 
-def test_state_triple_round_trip(domain):
+def test_history_state_layout(domain):
     rng = np.random.default_rng(3)
     arr = rng.uniform(0.1, 1.0, size=(3, domain.n))
-    s = StateTriple.from_array(arr)
-    assert np.array_equal(s.as_array(), arr)
-    s2 = StateTriple.constant((1.0, 2.0, 3.0), domain.n)
-    assert s2.u2[0] == 2.0 and s2.n == domain.n
-    with pytest.raises(ValueError):
-        StateTriple(arr[0], arr[1], arr[2][: domain.n - 1])
-
-
-def test_state_triple_box_membership():
-    bound = np.array([1.0, 2.0, 3.0])
-    inside = StateTriple.constant((1.0, 2.0, 3.0), 8)
-    assert inside.in_box(bound)  # the ceiling itself is inside
-    above = StateTriple.constant((1.0 * (1 + 2 * BOX_SLACK), 2.0, 3.0), 8)
-    assert not above.in_box(bound)
-    negative = StateTriple.constant((-1e-12, 2.0, 3.0), 8)
-    assert not negative.in_box(bound)
+    h = History.constant(arr, 2, 0.1)
+    got = h.lookup(1)
+    assert got.shape == (3, domain.n) and np.array_equal(got, arr)
+    got[0, 0] = -1.0  # lookups are copies
+    assert h.lookup(1)[0, 0] == arr[0, 0]
+    with pytest.raises(ValueError, match="same grid size"):
+        History([arr, arr[:, : domain.n - 1]], 0.1)
+    with pytest.raises(ValueError, match=r"\(3, n\)"):
+        History([arr[:2]], 0.1)
+    with pytest.raises(ValueError, match="3 rows"):
+        h.append(arr[0])  # one row would broadcast over all three
 
 
 def test_sup_distance(domain):
-    s = StateTriple.constant((1.0, 2.0, 3.0), domain.n)
+    s = constant_state((1.0, 2.0, 3.0), domain.n)
     assert sup_distance(s, np.array([1.0, 2.0, 3.0])) == 0.0
     assert sup_distance(s, np.array([1.0, 2.5, 3.0])) == 0.5
+    s[2, 5] = 3.75
+    assert sup_distance(s, np.array([1.0, 2.5, 3.0])) == 0.75
 
 
 def test_lag_steps_accepts_exact_multiples():
@@ -160,18 +155,18 @@ def test_lag_steps_rejects_and_suggests():
 
 def test_history_lookup_round_trip(domain):
     dt = 0.1
-    states = [StateTriple.constant((float(j), 0.5, 1.0), domain.n) for j in range(5)]
+    states = [constant_state((float(j), 0.5, 1.0), domain.n) for j in range(5)]
     h = History(states, dt)
     assert h.n_lags == 4 and h.n == domain.n
     # lag 0 is the newest entry, bit-exact
-    assert np.array_equal(h.lookup(0).as_array(), states[-1].as_array())
+    assert np.array_equal(h.lookup(0), states[-1])
     for k in range(5):
-        assert h.lookup(k).u1[0] == float(4 - k)
+        assert h.lookup(k)[0, 0] == float(4 - k)
     # push a full window of fresh states and read them all back
     for j in range(5, 10):
-        h.append(StateTriple.constant((float(j), 0.5, 1.0), domain.n))
+        h.append(constant_state((float(j), 0.5, 1.0), domain.n))
     for k in range(5):
-        assert h.lookup(k).u1[0] == float(9 - k)
+        assert h.lookup(k)[0, 0] == float(9 - k)
     with pytest.raises(ValueError):
         h.lookup(5)
     with pytest.raises(ValueError):
@@ -181,23 +176,23 @@ def test_history_lookup_round_trip(domain):
 def test_history_from_function_samples_lag_times(domain):
     dt = 0.25
 
-    def phi(s: float) -> StateTriple:
-        return StateTriple.constant((s, 1.0, 1.0), domain.n)
+    def phi(s: float) -> np.ndarray:
+        return constant_state((s, 1.0, 1.0), domain.n)
 
     h = History.from_function(phi, n_lags=4, dt=dt)
     for k in range(5):
-        assert h.lookup(k).u1[0] == -k * dt
+        assert h.lookup(k)[0, 0] == -k * dt
 
 
 def test_history_append_advances_time(domain):
-    h = History.constant(StateTriple.constant((1.0, 1.0, 1.0), domain.n), 2, 0.5)
+    h = History.constant(constant_state((1.0, 1.0, 1.0), domain.n), 2, 0.5)
     assert h.t_now == 0.0
-    h.append(StateTriple.constant((1.0, 1.0, 1.0), domain.n))
+    h.append(constant_state((1.0, 1.0, 1.0), domain.n))
     assert h.t_now == 0.5
 
 
 def test_validate_history_endemic_ok(worked_params, domain):
-    h = History.constant(StateTriple.constant((0.5, 4 / 3, 1 / 3), domain.n), 10, 0.05)
+    h = History.constant(constant_state((0.5, 4 / 3, 1 / 3), domain.n), 10, 0.05)
     report = validate_initial_history(h, worked_params)
     assert report.ok and not report.degenerate and report.violations == []
 
@@ -206,7 +201,7 @@ def test_validate_history_flags_box_breach(worked_params, domain):
     m3 = bound_vector(worked_params)[2]
     u3 = np.full(domain.n, 0.1)
     u3[7] = 1.5 * m3
-    state = StateTriple(np.full(domain.n, 0.1), np.full(domain.n, 1.0), u3)
+    state = np.array([np.full(domain.n, 0.1), np.full(domain.n, 1.0), u3])
     report = validate_initial_history(
         History.constant(state, 10, 0.05), worked_params
     )
@@ -219,7 +214,7 @@ def test_validate_history_flags_negative_and_nonfinite(worked_params, domain):
     u1[0] = -0.01
     u3 = np.full(domain.n, 0.1)
     u3[3] = np.nan
-    state = StateTriple(u1, np.full(domain.n, 1.0), u3)
+    state = np.array([u1, np.full(domain.n, 1.0), u3])
     report = validate_initial_history(
         History.constant(state, 10, 0.05), worked_params
     )
@@ -229,16 +224,14 @@ def test_validate_history_flags_negative_and_nonfinite(worked_params, domain):
 
 
 def test_validate_history_degenerate_start(worked_params, domain):
-    state = StateTriple(
-        np.zeros(domain.n), np.full(domain.n, 1.0), np.zeros(domain.n)
-    )
+    state = np.array([np.zeros(domain.n), np.full(domain.n, 1.0), np.zeros(domain.n)])
     report = validate_initial_history(History.constant(state, 10, 0.05), worked_params)
     assert report.ok  # admissible, but flagged
     assert report.degenerate
 
 
 def test_validate_history_strict_positivity(worked_params, domain):
-    state = StateTriple.constant((1e-14, 1.0, 0.1), domain.n)
+    state = constant_state((1e-14, 1.0, 0.1), domain.n)
     h = History.constant(state, 10, 0.05)
     assert validate_initial_history(h, worked_params).ok
     strict = validate_initial_history(h, worked_params, strict_positive=True)

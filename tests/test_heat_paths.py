@@ -22,7 +22,6 @@ from dengue_rd import (
     History,
     ModelParams,
     SimConfig,
-    StateTriple,
     heat_apply,
     infection_term_u1,
     infection_term_u3,
@@ -123,11 +122,7 @@ def test_crossover_neighbours_take_the_expected_path():
 
 def random_history(params: ModelParams, domain: Domain, rng) -> History:
     n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
-    window = [
-        StateTriple.from_array(rng.uniform(0.1, 1.0, (3, domain.n)))
-        for _ in range(n_lags + 1)
-    ]
-    return History(window, DT)
+    return History(rng.uniform(0.1, 1.0, (n_lags + 1, 3, domain.n)), DT)
 
 
 def reference_step(history: History, params: ModelParams, domain: Domain) -> np.ndarray:
@@ -173,7 +168,7 @@ def test_step_matches_reference_step(params, domain, fft_min_n, seed):
     with heat_path(domain.n, fft_min_n) as use_fft:
         for _ in range(3):
             expected = reference_step(history, params, domain)
-            got = step(history, params, domain, DT).as_array()
+            got = step(history, params, domain, DT)
             if use_fft:
                 assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
             else:
@@ -199,7 +194,7 @@ def test_parameter_sets_do_not_share_a_plan():
     for _ in range(4):  # interleaved, so a stale plan would show
         for params, history in ((p1, h1), (p2, h2)):
             expected = reference_step(history, params, domain)
-            assert np.array_equal(step(history, params, domain, DT).as_array(), expected)
+            assert np.array_equal(step(history, params, domain, DT), expected)
 
 
 def test_run_derives_lag_counts_once(monkeypatch):
@@ -222,4 +217,4 @@ def test_wide_run_builds_no_dense_operators():
         assert use_fft
         config = SimConfig(params=params, domain=domain, dt=DT, t_end=0.25)
         traj = run(config, random_history(params, domain, np.random.default_rng(1)))
-    assert np.isfinite(traj.final_state.as_array()).all()
+    assert np.isfinite(traj.final_state).all()

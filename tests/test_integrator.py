@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dengue_rd import (
+    BOX_SLACK,
     Domain,
     History,
     ModelParams,
     SimConfig,
     SimulationError,
-    StateTriple,
     bound_vector,
     dde_oracle_step,
     disease_free_equilibrium,
@@ -20,11 +20,11 @@ from dengue_rd import (
     step,
 )
 
-from conftest import WORKED
+from conftest import WORKED, constant_state
 
 
 def constant_history(values, params, domain, dt):
-    state = StateTriple.constant(values, domain.n)
+    state = constant_state(values, domain.n)
     from dengue_rd import lag_steps
 
     n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
@@ -104,7 +104,7 @@ def test_equilibria_are_step_fixed_points(delayed_params, domain, which):
         point = disease_free_equilibrium(delayed_params)
     hist = constant_history(point, delayed_params, domain, 0.05)
     new = step(hist, delayed_params, domain, 0.05)
-    assert np.abs(new.as_array() - point[:, None]).max() < 1e-13
+    assert np.abs(new - point[:, None]).max() < 1e-13
 
 
 def test_step_rejects_mismatched_dt(worked_params, domain):
@@ -118,7 +118,7 @@ def test_step_matches_homogeneous_oracle(delayed_params, domain):
     hist = constant_history(y0, delayed_params, domain, 0.05)
     new = step(hist, delayed_params, domain, 0.05)
     expected = dde_oracle_step(y0, y0[2], y0[0], y0[1], delayed_params, 0.05)
-    assert np.abs(new.as_array() - expected[:, None]).max() < 1e-12
+    assert np.abs(new - expected[:, None]).max() < 1e-12
 
 
 def test_run_constant_data_tracks_oracle(delayed_params, domain):
@@ -146,7 +146,7 @@ def test_run_zero_horizon(worked_params, domain):
     )
     assert len(traj.times) == 1 and traj.times[0] == 0.0
     assert len(traj.snapshots) == 1
-    assert np.array_equal(traj.final_state.as_array(), hist.latest.as_array())
+    assert np.array_equal(traj.final_state, hist.latest)
 
 
 def test_run_record_lengths_and_snapshots(worked_params, domain):
@@ -173,7 +173,7 @@ def test_run_rejects_grid_mismatch(worked_params, domain):
 
 
 def test_run_rejects_short_history(worked_params, domain):
-    state = StateTriple.constant([0.3, 1.0, 0.5], domain.n)
+    state = constant_state([0.3, 1.0, 0.5], domain.n)
     hist = History.constant(state, 3, 0.05)  # tau_a = 0.5 needs 10 lags
     with pytest.raises(ValueError, match="lags"):
         run(SimConfig(params=worked_params, domain=domain, dt=0.05, t_end=0.5), hist)
@@ -217,6 +217,51 @@ def test_box_violation_strictness(worked_params, domain):
     hist2 = constant_history(over, worked_params, domain, 0.05)
     with pytest.raises(SimulationError, match="box"):
         run(strict, hist2)
+
+
+def test_record_box_check_at_the_ceiling(delayed_params, domain):
+    bound = bound_vector(delayed_params)  # M3 < M1 = M2, so rows are told apart
+    config = SimConfig(params=delayed_params, domain=domain, dt=0.05, t_end=0.0)
+
+    def bounds_ok(values):
+        return run(config, constant_history(values, delayed_params, domain, 0.05)).bounds_ok
+
+    assert bounds_ok(bound)  # the ceiling itself is inside
+    for i in range(3):
+        above = bound.copy()
+        above[i] *= 1.0 + 2.0 * BOX_SLACK
+        assert not bounds_ok(above)
+        negative = bound.copy()
+        negative[i] = -1e-12
+        assert not bounds_ok(negative)
+
+
+def test_sim_config_enforces_stability_bound(worked_params, domain):
+    bound = stability_dt_bound(worked_params)  # 0.2 / 3
+    SimConfig(params=worked_params, domain=domain, dt=bound, t_end=1.0)
+    with pytest.raises(ValueError, match="stability bound"):
+        SimConfig(params=worked_params, domain=domain, dt=0.25, t_end=1.0)
+    with pytest.raises(ValueError, match="stability bound"):
+        SimConfig(params=worked_params, domain=domain, dt=bound * (1 + 1e-12), t_end=1.0)
+
+
+def test_snapshots_do_not_alias_the_ring(worked_params, domain):
+    params = ModelParams(**{**WORKED, "tau_a": 0.1})  # 2 lags: a ring of 3 slots
+    hist = constant_history([0.3, 1.0, 0.5], params, domain, 0.05)
+    hist.append(hist.latest * (1.0 + 0.1 * np.cos(np.pi * domain.grid)))
+    config = SimConfig(params=params, domain=domain, dt=0.05, t_end=0.6, snapshot_every=1)
+    traj = run(config, hist)
+    assert len(traj.snapshots) == len(traj.times) == 13  # four wraps of the ring
+    for k, (t, state) in enumerate(traj.snapshots):
+        assert t == traj.times[k]
+        assert np.array_equal(state.min(axis=1), traj.comp_min[k])
+        assert np.array_equal(state.max(axis=1), traj.comp_max[k])
+    final = traj.final_state.copy()
+    new = step(hist, params, domain, 0.05)
+    assert np.array_equal(traj.final_state, final)
+    assert not np.array_equal(new, final)
+    with pytest.raises(ValueError, match="read-only"):
+        new[0, 0] = 0.0
 
 
 def test_box_strict_defaults_follow_certify(worked_params, domain):

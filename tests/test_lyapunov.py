@@ -11,12 +11,10 @@ from dengue_rd import (
     History,
     LagIntegrals,
     SimConfig,
-    StateTriple,
     TERM_NAMES,
     certify,
     endemic_equilibrium,
     eval_V,
-    eval_dissipation,
     g,
     kernel_matrix,
     lag_steps,
@@ -24,14 +22,14 @@ from dengue_rd import (
     run,
 )
 
+from conftest import constant_state
+
 
 def endemic_history(params, domain, dt, transform=lambda a: a):
     """Constant-in-time history whose fields come from the endemic triple."""
     star = endemic_equilibrium(params)
     n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
-    state = StateTriple.from_array(
-        transform(np.repeat(star[:, None], domain.n, axis=1))
-    )
+    state = transform(constant_state(star, domain.n))
     return History.constant(state, n_lags, dt), star
 
 
@@ -109,7 +107,6 @@ def test_eval_V_terms_sum_matches(delayed_params, domain):
     assert bd.dissipation == pytest.approx(
         sum(bd.grad_terms) + sum(bd.quad_terms) + sum(bd.g_terms), rel=1e-14
     )
-    assert bd.dissipation == eval_dissipation(hist, delayed_params, star, domain)
     assert set(bd.terms) == set(TERM_NAMES)
 
 
@@ -132,7 +129,7 @@ def test_eval_V_quadrature_consistency_under_refinement(delayed_params):
             lag_steps(delayed_params.tau_a, 0.05),
             lag_steps(delayed_params.tau_b, 0.05),
         )
-        hist = History.constant(StateTriple.from_array(arr), n_lags, 0.05)
+        hist = History.constant(arr, n_lags, 0.05)
         return eval_V(hist, delayed_params, star, dom).V
 
     assert build(48) == pytest.approx(build(95), abs=1e-6)
@@ -220,7 +217,7 @@ def test_eval_V_rejects_nonpositive_history(delayed_params, domain):
 
 def test_eval_V_rejects_short_history(delayed_params, domain):
     star = endemic_equilibrium(delayed_params)
-    hist = History.constant(StateTriple.constant(star, domain.n), 2, 0.05)
+    hist = History.constant(constant_state(star, domain.n), 2, 0.05)
     with pytest.raises(ValueError, match="lags"):
         eval_V(hist, delayed_params, star, domain)
 
@@ -229,7 +226,7 @@ def certifying_trajectory(params, domain, scale=0.9, t_end=1.0):
     star = endemic_equilibrium(params)
     n_lags = max(lag_steps(params.tau_a, 0.05), lag_steps(params.tau_b, 0.05))
     hist = History.constant(
-        StateTriple.constant(scale * star, domain.n), n_lags, 0.05
+        constant_state(scale * star, domain.n), n_lags, 0.05
     )
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=t_end, certify=True)
     return run(config, hist)
@@ -277,9 +274,18 @@ def test_certify_equilibrium_start_trivially_passes(worked_params, domain):
     assert cert.v_initial <= 1e-12
 
 
+def test_certify_rejects_nonfinite_or_negative_tolerances(worked_params, domain):
+    traj = certifying_trajectory(worked_params, domain, t_end=0.2)
+    for name in ("v_tol", "d_tol", "two_path_tol"):
+        for bad in (math.nan, math.inf, -1e-12):
+            with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+                certify(traj, **{name: bad})
+        certify(traj, **{name: 0.0})  # zero slack is allowed
+
+
 def test_certify_requires_lyapunov_data(worked_params, domain):
     star = endemic_equilibrium(worked_params)
-    hist = History.constant(StateTriple.constant(0.9 * star, domain.n), 10, 0.05)
+    hist = History.constant(constant_state(0.9 * star, domain.n), 10, 0.05)
     traj = run(SimConfig(params=worked_params, domain=domain, dt=0.05, t_end=0.2), hist)
     with pytest.raises(ValueError, match="Lyapunov"):
         certify(traj)
@@ -372,7 +378,7 @@ def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     params = dataclasses.replace(worked_params, tau_a=0.0, tau_b=0.0)
     domain = Domain(L=1.0, n=12)
     star = endemic_equilibrium(params)
-    hist = History.constant(StateTriple.constant(0.9 * star, domain.n), 0, 0.05)
+    hist = History.constant(constant_state(0.9 * star, domain.n), 0, 0.05)
     ring = LagIntegrals(hist, params, star, domain)
     assert (ring.k_a, ring.k_b) == (0, 0)
     assert ring.a.maxlen == ring.b.maxlen == 1
@@ -391,9 +397,7 @@ def test_ring_sized_for_the_longer_delay(worked_params):
     star = endemic_equilibrium(params)
     rng = np.random.default_rng(5)
     window = [
-        StateTriple.from_array(
-            np.outer(star, np.ones(domain.n)) * (1.0 + 0.2 * rng.uniform(-1, 1, (3, domain.n)))
-        )
+        np.outer(star, np.ones(domain.n)) * (1.0 + 0.2 * rng.uniform(-1, 1, (3, domain.n)))
         for _ in range(8)
     ]
     hist = History(window, 0.05)  # 7 lags, more than the 5 the delays need
