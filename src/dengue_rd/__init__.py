@@ -38,7 +38,6 @@ from .spectral import (
     to_modal,
 )
 from .integrator import (
-    SimConfig,
     SimulationError,
     Trajectory,
     dde_oracle_step,
@@ -61,6 +60,7 @@ from .lyapunov import (
 )
 from .config import (
     ConfigError,
+    SimConfig,
     build_initial_history,
     load_config,
     predicted_attractor,

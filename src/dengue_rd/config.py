@@ -6,25 +6,26 @@ are rejected by name.  Validation goes beyond types: the step size must
 divide both delays exactly (delayed values are buffer reads, never
 interpolated), stay under the explicit-Euler stability bound, and, for
 certifying runs, keep every kernel time above the resolvable floor of
-the truncated series.
+the truncated series.  SimConfig checks all of these when it is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import Domain, History, ModelParams, bound_vector, lag_steps
 from .equilibria import compute_equilibria
-from .integrator import SimConfig
+from .integrator import stability_dt_bound
 from .spectral import min_resolvable_time
 
 __all__ = [
     "ConfigError",
+    "SimConfig",
     "build_initial_history",
     "load_config",
     "predicted_attractor",
@@ -48,6 +49,60 @@ ALL_KEYS = PARAM_KEYS + DOMAIN_KEYS + RUN_KEYS
 
 class ConfigError(ValueError):
     """A configuration document failed validation."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything one run needs besides the initial history.
+
+    Construction checks every run rule, in order: the fields, dt within
+    stability_dt_bound(params), dt dividing both delays, then, if certify,
+    validate_for_certification.  strict_box None defers to certify:
+    certification runs stop on a box violation, exploratory runs record
+    it and continue.  The perturbation fields control the seeded initial
+    history built for CLI runs: a smooth low-mode relative perturbation
+    of the predicted attractor, constant or modulated in time.
+    """
+
+    params: ModelParams
+    domain: Domain
+    dt: float
+    t_end: float
+    snapshot_every: int = 0
+    certify: bool = False
+    strict_box: bool | None = None
+    history_mode: str = "constant"
+    perturb_amplitude: float = 0.2
+    perturb_modes: int = 3
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        bound = stability_dt_bound(self.params)
+        if self.dt > bound:
+            raise ValueError(
+                f"dt={self.dt!r} exceeds the explicit-Euler stability bound {bound!r}"
+            )
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative")
+        if self.history_mode not in ("constant", "modulated"):
+            raise ValueError(
+                f"history_mode must be 'constant' or 'modulated', got {self.history_mode!r}"
+            )
+        if not (0.0 <= self.perturb_amplitude < 1.0):
+            raise ValueError("perturb_amplitude must lie in [0, 1)")
+        if self.perturb_modes < 1:
+            raise ValueError("perturb_modes must be at least 1")
+        for tau in (self.params.tau_a, self.params.tau_b):
+            lag_steps(tau, self.dt)
+        if self.certify:
+            validate_for_certification(self)
+
+    @property
+    def box_strict(self) -> bool:
+        return self.certify if self.strict_box is None else self.strict_box
 
 
 def _as_number(doc: dict, key: str) -> float:
@@ -78,9 +133,9 @@ def _as_bool(doc: dict, key: str, default: bool) -> bool:
 def load_config(source: str | Path | dict) -> SimConfig:
     """Parses and validates a configuration document.
 
-    Accepts a path to a JSON file or an already-decoded dict.  Raises
-    ConfigError naming the offending key or constraint; the step-size
-    checks report the nearest admissible dt and the stability bound.
+    Accepts a path to a JSON file or an already-decoded dict; SimConfig
+    checks the run rules.  Raises ConfigError naming the offending key or
+    constraint, with the nearest admissible dt or the stability bound.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -117,7 +172,7 @@ def load_config(source: str | Path | dict) -> SimConfig:
         raise ConfigError(f"key 'strict_box' must be a boolean, got {strict_box!r}")
 
     try:
-        config = SimConfig(
+        return SimConfig(
             params=params,
             domain=domain,
             dt=_as_number(doc, "dt"),
@@ -131,23 +186,18 @@ def load_config(source: str | Path | dict) -> SimConfig:
             ),
             perturb_modes=_as_int(doc, "perturb_modes", default=3),
         )
-        for tau in (params.tau_a, params.tau_b):
-            lag_steps(tau, config.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if config.certify:
-        validate_for_certification(config)
-    return config
 
 
 def validate_for_certification(config: SimConfig) -> None:
     """Checks the extra constraints a certifying run needs.
 
-    Certification applies kernel matrices at the delay times and checks
-    the kernel's column mass at every multiple of dt up to them, so all
-    those times must sit above the minimal resolvable time of the
-    truncated series; and an endemic state must exist.
+    SimConfig calls this last when certify is set.  Certification applies
+    kernel matrices at the delay times and checks the kernel's column
+    mass at every multiple of dt up to them, so all those times must sit
+    above the minimal resolvable time of the truncated series; and an
+    endemic state must exist.  Raises ConfigError naming the first failure.
     """
     params, domain = config.params, config.domain
     eqs = compute_equilibria(params)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,8 +48,10 @@ from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import LagIntegrals, LyapunovBreakdown, eval_V, prepare_kernels
 from .spectral import _heat_decay, _heat_rows, heat_apply
 
+if TYPE_CHECKING:
+    from .config import SimConfig
+
 __all__ = [
-    "SimConfig",
     "SimulationError",
     "Trajectory",
     "dde_oracle_step",
@@ -74,7 +77,7 @@ def stability_dt_bound(params: ModelParams) -> float:
         params.rho_h,
         params.beta_m * m[2],
     )
-    return 0.2 / stiffest
+    return float(0.2 / stiffest)
 
 
 def _mosquito_infection(
@@ -175,55 +178,6 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np
     return history.append(_heat_rows(post, plan.decay, domain))
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything one run needs besides the initial history.
-
-    dt must not exceed stability_dt_bound(params).  strict_box None
-    defers to certify: certification runs stop on a box violation,
-    exploratory runs record it and continue.  The perturbation fields
-    control the seeded initial history built for CLI runs: a smooth
-    low-mode relative perturbation of the predicted attractor, either
-    constant in time or modulated in the time argument.
-    """
-
-    params: ModelParams
-    domain: Domain
-    dt: float
-    t_end: float
-    snapshot_every: int = 0
-    certify: bool = False
-    strict_box: bool | None = None
-    history_mode: str = "constant"
-    perturb_amplitude: float = 0.2
-    perturb_modes: int = 3
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        bound = stability_dt_bound(self.params)
-        if self.dt > bound:
-            raise ValueError(
-                f"dt={self.dt!r} exceeds the explicit-Euler stability bound {bound!r}"
-            )
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative")
-        if self.history_mode not in ("constant", "modulated"):
-            raise ValueError(
-                f"history_mode must be 'constant' or 'modulated', got {self.history_mode!r}"
-            )
-        if not (0.0 <= self.perturb_amplitude < 1.0):
-            raise ValueError("perturb_amplitude must lie in [0, 1)")
-        if self.perturb_modes < 1:
-            raise ValueError("perturb_modes must be at least 1")
-
-    @property
-    def box_strict(self) -> bool:
-        return self.certify if self.strict_box is None else self.strict_box
-
-
 @dataclass
 class Trajectory:
     """Per-step record of one run.
@@ -264,11 +218,11 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     steps, every min(k_a, k_b) steps (over the nonzero ones, and every
     step when both delays are zero) plus the first and the last, the
     ring is compared with W recomputed from the raw window.  Certifying
-    runs require R0 > 1 and a strictly positive initial history.
+    runs require a strictly positive initial history; SimConfig checks R0.
 
     Raises:
-        ValueError: on inconsistent history or inadmissible certification
-            setup.
+        ValueError: on a history that does not fit the config, or one
+            that is not strictly positive in a certifying run.
         SimulationError: on non-finite values, or on a box violation in
             strict mode.
     """
@@ -290,8 +244,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     kernels = ring = None
     if config.certify:
-        if eqs.endemic is None:
-            raise ValueError("certification requires R0 > 1")
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
             raise ValueError(

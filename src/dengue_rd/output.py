@@ -13,9 +13,10 @@ import json
 import math
 from pathlib import Path
 
+from .config import SimConfig
 from .equilibria import compute_equilibria
 from .core import bound_vector
-from .integrator import SimConfig, Trajectory, stability_dt_bound
+from .integrator import Trajectory, stability_dt_bound
 
 __all__ = [
     "equilibria_report",

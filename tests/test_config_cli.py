@@ -94,6 +94,15 @@ def test_load_config_enforces_stability_bound():
         load_config(config_doc(dt=0.1))  # divides tau_a but exceeds 0.2/3
 
 
+def test_stability_bound_message_prints_a_plain_float(tmp_path, capsys):
+    message = "dt=0.1 exceeds the explicit-Euler stability bound 0.06666666666666667"
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(config_doc(dt=0.1))
+    assert str(excinfo.value) == message
+    assert main(["equilibria", "--config", write_doc(tmp_path, config_doc(dt=0.1))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_config_rejects_bad_run_fields():
     with pytest.raises(ConfigError, match="t_end"):
         load_config(config_doc(t_end=-1.0))
@@ -118,7 +127,7 @@ def test_load_config_certify_needs_resolvable_kernels():
 
 def test_validate_for_certification_delay_floor(worked_params, domain):
     p = ModelParams(**{**worked_params.__dict__, "tau_a": 5e-5})
-    config = SimConfig(params=p, domain=domain, dt=0.05, t_end=1.0, certify=True)
+    config = SimConfig(params=p, domain=domain, dt=5e-5, t_end=1.0)
     with pytest.raises(ConfigError, match="kernel"):
         validate_for_certification(config)
 
@@ -389,6 +398,30 @@ def test_run_sweep_isolates_failing_rows():
     assert rows[1].error is not None and "stability" in rows[1].error
     assert rows[1].final_dist is None
     assert rows[1].r0 is not None  # still reported for the failing row
+
+
+@pytest.mark.parametrize("broken", ["missing", "null"])
+def test_certifying_sweep_reports_a_bad_base_like_a_plain_one(tmp_path, capsys, broken):
+    docs = {}
+    for certify in (True, False):
+        doc = sweep_doc(certify=certify)
+        if broken == "missing":
+            del doc["base"]["H"]
+        else:
+            doc["base"]["H"] = None
+        docs[certify] = doc
+    rows = {c: run_sweep(load_sweep(d), seed=0) for c, d in docs.items()}
+    assert [r.to_dict() for r in rows[True]] == [r.to_dict() for r in rows[False]]
+    expected = "missing required keys: H" if broken == "missing" else "must be a number"
+    assert all(expected in r.error for r in rows[True])
+    path = write_doc(tmp_path, docs[True], name="sweep.json")
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_non_boolean_certify():
+    rows = run_sweep(load_sweep(sweep_doc(certify="yes")), seed=0)
+    assert [r.error for r in rows] == ["key 'certify' must be a boolean, got 'yes'"] * 3
 
 
 @pytest.mark.parametrize("error", [FloatingPointError, MemoryError])

@@ -236,13 +236,14 @@ def test_record_box_check_at_the_ceiling(delayed_params, domain):
         assert not bounds_ok(negative)
 
 
-def test_sim_config_enforces_stability_bound(worked_params, domain):
-    bound = stability_dt_bound(worked_params)  # 0.2 / 3
-    SimConfig(params=worked_params, domain=domain, dt=bound, t_end=1.0)
+def test_sim_config_enforces_stability_bound(domain):
+    params = ModelParams(**{**WORKED, "tau_a": 1.0})  # 15 steps of the bound
+    bound = stability_dt_bound(params)  # 0.2 / 3
+    SimConfig(params=params, domain=domain, dt=bound, t_end=1.0)
     with pytest.raises(ValueError, match="stability bound"):
-        SimConfig(params=worked_params, domain=domain, dt=0.25, t_end=1.0)
+        SimConfig(params=params, domain=domain, dt=0.25, t_end=1.0)
     with pytest.raises(ValueError, match="stability bound"):
-        SimConfig(params=worked_params, domain=domain, dt=bound * (1 + 1e-12), t_end=1.0)
+        SimConfig(params=params, domain=domain, dt=bound * (1 + 1e-12), t_end=1.0)
 
 
 def test_snapshots_do_not_alias_the_ring(worked_params, domain):
