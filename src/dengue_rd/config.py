@@ -61,7 +61,8 @@ class SimConfig:
     certification runs stop on a box violation, exploratory runs record
     it and continue.  The perturbation fields control the seeded initial
     history built for CLI runs: a smooth low-mode relative perturbation
-    of the predicted attractor, constant or modulated in time.
+    of the predicted attractor, constant or modulated in time, in cosine
+    modes 1 .. perturb_modes, all of which must be below domain.N.
     """
 
     params: ModelParams
@@ -95,6 +96,11 @@ class SimConfig:
             raise ValueError("perturb_amplitude must lie in [0, 1)")
         if self.perturb_modes < 1:
             raise ValueError("perturb_modes must be at least 1")
+        if self.perturb_modes >= self.domain.N:
+            raise ValueError(
+                f"perturb_modes={self.perturb_modes} must be below the number "
+                f"of retained modes N={self.domain.N}"
+            )
         for tau in (self.params.tau_a, self.params.tau_b):
             lag_steps(tau, self.dt)
         if self.certify:
@@ -194,10 +200,10 @@ def validate_for_certification(config: SimConfig) -> None:
     """Checks the extra constraints a certifying run needs.
 
     SimConfig calls this last when certify is set.  Certification applies
-    kernel matrices at the delay times and checks the kernel's column
-    mass at every multiple of dt up to them, so all those times must sit
-    above the minimal resolvable time of the truncated series; and an
-    endemic state must exist.  Raises ConfigError naming the first failure.
+    the heat kernel at the delay times and checks its column mass at
+    every multiple of dt up to them, so all those times must sit above
+    the minimal resolvable time of the truncated series; and an endemic
+    state must exist.  Raises ConfigError naming the first failure.
     """
     params, domain = config.params, config.domain
     eqs = compute_equilibria(params)

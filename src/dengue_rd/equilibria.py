@@ -134,29 +134,6 @@ def regime_classify(params: ModelParams) -> str:
     return NEW_REGIME
 
 
-def _balance_and_jacobian(
-    u: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    u1, u2, u3 = u
-    s = params.survival_b
-    bm, bh = params.beta_m, params.beta_h
-    f = np.array(
-        [
-            bm * (params.A - u1) * u3 - params.mu_m * u1,
-            params.H - bh * u1 * u2 - params.mu_h * u2,
-            bh * s * u1 * u2 - params.rho_h * u3,
-        ]
-    )
-    jac = np.array(
-        [
-            [-bm * u3 - params.mu_m, 0.0, bm * (params.A - u1)],
-            [-bh * u2, -bh * u1 - params.mu_h, 0.0],
-            [bh * s * u2, bh * s * u1, -params.rho_h],
-        ]
-    )
-    return f, jac
-
-
 def _percapita_and_jacobian(
     v: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:

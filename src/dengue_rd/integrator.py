@@ -291,7 +291,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         if config.certify:
             if k:
                 ring.push(initial)
-            bd = eval_V(initial, params, eqs.endemic, domain, kernels=kernels, ring=ring)
+            bd = eval_V(initial, params, eqs.endemic, domain, ring=ring)
             if k % checkpoint_stride == 0 or k == n_steps:
                 bd = replace(bd, two_path_rel_err=ring.window_rel_err(initial))
             v_arr[k] = bd.V

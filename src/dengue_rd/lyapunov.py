@@ -34,6 +34,12 @@ are kept so the identity is exact, which is what the finite-difference
 consistency check validates.  Everything on the right is a nonpositive
 integral, so V is non-increasing, and V = 0 only at the endemic state.
 
+The delay terms need no kernel matrix.  With K = Gamma(d tau), unit row
+mass splits each into int g(KN / D) + int [ln KN - K ln N], for the
+numerator N(y) and denominator D(x) of its ratio.  The second piece is a
+Jensen gap, nonnegative for a positive kernel: the sign argument that
+drops the extra condition of Xu and Zhao (2015, Thm 3.3).
+
 The time integrals in W1, W2 are discretised by the trapezoid rule on
 the integrator's step grid; the s = 0 endpoint uses the identity
 operator, which is exact.  The inner y-integrals collapse, by the
@@ -61,7 +67,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Domain, History, ModelParams, lag_steps
-from .spectral import gradient_energy, heat_apply, kernel_mass_defect, kernel_matrix
+from .spectral import gradient_energy, heat_apply, kernel_mass_defect
+from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
@@ -118,39 +125,35 @@ def g(omega):
 
 @dataclass(frozen=True)
 class LyapunovKernels:
-    """Kernel data a certification run needs, assembled once.
+    """Kernel data a certification run needs, computed once.
 
-    delay_a and delay_b realise Gamma(d_m tau_a) and Gamma(d_h tau_b) for
-    the dissipation terms (None when the delay vanishes and the operator
-    is the identity).  mass_defect is the worst relative column-mass
-    defect of the kernels at lags dt, 2 dt, ..., tau of both delays (see
+    mass_defect is the worst relative column-mass defect of the kernels
+    at lags dt, 2 dt, ..., tau of both delays (see
     spectral.kernel_mass_defect); it bounds how far the collapsed W
     integrals can stray from the kernel-weighted ones.
 
-    theta_a and theta_b are always empty.  They once held one kernel
-    matrix per lag for a second evaluation of W that the unit column
-    mass made equal to the first term by term; they stay only because
-    the benchmark's tracing sums the sizes of all four kernel fields.
+    delay_a, delay_b (always None) and theta_a, theta_b (always empty)
+    are tracing-only fields.  They once held kernel matrices for the
+    delay dissipation terms and for a second evaluation of W; they stay
+    only because the benchmark's tracing sums the sizes of all four.
     """
 
-    delay_a: np.ndarray | None
-    delay_b: np.ndarray | None
     mass_defect: float
+    delay_a: None = None
+    delay_b: None = None
     theta_a: list[np.ndarray] = field(default_factory=list)
     theta_b: list[np.ndarray] = field(default_factory=list)
 
 
 def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> LyapunovKernels:
-    """Assembles the delay kernels and checks the column mass at every lag."""
+    """Checks the kernels' column mass at every lag of both delays."""
     k_a = lag_steps(params.tau_a, dt)
     k_b = lag_steps(params.tau_b, dt)
-    delay_a = kernel_matrix(params.d_m, params.tau_a, domain) if k_a else None
-    delay_b = kernel_matrix(params.d_h, params.tau_b, domain) if k_b else None
     mass_defect = max(
         kernel_mass_defect(params.d_m, np.arange(1, k_a + 1) * dt, domain),
         kernel_mass_defect(params.d_h, np.arange(1, k_b + 1) * dt, domain),
     )
-    return LyapunovKernels(delay_a=delay_a, delay_b=delay_b, mass_defect=mass_defect)
+    return LyapunovKernels(mass_defect=mass_defect)
 
 
 @dataclass(frozen=True)
@@ -293,21 +296,25 @@ class LagIntegrals:
         return max(errs, default=0.0)
 
 
-def _kernel_g_integral(
-    kernel: np.ndarray | None,
-    w: np.ndarray,
+def _delay_g_integral(
     numer: np.ndarray,
+    smoothed: np.ndarray,
     denom: np.ndarray,
+    nstar: float,
+    d: float,
+    tau: float,
+    domain: Domain,
 ) -> float:
-    """Double integral of Gamma(x, y) g(numer(y) / denom(x)) over y then x.
+    """Double integral of Gamma(d tau, x, y) g(numer(y) / denom(x)) over y then x.
 
-    With kernel None the operator is the identity and the integral is the
-    plain trapezoid of g(numer / denom).
+    smoothed is K numer = heat_apply(numer, d, tau).  The Jensen gap is
+    taken on numer / nstar, where nstar is numer's endemic value: K 1 = 1
+    makes the gap scale free, and both logs shrink with the distance to
+    equilibrium.  At tau = 0, K is the identity and the gap is exactly 0.
     """
-    if kernel is None:
-        return float(w @ g(numer / denom))
-    ratio = numer[None, :] / denom[:, None]
-    return float(w @ (kernel * g(ratio)).sum(axis=1))
+    values = g(smoothed / denom)
+    values += np.log(smoothed / nstar) - heat_apply(np.log(numer / nstar), d, tau, domain)
+    return float(domain.trapezoid_weights @ values)
 
 
 def eval_V(
@@ -316,10 +323,13 @@ def eval_V(
     ustar: np.ndarray,
     domain: Domain,
     *,
-    kernels: LyapunovKernels | None = None,
     ring: LagIntegrals | None = None,
 ) -> LyapunovBreakdown:
     """Evaluates V and the dissipation identity on the current history.
+
+    The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
+    int g(KN / D) dx + int [ln KN - K ln N] dx, with K = Gamma(d tau)
+    applied through heat_apply; KN for g_delay_a is quad_u1's smoothed.
 
     Args:
         history: Delay window whose newest entry is the current state;
@@ -327,7 +337,6 @@ def eval_V(
         params: Model parameters; R0 > 1 is assumed (ustar exists).
         ustar: The endemic triple (u1*, u2*, u3*).
         domain: Spatial discretisation.
-        kernels: Precomputed kernels; built on the fly if omitted.
         ring: Cached per-lag integrals, pushed up to the current state;
             built from the whole window if omitted.
 
@@ -346,8 +355,6 @@ def eval_V(
             f"lag ring is at t={ring.t_now!r}, history at t={history.t_now!r}; "
             "push the ring after every append"
         )
-    if kernels is None:
-        kernels = prepare_kernels(params, domain, history.dt)
     k_a, k_b = ring.k_a, ring.k_b
     u1s, u2s, u3s = (float(v) for v in ustar)
     w = domain.trapezoid_weights
@@ -379,11 +386,13 @@ def eval_V(
 
     g_u2 = -bstar * float(w @ g(u2s / u2))
     lag_b = history.lookup_arrays(k_b)
-    g_delay_b = -bstar * _kernel_g_integral(
-        kernels.delay_b, w, lag_b[0] * lag_b[1] * (u3s / (u1s * u2s)), u3
+    numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
+    smoothed_b = heat_apply(numer_b, params.d_h, params.tau_b, domain)
+    g_delay_b = -bstar * _delay_g_integral(
+        numer_b, smoothed_b, u3, u3s, params.d_h, params.tau_b, domain
     )
-    g_delay_a = -bstar * _kernel_g_integral(
-        kernels.delay_a, w, u1s * u3_lag_a / u3s, u1
+    g_delay_a = -bstar * _delay_g_integral(
+        u1s * u3_lag_a / u3s, u1s * smoothed / u3s, u1, u1s, params.d_m, params.tau_a, domain
     )
 
     grad_terms = (grad1, grad2, grad3)

@@ -13,6 +13,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .config import SimConfig
 from .equilibria import compute_equilibria
 from .core import bound_vector
@@ -38,34 +40,28 @@ def fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_table(handle, table: np.ndarray) -> None:
+    """Writes a 2-D float table as CSV rows, each value as fmt_float would."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    handle.writelines(row % tuple(values) for values in table.tolist())
+
+
 def write_timeseries(path: Path, traj: Trajectory) -> None:
-    lines = [TIMESERIES_HEADER]
-    for k in range(len(traj.times)):
-        cols = [
-            traj.times[k],
-            traj.dist_endemic[k],
-            traj.dist_dfe[k],
-            traj.V[k],
-            traj.dVdt_fd[k],
-            traj.dissipation[k],
-            traj.comp_min[k, 0],
-            traj.comp_max[k, 0],
-            traj.comp_min[k, 1],
-            traj.comp_max[k, 1],
-            traj.comp_min[k, 2],
-            traj.comp_max[k, 2],
-        ]
-        lines.append(",".join(fmt_float(c) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    bounds = np.stack((traj.comp_min, traj.comp_max), axis=2).reshape(-1, 6)
+    table = np.column_stack(
+        (traj.times, traj.dist_endemic, traj.dist_dfe, traj.V, traj.dVdt_fd, traj.dissipation, bounds)
+    )
+    with open(path, "w") as handle:
+        handle.write(TIMESERIES_HEADER + "\n")
+        _write_table(handle, table)
 
 
 def write_snapshots(path: Path, traj: Trajectory) -> None:
     x = traj.config.domain.grid
-    lines = ["t,x,u1,u2,u3"]
-    for t, state in traj.snapshots:
-        for cols in zip(x, *state):
-            lines.append(",".join(fmt_float(c) for c in (t, *cols)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as handle:
+        handle.write("t,x,u1,u2,u3\n")
+        for t, state in traj.snapshots:
+            _write_table(handle, np.column_stack((np.full(x.size, t), x, state.T)))
 
 
 def write_sweep(path: Path, rows: list[dict]) -> None:

@@ -213,7 +213,8 @@ def kernel_matrix(d: float, t: float, domain: Domain) -> np.ndarray:
     Gamma(d t, x_i, y) f(y) dy.  By construction K f equals
     heat_apply(f, d, t) to roundoff, every row sums to one exactly (unit
     mass), and K(t1) K(t2) = K(t1 + t2).  Dividing out the weights leaves
-    a symmetric matrix.
+    a symmetric matrix.  No run builds it: it is the dense oracle that
+    the tests hold heat_apply and the delay dissipation terms against.
 
     Raises:
         ValueError: if t is below min_resolvable_time(d, domain), where

@@ -127,9 +127,10 @@ def configs_at_the_stability_bound(draw) -> SimConfig:
         tau_b = k_b * dt
         dt = stability_dt_bound(ModelParams(**rates, tau_b=tau_b))
     params = ModelParams(**{**rates, "tau_a": k_a * dt, "tau_b": tau_b})
-    # All modes are kept: with N < n the first heat step drops the
-    # history's modes above N, which can lift a state past the ceiling at
-    # any dt.
+    # All modes are kept.  With N < n the heat step projects the reaction
+    # products onto N modes, which need not preserve positivity: with
+    # n = 8, N = 2 and perturb_modes 1, one draw took u3 to -1.4e-4 at
+    # dt equal to the bound.
     return SimConfig(
         params=params,
         domain=Domain(L=draw(st.floats(0.5, 3.0)), n=draw(st.integers(8, 16))),
@@ -153,3 +154,39 @@ def test_run_at_the_stability_bound_stays_in_the_box(config, seed):
     assert (traj.comp_max <= ceiling).all(), (traj.comp_max.max(axis=0), ceiling)
     assert traj.bounds_ok
     assert np.isfinite(traj.final_state).all()
+
+
+# The recorded escape: with N = 2, perturb_modes 2 puts mode 2 into the
+# history, the first heat step drops it, and u1 rose to 1.0116 > A = 1.
+ESCAPE = dict(
+    d_m=1.0, d_h=1.0, A=1.0, H=1.0, b=3.0, p=1.0, q=1.0,
+    mu_m=1.0, mu_h=1.0, gamma_h=0.0, tau_a=0.0, tau_b=0.0,
+)
+
+
+def escape_config(perturb_modes: int) -> SimConfig:
+    params = ModelParams(**ESCAPE)
+    dt = stability_dt_bound(params)
+    return SimConfig(
+        params=params,
+        domain=Domain(L=1.0, n=8, N=2),
+        dt=dt,
+        t_end=60 * dt,
+        strict_box=False,
+        perturb_amplitude=0.9,
+        perturb_modes=perturb_modes,
+    )
+
+
+def test_sim_config_rejects_perturb_modes_the_grid_drops():
+    message = "perturb_modes=2 must be below the number of retained modes N=2"
+    with pytest.raises(ValueError) as built:
+        escape_config(perturb_modes=2)
+    assert str(built.value) == message
+    with pytest.raises(ConfigError) as loaded:
+        load_config(config_doc(**ESCAPE, n=8, N=2, dt=0.02, perturb_modes=2))
+    assert str(loaded.value) == message
+    config = escape_config(perturb_modes=1)
+    traj = run(config, build_initial_history(config, 4))
+    assert traj.bounds_ok
+    assert (traj.comp_max <= bound_vector(config.params) * (1.0 + BOX_SLACK)).all()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dengue_rd import (
     Certificate,
@@ -17,12 +19,14 @@ from dengue_rd import (
     eval_V,
     g,
     kernel_matrix,
+    ModelParams,
+    build_initial_history,
     lag_steps,
     prepare_kernels,
     run,
 )
 
-from conftest import constant_state
+from conftest import WORKED, constant_state
 
 
 def endemic_history(params, domain, dt, transform=lambda a: a):
@@ -459,9 +463,9 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
     pairs = []
     real_eval_V = integrator.eval_V
 
-    def both(history, p, star, dom, *, kernels, ring):
-        bd = real_eval_V(history, p, star, dom, kernels=kernels, ring=ring)
-        pairs.append((bd, real_eval_V(history, p, star, dom, kernels=kernels)))
+    def both(history, p, star, dom, *, ring):
+        bd = real_eval_V(history, p, star, dom, ring=ring)
+        pairs.append((bd, real_eval_V(history, p, star, dom)))
         return bd
 
     monkeypatch.setattr(integrator, "eval_V", both)
@@ -473,3 +477,76 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
             assert abs(a - b) <= 1e-13 * max(abs(b), 1e-300), (name, a, b)
         assert cached.dissipation == window.dissipation
     assert certify(traj).passed
+
+
+def dense_delay_g_integral(d, tau, numer, denom, domain):
+    """The delay term's double integral through an assembled kernel matrix."""
+    w = domain.trapezoid_weights
+    if tau == 0.0:
+        return float(w @ g(numer / denom))
+    ratio = numer[None, :] / denom[:, None]
+    return float(w @ (kernel_matrix(d, tau, domain) * g(ratio)).sum(axis=1))
+
+
+@st.composite
+def delay_windows(draw):
+    """A random window of states around the endemic state, with its params and domain."""
+    dt = 0.05
+    k_a, k_b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    params = ModelParams(**{
+        **WORKED,
+        "d_m": draw(st.floats(0.1, 2.0)),
+        "d_h": draw(st.floats(0.1, 2.0)),
+        "tau_a": k_a * dt,
+        "tau_b": k_b * dt,
+    })
+    n = draw(st.integers(8, 24))
+    domain = Domain(L=draw(st.floats(0.5, 3.0)), n=n, N=draw(st.integers(1, n)))
+    amplitude = draw(st.sampled_from([0.9, 0.1, 1e-3, 1e-8, 0.0]) | st.floats(0.0, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    star = endemic_equilibrium(params)
+    window = [
+        constant_state(star, n) * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (3, n)))
+        for _ in range(max(k_a, k_b) + 1)
+    ]
+    return History(window, dt), params, star, domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(delay_windows())
+def test_separated_delay_terms_match_the_dense_double_integral(window):
+    hist, params, star, domain = window
+    bd = eval_V(hist, params, star, domain)
+    u1s, u2s, u3s = star
+    bstar = params.beta_h * u1s * u2s
+    cur = hist.lookup_arrays(0)
+    lag_a = hist.lookup_arrays(lag_steps(params.tau_a, hist.dt))
+    lag_b = hist.lookup_arrays(lag_steps(params.tau_b, hist.dt))
+    for term, d, tau, numer, denom in (
+        ("g_delay_a", params.d_m, params.tau_a, u1s * lag_a[2] / u3s, cur[0]),
+        ("g_delay_b", params.d_h, params.tau_b, lag_b[0] * lag_b[1] * (u3s / (u1s * u2s)), cur[2]),
+    ):
+        dense = -bstar * dense_delay_g_integral(d, tau, numer, denom, domain)
+        if tau == 0.0:
+            assert bd.terms[term] == dense
+        else:
+            assert abs(bd.terms[term] - dense) <= 1e-14 * domain.L, (term, bd.terms[term], dense)
+
+
+def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
+    import dengue_rd.lyapunov as lyapunov
+    import dengue_rd.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certifying run assembled a kernel matrix")
+
+    monkeypatch.setattr(lyapunov, "kernel_matrix", refuse)
+    monkeypatch.setattr(spectral, "kernel_matrix", refuse)
+    config = SimConfig(
+        params=delayed_params, domain=Domain(L=1.0, n=16), dt=0.05, t_end=1.0,
+        certify=True, history_mode="modulated",
+    )
+    traj = run(config, build_initial_history(config, 3))
+    cert = certify(traj)
+    assert cert.passed, cert.violations
+    assert all(b.g_terms[1] < 0.0 and b.g_terms[2] < 0.0 for b in traj.lyapunov)
