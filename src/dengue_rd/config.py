@@ -62,7 +62,8 @@ class SimConfig:
     it and continue.  The perturbation fields control the seeded initial
     history built for CLI runs: a smooth low-mode relative perturbation
     of the predicted attractor, constant or modulated in time, in cosine
-    modes 1 .. perturb_modes, all of which must be below domain.N.
+    modes 1 .. perturb_modes, all of which must be below domain.N unless
+    perturb_amplitude is 0.
     """
 
     params: ModelParams
@@ -96,7 +97,7 @@ class SimConfig:
             raise ValueError("perturb_amplitude must lie in [0, 1)")
         if self.perturb_modes < 1:
             raise ValueError("perturb_modes must be at least 1")
-        if self.perturb_modes >= self.domain.N:
+        if self.perturb_amplitude > 0.0 and self.perturb_modes >= self.domain.N:
             raise ValueError(
                 f"perturb_modes={self.perturb_modes} must be below the number "
                 f"of retained modes N={self.domain.N}"

@@ -34,9 +34,9 @@ are kept so the identity is exact, which is what the finite-difference
 consistency check validates.  Everything on the right is a nonpositive
 integral, so V is non-increasing, and V = 0 only at the endemic state.
 
-The delay terms need no kernel matrix.  With K = Gamma(d tau), unit row
-mass splits each into int g(KN / D) + int [ln KN - K ln N], for the
-numerator N(y) and denominator D(x) of its ratio.  The second piece is a
+The delay terms need no kernel matrix.  With K = Gamma(d tau) of unit
+row mass, each equals int g(KN / D) + int [ln KN - K ln N] for the
+numerator N(y) and denominator D(x) of its ratio; the second piece is a
 Jensen gap, nonnegative for a positive kernel: the sign argument that
 drops the extra condition of Xu and Zhao (2015, Thm 3.3).
 
@@ -307,13 +307,16 @@ def _delay_g_integral(
 ) -> float:
     """Double integral of Gamma(d tau, x, y) g(numer(y) / denom(x)) over y then x.
 
-    smoothed is K numer = heat_apply(numer, d, tau).  The Jensen gap is
-    taken on numer / nstar, where nstar is numer's endemic value: K 1 = 1
-    makes the gap scale free, and both logs shrink with the distance to
-    equilibrium.  At tau = 0, K is the identity and the gap is exactly 0.
+    smoothed is K numer = heat_apply(numer, d, tau).  By unit row mass the
+    integrand is g(N / D) + (KN - N) / D + [ln N - K ln N], which needs
+    only N, D > 0, not KN > 0 (the truncated kernel is not positive).
+    Logs of N / nstar, nstar being numer's endemic value, keep the bracket
+    small near equilibrium; at tau = 0 the integrand is exactly g(N / D).
     """
-    values = g(smoothed / denom)
-    values += np.log(smoothed / nstar) - heat_apply(np.log(numer / nstar), d, tau, domain)
+    log_n = np.log(numer / nstar)
+    values = g(numer / denom)
+    values += (smoothed - numer) / denom
+    values += log_n - heat_apply(log_n, d, tau, domain)
     return float(domain.trapezoid_weights @ values)
 
 
@@ -328,8 +331,8 @@ def eval_V(
     """Evaluates V and the dissipation identity on the current history.
 
     The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
-    int g(KN / D) dx + int [ln KN - K ln N] dx, with K = Gamma(d tau)
-    applied through heat_apply; KN for g_delay_a is quad_u1's smoothed.
+    int [KN / D - 1 + ln D - K ln N] dx, with K = Gamma(d tau) applied
+    through heat_apply; KN for g_delay_a is quad_u1's smoothed.
 
     Args:
         history: Delay window whose newest entry is the current state;

@@ -35,14 +35,17 @@ TIMESERIES_HEADER = (
 )
 
 
+FLOAT_FMT = "%.17g"
+
+
 def fmt_float(value: float) -> str:
     """17-significant-digit decimal form; NaN prints as 'nan'."""
-    return format(float(value), ".17g")
+    return FLOAT_FMT % float(value)
 
 
 def _write_table(handle, table: np.ndarray) -> None:
     """Writes a 2-D float table as CSV rows, each value as fmt_float would."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
     handle.writelines(row % tuple(values) for values in table.tolist())
 
 

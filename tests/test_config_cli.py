@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,7 @@ from dengue_rd import (
     validate_initial_history,
 )
 from dengue_rd.cli import load_sweep, main, run_sweep
-from dengue_rd.output import TIMESERIES_HEADER, equilibria_report, fmt_float
+from dengue_rd.output import TIMESERIES_HEADER, _write_table, equilibria_report, fmt_float
 
 from conftest import config_doc
 
@@ -188,6 +189,10 @@ def test_fmt_float_round_trips():
     for value in (1.0 / 3.0, 1e-300, 0.1, -2.5e17):
         assert float(fmt_float(value)) == value
     assert fmt_float(float("nan")) == "nan"
+    specials = [float("nan"), math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308]
+    table = io.StringIO()
+    _write_table(table, np.array([specials]))
+    assert table.getvalue() == ",".join(format(v, ".17g") for v in specials) + "\n"
 
 
 def test_equilibria_report_contents():

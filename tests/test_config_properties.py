@@ -186,6 +186,12 @@ def test_sim_config_rejects_perturb_modes_the_grid_drops():
     with pytest.raises(ConfigError) as loaded:
         load_config(config_doc(**ESCAPE, n=8, N=2, dt=0.02, perturb_modes=2))
     assert str(loaded.value) == message
+    # The rule binds only where the perturbation exists: the default
+    # perturb_modes 3 rules out N <= 3, and N = 1 needs amplitude 0.
+    with pytest.raises(ConfigError, match="perturb_modes=3 must be below"):
+        load_config(config_doc(**ESCAPE, n=8, N=3, dt=0.02))
+    for n_modes in (1, 3):
+        load_config(config_doc(**ESCAPE, n=8, N=n_modes, dt=0.02, perturb_amplitude=0.0))
     config = escape_config(perturb_modes=1)
     traj = run(config, build_initial_history(config, 4))
     assert traj.bounds_ok

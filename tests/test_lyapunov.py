@@ -18,6 +18,7 @@ from dengue_rd import (
     endemic_equilibrium,
     eval_V,
     g,
+    heat_apply,
     kernel_matrix,
     ModelParams,
     build_initial_history,
@@ -501,12 +502,19 @@ def delay_windows(draw):
         "tau_b": k_b * dt,
     })
     n = draw(st.integers(8, 24))
-    domain = Domain(L=draw(st.floats(0.5, 3.0)), n=n, N=draw(st.integers(1, n)))
+    domain = Domain(L=draw(st.floats(0.5, 3.0)), n=n, N=draw(st.integers(1, 3) | st.integers(1, n)))
     amplitude = draw(st.sampled_from([0.9, 0.1, 1e-3, 1e-8, 0.0]) | st.floats(0.0, 0.9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Grid noise, or the first cosine mode with random signs: with few
+    # modes kept, the smoothed product of the latter can dip below zero.
+    if draw(st.booleans()):
+        shape = lambda: rng.uniform(-1.0, 1.0, (3, n))
+    else:
+        mode = np.cos(math.pi * domain.grid / domain.L)
+        shape = lambda: rng.choice([-1.0, 1.0], (3, 1)) * mode
     star = endemic_equilibrium(params)
     window = [
-        constant_state(star, n) * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (3, n)))
+        constant_state(star, n) * (1.0 + amplitude * shape())
         for _ in range(max(k_a, k_b) + 1)
     ]
     return History(window, dt), params, star, domain
@@ -550,3 +558,19 @@ def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
     cert = certify(traj)
     assert cert.passed, cert.violations
     assert all(b.g_terms[1] < 0.0 and b.g_terms[2] < 0.0 for b in traj.lyapunov)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_delay_terms_allow_a_smoothed_numerator_below_zero(seed):
+    # With N = 2 the truncated kernel is not positive: these seeds start
+    # with (u1 u2)(-tau_b) ~ (1 + 0.9 cos)^2, whose two-mode smoothing dips
+    # below zero, so g(K N / D) is undefined while the delay term is not.
+    config = SimConfig(
+        params=ModelParams(**{**WORKED, "tau_b": 0.02}), domain=Domain(L=1.0, n=8, N=2),
+        dt=0.01, t_end=0.5, certify=True, perturb_amplitude=0.9, perturb_modes=1,
+    )
+    hist = build_initial_history(config, seed)
+    lag_b = hist.lookup_arrays(lag_steps(config.params.tau_b, config.dt))
+    assert heat_apply(lag_b[0] * lag_b[1], 1.0, 0.02, config.domain).min() < 0.0
+    cert = certify(run(config, hist))
+    assert cert.passed, cert.violations
