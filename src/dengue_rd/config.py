@@ -202,9 +202,10 @@ def validate_for_certification(config: SimConfig) -> None:
 
     SimConfig calls this last when certify is set.  Certification applies
     the heat kernel at the delay times and checks its column mass at
-    every multiple of dt up to them, so all those times must sit above
-    the minimal resolvable time of the truncated series; and an endemic
-    state must exist.  Raises ConfigError naming the first failure.
+    every multiple of dt up to them, so the smallest of those times,
+    min(dt, tau), must sit above the minimal resolvable time of the
+    truncated series; and an endemic state must exist.  Raises
+    ConfigError naming the first failure.
     """
     params, domain = config.params, config.domain
     eqs = compute_equilibria(params)
@@ -219,15 +220,11 @@ def validate_for_certification(config: SimConfig) -> None:
         if tau == 0.0:
             continue
         floor = min_resolvable_time(d, domain)
-        if config.dt < floor:
+        if min(config.dt, tau) < floor:
             raise ConfigError(
-                f"certification needs dt >= {floor!r} so the {label} kernel "
-                f"matrices resolve at every lag; got dt={config.dt!r}"
-            )
-        if tau < floor:
-            raise ConfigError(
-                f"certification needs the {label} delay above the kernel "
-                f"floor {floor!r}; got {tau!r}"
+                f"certification needs dt >= {floor!r}, and the {label} delay "
+                "no shorter, so the truncated series resolves the kernel at "
+                f"every lag; got dt={config.dt!r}, tau={tau!r}"
             )
 
 

@@ -54,6 +54,19 @@ per run at every lag, in the cosine basis, and reported in the
 certificate.  At checkpoint steps W1 and W2 are recomputed from the raw
 window and compared with the ring's values, so a stale, misaligned or
 corrupted cache fails certification.
+
+Evaluation is stacked, because on small grids numpy's fixed cost per
+call, not the arithmetic, sets the price of a step.  eval_V checks the
+(3, n) state once, hands the six ratio rows of L1, L2, L3, g_u2 and the
+two delay terms to one g call, smooths the numerator of every nonzero
+delay and its log in one transform call, and takes the three gradient
+energies in one call.  LagIntegrals, on a push or a checkpoint
+recompute, writes the ratios of every lag it needs from views of the
+history's states into one buffer, which it checks once and passes to g
+once.  Every scalar is still its own dot product over its own row, so
+the numbers are bit for bit those of a term-by-term evaluation, and
+only a failed check goes back row by row, so its message still names
+the field or the lag.
 """
 
 from __future__ import annotations
@@ -67,8 +80,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Domain, History, ModelParams, lag_steps
-from .spectral import gradient_energy, heat_apply, kernel_mass_defect
-from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
+from .spectral import _heat_decay, _heat_rows, gradient_energy, kernel_mass_defect
+from .spectral import heat_apply, kernel_matrix  # unused here; perfbench/tracing.py wraps these bindings
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
@@ -116,11 +129,11 @@ def g(omega):
     nonnegative down to roundoff near w = 1.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    if (w <= 0.0).any() or not np.isfinite(w).all():
         raise ValueError("g is defined for strictly positive finite arguments only")
     e = w - 1.0
-    out = e - np.log1p(e)
-    return float(out) if np.isscalar(omega) else out
+    e -= np.log1p(e)
+    return float(e) if np.isscalar(omega) else e
 
 
 @dataclass(frozen=True)
@@ -156,7 +169,7 @@ def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> LyapunovK
     return LyapunovKernels(mass_defect=mass_defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LyapunovBreakdown:
     """V, its five component integrals and the eight dissipation terms.
 
@@ -186,8 +199,13 @@ class LyapunovBreakdown:
         return dict(zip(TERM_NAMES, values))
 
 
+def _all_positive(values: np.ndarray) -> bool:
+    """True if every value is finite and strictly positive (min is NaN if any value is)."""
+    return bool(values.min() > 0.0 and values.max() < math.inf)
+
+
 def _require_positive(name: str, values: np.ndarray) -> None:
-    if values.min() <= 0.0 or not np.isfinite(values).all():
+    if not _all_positive(values):
         raise ValueError(
             f"Lyapunov evaluation requires strictly positive {name}; "
             f"min value is {values.min():.6g}"
@@ -247,24 +265,46 @@ class LagIntegrals:
     def _window(self, history: History) -> tuple[deque, deque]:
         """Per-lag values computed afresh from every state in the window."""
         size = max(self.k_a, self.k_b) + 1
-        a: deque = deque(maxlen=size)
-        b: deque = deque(maxlen=size)
-        for j in range(size - 1, -1, -1):
-            self._append(a, b, history.lookup_arrays(j), j)
-        return a, b
+        a, b = self._lag_values(history, size)
+        return deque(a, maxlen=size), deque(b, maxlen=size)
 
-    def _append(self, a: deque, b: deque, state: np.ndarray, lag: int) -> None:
-        if self.k_a:
-            _require_positive(f"u3 at lag {lag}", state[2])
-            a.appendleft(float(self._w @ g(state[2] / self._u3s)))
+    def _lag_values(self, history: History, size: int) -> tuple[list[float], list[float]]:
+        """The a and b values of the states at lags 0 .. size - 1, newest first.
+
+        The ratios of both delays are written from views of the history's
+        states into one buffer, which takes one check and one g pass; each
+        lag's integral is its own dot product.  On a failed check the
+        states are checked again one by one, oldest first, so the error
+        names the lag.
+        """
+        delays = [k > 0 for k in (self.k_a, self.k_b)]
+        if not any(delays):
+            return [], []
+        ratio = np.empty((sum(delays), size, self._w.size))
+        a_ratio, b_ratio = ratio[0], ratio[-1]
+        for j in range(size):
+            state = history.lookup_arrays(j)
+            if self.k_a:
+                np.divide(state[2], self._u3s, out=a_ratio[j])
+            if self.k_b:
+                np.multiply(state[0], state[1], out=b_ratio[j])
         if self.k_b:
-            prod = state[0] * state[1]
-            _require_positive(f"u1*u2 at lag {lag}", prod)
-            b.appendleft(float(self._w @ g(prod / self._u12s)))
+            b_ratio /= self._u12s
+        if not _all_positive(ratio):
+            for j in range(size - 1, -1, -1):
+                state = history.lookup_arrays(j)
+                if self.k_a:
+                    _require_positive(f"u3 at lag {j}", state[2])
+                if self.k_b:
+                    _require_positive(f"u1*u2 at lag {j}", state[0] * state[1])
+        per_lag = [[float(self._w @ row) for row in rows] for rows in g(ratio)]
+        return (per_lag[0] if self.k_a else [], per_lag[-1] if self.k_b else [])
 
     def push(self, history: History) -> None:
         """Caches the newest state's values; call after each History.append."""
-        self._append(self.a, self.b, history.lookup_arrays(0), 0)
+        a, b = self._lag_values(history, 1)
+        self.a.extendleft(a)
+        self.b.extendleft(b)
         self.t_now = history.t_now
 
     def _w_values(self, a: deque, b: deque) -> tuple[float, float]:
@@ -296,30 +336,6 @@ class LagIntegrals:
         return max(errs, default=0.0)
 
 
-def _delay_g_integral(
-    numer: np.ndarray,
-    smoothed: np.ndarray,
-    denom: np.ndarray,
-    nstar: float,
-    d: float,
-    tau: float,
-    domain: Domain,
-) -> float:
-    """Double integral of Gamma(d tau, x, y) g(numer(y) / denom(x)) over y then x.
-
-    smoothed is K numer = heat_apply(numer, d, tau).  By unit row mass the
-    integrand is g(N / D) + (KN - N) / D + [ln N - K ln N], which needs
-    only N, D > 0, not KN > 0 (the truncated kernel is not positive).
-    Logs of N / nstar, nstar being numer's endemic value, keep the bracket
-    small near equilibrium; at tau = 0 the integrand is exactly g(N / D).
-    """
-    log_n = np.log(numer / nstar)
-    values = g(numer / denom)
-    values += (smoothed - numer) / denom
-    values += log_n - heat_apply(log_n, d, tau, domain)
-    return float(domain.trapezoid_weights @ values)
-
-
 def eval_V(
     history: History,
     params: ModelParams,
@@ -331,8 +347,11 @@ def eval_V(
     """Evaluates V and the dissipation identity on the current history.
 
     The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
-    int [KN / D - 1 + ln D - K ln N] dx, with K = Gamma(d tau) applied
-    through heat_apply; KN for g_delay_a is quad_u1's smoothed.
+    int [g(N / D) + (KN - N) / D + ln N - K ln N] dx, with K = Gamma(d tau)
+    of unit row mass; the form needs only N, D > 0, not KN > 0 (the
+    truncated kernel is not positive).  Logs of N over its endemic value
+    keep the bracket small near equilibrium, and at tau = 0 the integrand
+    is exactly g(N / D).  KN for g_delay_a is quad_u1's smoothed field.
 
     Args:
         history: Delay window whose newest entry is the current state;
@@ -365,38 +384,57 @@ def eval_V(
     expb = math.exp(params.mu_h * params.tau_b)
 
     cur = history.lookup_arrays(0)
-    u1, u2, u3 = cur[0], cur[1], cur[2]
-    for name, values in (("u1", u1), ("u2", u2), ("u3", u3)):
-        _require_positive(name, values)
+    if not _all_positive(cur):
+        for name, values in zip(("u1", "u2", "u3"), cur):
+            _require_positive(name, values)
+    u1, u2, u3 = cur
+    u3_lag_a = history.lookup_arrays(k_a)[2]
+    lag_b = history.lookup_arrays(k_b)
+    numer_a = u1s * u3_lag_a / u3s
+    numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
+    # Rows: L1, L2, L3, g_u2, then g(N / D) of g_delay_b and g_delay_a.
+    gs = g(np.array((u1 / u1s, u2 / u2s, u3 / u3s, u2s / u2, numer_b / u3, numer_a / u1)))
 
-    l1 = bstar / params.mu_m * float(w @ g(u1 / u1s))
-    l2 = u2s * float(w @ g(u2 / u2s))
-    l3 = expb * u3s * float(w @ g(u3 / u3s))
+    # Every nonzero delay smooths its numerator and the log of it, all in
+    # one transform; a zero delay has KN = N and a zero bracket.
+    heat_in: list[np.ndarray] = []
+    decay: list[np.ndarray] = []
+    if params.tau_a > 0.0:
+        log_a = np.log(numer_a / u1s)
+        heat_in += [u3_lag_a, log_a]
+        decay += [_heat_decay(params.d_m, params.tau_a, domain)] * 2
+    if params.tau_b > 0.0:
+        log_b = np.log(numer_b / u3s)
+        heat_in += [numer_b, log_b]
+        decay += [_heat_decay(params.d_h, params.tau_b, domain)] * 2
+    heat_out = _heat_rows(heat_in, np.array(decay), domain) if heat_in else []
+    # Add the bracket (KN - N) / D + [ln N - K ln N] to each g(N / D) row.
+    smoothed = u3_lag_a
+    if params.tau_a > 0.0:
+        smoothed = heat_out[0]
+        gs[5] += (u1s * smoothed / u3s - numer_a) / u1
+        gs[5] += log_a - heat_out[1]
+    if params.tau_b > 0.0:
+        gs[4] += (heat_out[-2] - numer_b) / u3
+        gs[4] += log_b - heat_out[-1]
 
+    l1 = bstar / params.mu_m * float(w @ gs[0])
+    l2 = u2s * float(w @ gs[1])
+    l3 = expb * u3s * float(w @ gs[2])
     w1, w2 = ring.integrals()
 
     # Dissipation terms.
-    grad1 = -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain)
-    grad2 = -(params.d_h * u2s) * gradient_energy(u2, domain)
-    grad3 = -(expb * params.d_h * u3s) * gradient_energy(u3, domain)
-
-    u3_lag_a = history.lookup_arrays(k_a)[2]
-    smoothed = heat_apply(u3_lag_a, params.d_m, params.tau_a, domain)
+    energy = gradient_energy(cur, domain)
+    grad1 = -(params.d_m * bstar / params.mu_m) * energy[0]
+    grad2 = -(params.d_h * u2s) * energy[1]
+    grad3 = -(expb * params.d_h * u3s) * energy[2]
     quad1 = -(params.beta_m * params.beta_h * u2s / params.mu_m) * float(
         w @ ((u1 - u1s) ** 2 / u1 * smoothed)
     )
     quad2 = -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2))
-
-    g_u2 = -bstar * float(w @ g(u2s / u2))
-    lag_b = history.lookup_arrays(k_b)
-    numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
-    smoothed_b = heat_apply(numer_b, params.d_h, params.tau_b, domain)
-    g_delay_b = -bstar * _delay_g_integral(
-        numer_b, smoothed_b, u3, u3s, params.d_h, params.tau_b, domain
-    )
-    g_delay_a = -bstar * _delay_g_integral(
-        u1s * u3_lag_a / u3s, u1s * smoothed / u3s, u1, u1s, params.d_m, params.tau_a, domain
-    )
+    g_u2 = -bstar * float(w @ gs[3])
+    g_delay_b = -bstar * float(w @ gs[4])
+    g_delay_a = -bstar * float(w @ gs[5])
 
     grad_terms = (grad1, grad2, grad3)
     quad_terms = (quad1, quad2)

@@ -14,6 +14,7 @@ from dengue_rd import (
     build_initial_history,
     endemic_equilibrium,
     load_config,
+    min_resolvable_time,
     predicted_attractor,
     validate_for_certification,
     validate_initial_history,
@@ -129,8 +130,14 @@ def test_load_config_certify_needs_resolvable_kernels():
 def test_validate_for_certification_delay_floor(worked_params, domain):
     p = ModelParams(**{**worked_params.__dict__, "tau_a": 5e-5})
     config = SimConfig(params=p, domain=domain, dt=5e-5, t_end=1.0)
-    with pytest.raises(ConfigError, match="kernel"):
+    floor = min_resolvable_time(p.d_m, domain)
+    with pytest.raises(ConfigError) as excinfo:
         validate_for_certification(config)
+    assert str(excinfo.value) == (
+        f"certification needs dt >= {floor!r}, and the extrinsic (tau_a, d_m) "
+        "delay no shorter, so the truncated series resolves the kernel at every "
+        "lag; got dt=5e-05, tau=5e-05"
+    )
 
 
 # ------------------------------------------------- initial data and attractor

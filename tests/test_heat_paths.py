@@ -44,16 +44,21 @@ fft_from = st.sampled_from([None, 8])
 
 @contextmanager
 def heat_path(n: int, fft_min_n: int | None):
-    """Sets the crossover; on the FFT path, building dense operators fails."""
+    """Sets the crossover; the path n does not take fails if it is entered."""
     with pytest.MonkeyPatch.context() as mp:
         if fft_min_n is not None:
             mp.setattr(spectral, "FFT_MIN_N", fft_min_n)
-        use_fft = n >= spectral.FFT_MIN_N
+        use_fft = spectral._uses_fft(n)
         if use_fft:
             def no_dense(domain):
                 raise AssertionError("the FFT path built the dense transform matrices")
 
             mp.setattr(spectral, "_operators", no_dense)
+        else:
+            def no_fft(*args, **kwargs):
+                raise AssertionError("the dense path called numpy.fft")
+
+            mp.setattr(np.fft, "rfft", no_fft)
         yield use_fft
 
 
@@ -118,6 +123,15 @@ def test_crossover_neighbours_take_the_expected_path():
         with heat_path(n, None) as use_fft:
             assert use_fft is fft
             heat_apply(np.linspace(0.0, 1.0, n), 1.0, 0.1, Domain(L=1.0, n=n))
+
+
+@pytest.mark.parametrize("n, fft", [(256, True), (264, False), (272, False), (1024, True)])
+def test_prime_n_minus_1_grids_near_the_crossover_stay_dense(n, fft):
+    # 263 and 271 are prime, so numpy.fft would run Bluestein's algorithm;
+    # 255 = 3 * 5 * 17 and 1023 = 3 * 11 * 31 are smooth.
+    with heat_path(n, None) as use_fft:
+        assert use_fft is fft
+        heat_apply(np.linspace(0.0, 1.0, n), 1.0, 0.1, Domain(L=1.0, n=n))
 
 
 def random_history(params: ModelParams, domain: Domain, rng) -> History:

@@ -18,6 +18,7 @@ from dengue_rd import (
     endemic_equilibrium,
     eval_V,
     g,
+    gradient_energy,
     heat_apply,
     kernel_matrix,
     ModelParams,
@@ -25,6 +26,7 @@ from dengue_rd import (
     lag_steps,
     prepare_kernels,
     run,
+    step,
 )
 
 from conftest import WORKED, constant_state
@@ -574,3 +576,143 @@ def test_delay_terms_allow_a_smoothed_numerator_below_zero(seed):
     assert heat_apply(lag_b[0] * lag_b[1], 1.0, 0.02, config.domain).min() < 0.0
     cert = certify(run(config, hist))
     assert cert.passed, cert.violations
+
+
+# ------------------------------------------------------- batched evaluation
+
+
+def reference_eval_V(history, params, star, domain):
+    """eval_V term by term: one g, gradient_energy and heat_apply call per use."""
+    dt = history.dt
+    k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+    u1s, u2s, u3s = (float(v) for v in star)
+    w = domain.trapezoid_weights
+    bstar = params.beta_h * u1s * u2s
+    expb = math.exp(params.mu_h * params.tau_b)
+    u1, u2, u3 = history.lookup_arrays(0)
+
+    def lag_values(j):
+        lag = history.lookup_arrays(j)
+        return float(w @ g(lag[2] / u3s)), float(w @ g(lag[0] * lag[1] / (u1s * u2s)))
+
+    def trapezoid(values):
+        if len(values) <= 1:
+            return 0.0
+        return dt * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))
+
+    def delay_term(numer, smoothed, denom, nstar, d, tau):
+        log_n = np.log(numer / nstar)
+        values = g(numer / denom)
+        values += (smoothed - numer) / denom
+        values += log_n - heat_apply(log_n, d, tau, domain)
+        return -bstar * float(w @ values)
+
+    u3_lag_a = history.lookup_arrays(k_a)[2]
+    smoothed = heat_apply(u3_lag_a, params.d_m, params.tau_a, domain)
+    lag_b = history.lookup_arrays(k_b)
+    numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
+    terms = {
+        "L1": bstar / params.mu_m * float(w @ g(u1 / u1s)),
+        "L2": u2s * float(w @ g(u2 / u2s)),
+        "L3": expb * u3s * float(w @ g(u3 / u3s)),
+        "W1": bstar * trapezoid([lag_values(j)[0] for j in range(k_a + 1)]),
+        "W2": bstar * trapezoid([lag_values(j)[1] for j in range(k_b + 1)]),
+        "grad_u1": -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain),
+        "grad_u2": -(params.d_h * u2s) * gradient_energy(u2, domain),
+        "grad_u3": -(expb * params.d_h * u3s) * gradient_energy(u3, domain),
+        "quad_u1": -(params.beta_m * params.beta_h * u2s / params.mu_m)
+        * float(w @ ((u1 - u1s) ** 2 / u1 * smoothed)),
+        "quad_u2": -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2)),
+        "g_u2": -bstar * float(w @ g(u2s / u2)),
+        "g_delay_b": delay_term(
+            numer_b, heat_apply(numer_b, params.d_h, params.tau_b, domain), u3, u3s,
+            params.d_h, params.tau_b,
+        ),
+        "g_delay_a": delay_term(
+            u1s * u3_lag_a / u3s, u1s * smoothed / u3s, u1, u1s, params.d_m, params.tau_a
+        ),
+    }
+    terms["V"] = terms["L1"] + terms["L2"] + terms["L3"] + terms["W1"] + terms["W2"]
+    terms["dissipation"] = (
+        sum(terms[name] for name in TERM_NAMES[:3])
+        + sum(terms[name] for name in TERM_NAMES[3:5])
+        + sum(terms[name] for name in TERM_NAMES[5:])
+    )
+    return terms
+
+
+@pytest.mark.parametrize(
+    "tau_a, tau_b",
+    [(0.15, 0.0), (0.0, 0.1), (0.15, 0.1), (0.0, 0.0)],
+    ids=["tau_a-only", "tau_b-only", "both-delays", "no-delay"],
+)
+@pytest.mark.parametrize("N", [16, 5])
+def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, N):
+    params = ModelParams(**{**WORKED, "tau_a": tau_a, "tau_b": tau_b})
+    domain = Domain(L=1.0, n=16, N=N)
+    config = SimConfig(
+        params=params, domain=domain, dt=0.05, t_end=0.4, certify=True,
+        history_mode="modulated", perturb_modes=min(3, N - 1),
+    )
+    hist = build_initial_history(config, 2)
+    star = endemic_equilibrium(params)
+    ring = LagIntegrals(hist, params, star, domain)
+    for _ in range(6):
+        bd = eval_V(hist, params, star, domain, ring=ring)
+        got = {**bd.terms, **{k: getattr(bd, k) for k in ("V", "L1", "L2", "L3", "W1", "W2")}}
+        got["dissipation"] = bd.dissipation
+        assert got == reference_eval_V(hist, params, star, domain)
+        step(hist, params, domain, 0.05)
+        ring.push(hist)
+
+
+def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
+    params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)
+    domain = Domain(L=1.0, n=12)
+    config = SimConfig(
+        params=params, domain=domain, dt=0.05, t_end=1.0, certify=True,
+        history_mode="modulated",
+    )
+    hist = build_initial_history(config, 7)
+    star = endemic_equilibrium(params)
+    ring = LagIntegrals(hist, params, star, domain)
+    for _ in range(40):  # the 6-slot ring wraps several times
+        step(hist, params, domain, 0.05)
+        ring.push(hist)
+    fresh = LagIntegrals(hist, params, star, domain)
+    assert (list(ring.a), list(ring.b)) == (list(fresh.a), list(fresh.b))
+    assert ring.window_rel_err(hist) == 0.0
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_eval_V_names_the_nonpositive_state_row(worked_params, row, bad):
+    params = dataclasses.replace(worked_params, tau_a=0.0)  # the ring checks nothing
+    domain = Domain(L=1.0, n=12)
+    star = endemic_equilibrium(params)
+    state = constant_state(0.9 * star, domain.n)
+    state[row, 5] = bad
+    hist = History.constant(state, 0, 0.05)
+    with pytest.raises(ValueError, match=rf"strictly positive u{row + 1};"):
+        eval_V(hist, params, star, domain)
+
+
+@pytest.mark.parametrize("lag", [0, 1, 3, 5])
+@pytest.mark.parametrize("row, name", [(2, "u3"), (0, "u1\\*u2")])
+def test_lag_ring_names_the_nonpositive_lag(worked_params, lag, row, name):
+    params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)  # 6 slots
+    domain = Domain(L=1.0, n=12)
+    star = endemic_equilibrium(params)
+    window = [constant_state(0.9 * star, domain.n) for _ in range(6)]
+    window[5 - lag][row, 4] = -0.5  # oldest first, so lag j sits at 5 - j
+    bad = window[5 - lag].copy()
+    window[5][1, 7] = 0.0  # a newer bad u1*u2 at lag 0; the oldest is named
+    hist = History(window, 0.05)
+    with pytest.raises(ValueError, match=rf"{name} at lag {lag};"):
+        LagIntegrals(hist, params, star, domain)
+
+    good = History([constant_state(0.9 * star, domain.n)] * 6, 0.05)
+    ring = LagIntegrals(good, params, star, domain)
+    good.append(bad)
+    with pytest.raises(ValueError, match=rf"{name} at lag 0;"):
+        ring.push(good)
