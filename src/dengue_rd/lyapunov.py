@@ -57,16 +57,16 @@ corrupted cache fails certification.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  eval_V checks the
-(3, n) state once, hands the six ratio rows of L1, L2, L3, g_u2 and the
-two delay terms to one g call, smooths the numerator of every nonzero
-delay and its log in one transform call, and takes the three gradient
-energies in one call.  LagIntegrals, on a push or a checkpoint
-recompute, writes the ratios of every lag it needs from views of the
-history's states into one buffer, which it checks once and passes to g
-once.  Every scalar is still its own dot product over its own row, so
-the numbers are bit for bit those of a term-by-term evaluation, and
-only a failed check goes back row by row, so its message still names
-the field or the lag.
+(3, n) state once, hands the ratio rows of L1, L2, g_u2 and the two
+delay terms to one g call, and smooths the numerator of each nonzero
+delay and its log in one heat_apply call.  L3's integral is the ring's
+newest a value when tau_a has lag steps, and one more g row otherwise.
+LagIntegrals, on a push or a checkpoint recompute, writes the ratios of
+every lag it needs from views of the history's states into one buffer,
+which it checks once and passes to g once.  Every scalar is still its
+own dot product over its own row, so the numbers are bit for bit those
+of a term-by-term evaluation, and only a failed check goes back row by
+row, so its message still names the field or the lag.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Domain, History, ModelParams, lag_steps
-from .spectral import _heat_decay, _heat_rows, gradient_energy, kernel_mass_defect
-from .spectral import heat_apply, kernel_matrix  # unused here; perfbench/tracing.py wraps these bindings
+from .spectral import gradient_energy, heat_apply, kernel_mass_defect
+from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
@@ -392,49 +392,48 @@ def eval_V(
     lag_b = history.lookup_arrays(k_b)
     numer_a = u1s * u3_lag_a / u3s
     numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
-    # Rows: L1, L2, L3, g_u2, then g(N / D) of g_delay_b and g_delay_a.
-    gs = g(np.array((u1 / u1s, u2 / u2s, u3 / u3s, u2s / u2, numer_b / u3, numer_a / u1)))
+    # Rows: L1, L2, g_u2, g(N / D) of g_delay_a and g_delay_b, then L3's
+    # unless the ring holds it already (a[0], when tau_a has lag steps).
+    rows = [u1 / u1s, u2 / u2s, u2s / u2, numer_a / u1, numer_b / u3]
+    if not k_a:
+        rows.append(u3 / u3s)
+    gs = g(np.array(rows))
 
-    # Every nonzero delay smooths its numerator and the log of it, all in
-    # one transform; a zero delay has KN = N and a zero bracket.
-    heat_in: list[np.ndarray] = []
-    decay: list[np.ndarray] = []
-    if params.tau_a > 0.0:
-        log_a = np.log(numer_a / u1s)
-        heat_in += [u3_lag_a, log_a]
-        decay += [_heat_decay(params.d_m, params.tau_a, domain)] * 2
-    if params.tau_b > 0.0:
-        log_b = np.log(numer_b / u3s)
-        heat_in += [numer_b, log_b]
-        decay += [_heat_decay(params.d_h, params.tau_b, domain)] * 2
-    heat_out = _heat_rows(heat_in, np.array(decay), domain) if heat_in else []
-    # Add the bracket (KN - N) / D + [ln N - K ln N] to each g(N / D) row.
+    # Each nonzero delay smooths its numerator and the log of it in one
+    # heat_apply call, and adds the bracket (KN - N) / D + [ln N - K ln N]
+    # to its g(N / D) row; a zero delay has KN = N and a zero bracket.
     smoothed = u3_lag_a
-    if params.tau_a > 0.0:
-        smoothed = heat_out[0]
-        gs[5] += (u1s * smoothed / u3s - numer_a) / u1
-        gs[5] += log_a - heat_out[1]
-    if params.tau_b > 0.0:
-        gs[4] += (heat_out[-2] - numer_b) / u3
-        gs[4] += log_b - heat_out[-1]
+    if k_a:
+        log_a = np.log(numer_a / u1s)
+        smoothed, log_a_smoothed = heat_apply(
+            np.array((u3_lag_a, log_a)), params.d_m, params.tau_a, domain
+        )
+        gs[3] += (u1s * smoothed / u3s - numer_a) / u1
+        gs[3] += log_a - log_a_smoothed
+    if k_b:
+        log_b = np.log(numer_b / u3s)
+        numer_b_smoothed, log_b_smoothed = heat_apply(
+            np.array((numer_b, log_b)), params.d_h, params.tau_b, domain
+        )
+        gs[4] += (numer_b_smoothed - numer_b) / u3
+        gs[4] += log_b - log_b_smoothed
 
     l1 = bstar / params.mu_m * float(w @ gs[0])
     l2 = u2s * float(w @ gs[1])
-    l3 = expb * u3s * float(w @ gs[2])
+    l3 = expb * u3s * (ring.a[0] if k_a else float(w @ gs[5]))
     w1, w2 = ring.integrals()
 
     # Dissipation terms.
-    energy = gradient_energy(cur, domain)
-    grad1 = -(params.d_m * bstar / params.mu_m) * energy[0]
-    grad2 = -(params.d_h * u2s) * energy[1]
-    grad3 = -(expb * params.d_h * u3s) * energy[2]
+    grad1 = -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain)
+    grad2 = -(params.d_h * u2s) * gradient_energy(u2, domain)
+    grad3 = -(expb * params.d_h * u3s) * gradient_energy(u3, domain)
     quad1 = -(params.beta_m * params.beta_h * u2s / params.mu_m) * float(
         w @ ((u1 - u1s) ** 2 / u1 * smoothed)
     )
     quad2 = -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2))
-    g_u2 = -bstar * float(w @ gs[3])
+    g_u2 = -bstar * float(w @ gs[2])
     g_delay_b = -bstar * float(w @ gs[4])
-    g_delay_a = -bstar * float(w @ gs[5])
+    g_delay_a = -bstar * float(w @ gs[3])
 
     grad_terms = (grad1, grad2, grad3)
     quad_terms = (quad1, quad2)

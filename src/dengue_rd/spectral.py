@@ -40,8 +40,8 @@ faster from n = 136 on, and 2-3x faster from n = 208 on.  When n - 1 is
 prime, numpy.fft falls back to Bluestein's algorithm, and the FFT stayed
 slower up to n = 312 (about 3x slower at n = 264 and 272).  From 256 on
 the FFT was faster on every size with a smooth n - 1, and at n = 1024 it
-was 13x faster.  So grids in BLUESTEIN_DENSE_N whose n - 1 is prime
-stay on the dense path (_uses_fft).
+was 13x faster; grids of 256 to about 360 points with a prime n - 1
+are better served by a neighbouring n.
 
 Truncation caveat: the spectrally truncated kernel is not pointwise
 positive for very small times.  Applying the semigroup to a nonnegative
@@ -78,12 +78,6 @@ KERNEL_TIME_FLOOR_FACTOR = 1e-3
 # Grids of at least this many points run the heat flow through numpy.fft;
 # smaller ones use the dense transform matrices (see the module docstring).
 FFT_MIN_N = 256
-
-# Grids in this range whose n - 1 is prime stay on the dense path: numpy.fft
-# runs Bluestein's algorithm for them, which timed 2.5-3.7x slower than the
-# dense products at n = 258 to 272, level with them from 312 to 338 and
-# mostly faster from 348 on (fused (3, n) apply, as for FFT_MIN_N).
-BLUESTEIN_DENSE_N = range(256, 341)
 
 
 @dataclass(frozen=True)
@@ -162,26 +156,17 @@ def _heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
     return np.exp(-d * t * _eigenvalues(domain))
 
 
-def _uses_fft(n: int) -> bool:
-    """Whether the heat flow on n grid points runs through numpy.fft."""
-    if n < FFT_MIN_N:
-        return False
-    m = n - 1
-    # In BLUESTEIN_DENSE_N only a composite n - 1 takes the FFT.
-    return n not in BLUESTEIN_DENSE_N or any(m % p == 0 for p in range(2, math.isqrt(m) + 1))
-
-
 def _heat_rows(
     rows: Sequence[np.ndarray], decay: np.ndarray, domain: Domain
 ) -> Sequence[np.ndarray]:
     """Scales the cosine modes of each grid field in rows by that row of decay, (r, N).
 
-    The transform pair behind every heat flow: the DCT-I through rfft
-    where _uses_fft(n), else dense products row by row.  rows is a
-    sequence of r fields of length n; so is the result.
+    The transform pair behind every heat flow: dense products row by row
+    below FFT_MIN_N grid points, the DCT-I through rfft at and above it.
+    rows is a sequence of r fields of length n; so is the result.
     """
     n, N = domain.n, domain.N
-    if not _uses_fft(n):
+    if n < FFT_MIN_N:
         ops = _operators(domain)
         return [ops.cos @ (decay[i] * (ops.fwd @ row)) for i, row in enumerate(rows)]
     f = np.asarray(rows)
@@ -199,21 +184,29 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
     every t.  t = 0 returns f unchanged.
 
     Args:
-        f: Grid field of length n.
+        f: Grid field of length n, or an (r, n) stack of fields, each of
+            which is diffused as if passed alone.
         d: Diffusivity, positive.
         t: Elapsed time, nonnegative.
 
     Returns:
-        The diffused grid field.
+        The diffused grid field or fields, shaped like f.
     """
-    f = _check_field(f, domain)
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (1, 2) or f.shape[-1] != domain.n:
+        raise ValueError(
+            f"field has shape {f.shape}, expected ({domain.n},) or (r, {domain.n})"
+        )
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"diffusivity must be positive and finite, got {d!r}")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return f.copy()
-    return _heat_rows((f,), _heat_decay(d, t, domain)[None, :], domain)[0]
+    rows = f if f.ndim == 2 else f[None, :]
+    decay = np.broadcast_to(_heat_decay(d, t, domain), (len(rows), domain.N))
+    out = _heat_rows(rows, decay, domain)
+    return np.asarray(out) if f.ndim == 2 else out[0]
 
 
 def min_resolvable_time(d: float, domain: Domain) -> float:
@@ -268,29 +261,22 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     return float(np.abs(col - ops.w).max() / ops.w.max())
 
 
-def gradient_energy(f: np.ndarray, domain: Domain) -> float | list[float]:
+def gradient_energy(f: np.ndarray, domain: Domain) -> float:
     """Trapezoid value of the relative Fisher-type integral of |grad f|^2 / f^2.
 
     Differentiates the cosine interpolant of f, so for fields resolved by
     the retained modes the derivative is exact and the trapezoid rule on
-    the smooth even extension converges spectrally.  f is one field of
-    length n, or a stack of r such fields, which are checked together and
-    give a list of r values, each from its own products.
+    the smooth even extension converges spectrally.
 
     Raises:
         ValueError: if f is not strictly positive everywhere.
     """
-    stacked = np.ndim(f) == 2
-    rows = np.asarray(f, dtype=float) if stacked else _check_field(f, domain)[None, :]
-    if rows.shape[1] != domain.n:
-        raise ValueError(f"fields have shape {rows.shape}, expected (r, {domain.n})")
-    if rows.min() <= 0.0:
+    f = _check_field(f, domain)
+    if f.min() <= 0.0:
         raise ValueError(
-            f"gradient_energy requires a strictly positive field, min is {rows.min():.6g}"
+            f"gradient_energy requires a strictly positive field, min is {f.min():.6g}"
         )
     ops = _operators(domain)
-    energies = []
-    for row in rows:
-        ratio = ops.dcos @ (ops.fwd @ row) / row
-        energies.append(float(ops.w @ (ratio * ratio)))
-    return energies if stacked else energies[0]
+    df = ops.dcos @ (ops.fwd @ f)
+    ratio = df / f
+    return float(ops.w @ (ratio * ratio))

@@ -178,16 +178,6 @@ def test_gradient_energy_requires_positive(domain):
     f[5] = 0.0
     with pytest.raises(ValueError, match="positive"):
         gradient_energy(f, domain)
-    with pytest.raises(ValueError, match="positive"):
-        gradient_energy(np.stack([np.ones(domain.n), f]), domain)
-
-
-def test_gradient_energy_of_a_stack_is_each_row_bit_for_bit(domain):
-    rng = np.random.default_rng(4)
-    rows = np.stack([np.abs(random_smooth_field(domain, rng, offset=5.0)) for _ in range(3)])
-    assert gradient_energy(rows, domain) == [gradient_energy(row, domain) for row in rows]
-    with pytest.raises(ValueError, match="shape"):
-        gradient_energy(rows[:, 1:], domain)
 
 
 def test_truncated_modes_domain():
