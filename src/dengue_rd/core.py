@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -166,16 +167,20 @@ class Domain:
         if not (1 <= self.N <= self.n):
             raise ValueError(f"N must satisfy 1 <= N <= n, got N={self.N}, n={self.n}")
 
-    @property
+    # Built once, read-only, and outside the fields that eq and hash see.
+    @cached_property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.L, self.n)
+        x = np.linspace(0.0, self.L, self.n)
+        x.flags.writeable = False
+        return x
 
-    @property
+    @cached_property
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights w with sum(w * f) the trapezoid rule on [0, L]."""
         h = self.L / (self.n - 1)
         w = np.full(self.n, h)
         w[0] = w[-1] = 0.5 * h
+        w.flags.writeable = False
         return w
 
 

@@ -28,7 +28,7 @@ explicit Euler step of the underlying delay differential system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -45,7 +45,7 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import LagIntegrals, LyapunovBreakdown, eval_V, prepare_kernels
+from .lyapunov import RECORD_DTYPE, LagIntegrals, eval_V, prepare_kernels
 from .spectral import _heat_decay, _heat_rows, heat_apply
 
 if TYPE_CHECKING:
@@ -183,8 +183,11 @@ class Trajectory:
     """Per-step record of one run.
 
     Distances are sup-norm over components and grid; dist_endemic is NaN
-    when no endemic state exists.  V, dVdt_fd and dissipation are NaN
-    unless the run certified; dVdt_fd[k] is the backward difference
+    when no endemic state exists.  lyapunov holds one RECORD_DTYPE row per
+    step: V, L1-L3, W1, W2, the eight TERM_NAMES, dissipation and
+    two_path_rel_err (NaN off checkpoints); V and dissipation are views
+    of it, so timeseries.csv and certify read one buffer.  Without
+    certification it is one NaN row, broadcast read-only.  dVdt_fd[k] is
     (V[k] - V[k-1]) / dt.  snapshots holds (time, state) pairs at the
     configured stride plus the first and last step; each state, like
     final_state, is a (3, n) array, rows u1, u2, u3, owned by the
@@ -197,16 +200,22 @@ class Trajectory:
     dist_dfe: np.ndarray
     comp_min: np.ndarray
     comp_max: np.ndarray
-    V: np.ndarray
+    lyapunov: np.ndarray
     dVdt_fd: np.ndarray
-    dissipation: np.ndarray
-    lyapunov: list[LyapunovBreakdown]
     snapshots: list[tuple[float, np.ndarray]]
     bounds_ok: bool
     final_state: np.ndarray
     equilibria: EquilibriumSet
     config: SimConfig
     kernel_mass_defect: float | None = None
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.lyapunov["V"]
+
+    @property
+    def dissipation(self) -> np.ndarray:
+        return self.lyapunov["dissipation"]
 
 
 def run(config: SimConfig, initial: History) -> Trajectory:
@@ -264,9 +273,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     dist_dfe = np.full(size, np.nan)
     comp_min = np.full((size, 3), np.nan)
     comp_max = np.full((size, 3), np.nan)
-    v_arr = np.full(size, np.nan)
-    d_arr = np.full(size, np.nan)
-    breakdowns: list[LyapunovBreakdown] = []
+    lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
     snapshots: list[tuple[float, np.ndarray]] = []
     bounds_ok = True
 
@@ -292,11 +299,8 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             if k:
                 ring.push(initial)
             bd = eval_V(initial, params, eqs.endemic, domain, ring=ring)
-            if k % checkpoint_stride == 0 or k == n_steps:
-                bd = replace(bd, two_path_rel_err=ring.window_rel_err(initial))
-            v_arr[k] = bd.V
-            d_arr[k] = bd.dissipation
-            breakdowns.append(bd)
+            checkpoint = k % checkpoint_stride == 0 or k == n_steps
+            lyapunov[k] = bd.record_row(ring.window_rel_err(initial) if checkpoint else math.nan)
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):
@@ -308,8 +312,10 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         record(k, state)
 
     dvdt = np.full(size, np.nan)
-    if config.certify and size > 1:
-        dvdt[1:] = np.diff(v_arr) / dt
+    if config.certify:
+        dvdt[1:] = np.diff(lyapunov["V"]) / dt
+    else:
+        lyapunov = np.broadcast_to(lyapunov, (size,))
 
     return Trajectory(
         times=times,
@@ -317,10 +323,8 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         dist_dfe=dist_dfe,
         comp_min=comp_min,
         comp_max=comp_max,
-        V=v_arr,
+        lyapunov=lyapunov,
         dVdt_fd=dvdt,
-        dissipation=d_arr,
-        lyapunov=breakdowns,
         snapshots=snapshots,
         bounds_ok=bounds_ok,
         final_state=initial.latest,

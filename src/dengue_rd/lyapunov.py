@@ -67,6 +67,11 @@ which it checks once and passes to g once.  Every scalar is still its
 own dot product over its own row, so the numbers are bit for bit those
 of a term-by-term evaluation, and only a failed check goes back row by
 row, so its message still names the field or the lag.
+
+A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
+the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
+checkpoints).  timeseries.csv and certificate.json both read that
+buffer, and certify checks whole columns of it, never step by step.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,6 +96,7 @@ __all__ = [
     "LagIntegrals",
     "LyapunovBreakdown",
     "LyapunovKernels",
+    "RECORD_DTYPE",
     "TERM_NAMES",
     "certify",
     "check_tolerances",
@@ -109,6 +115,15 @@ TERM_NAMES = (
     "g_delay_b",
     "g_delay_a",
 )
+
+# The quantities certify checks for sign, in violation order.
+CHECKED_TERMS = (*TERM_NAMES, "dissipation")
+
+# One row per step of a certifying run: integrator.Trajectory.lyapunov.
+RECORD_DTYPE = np.dtype([
+    (name, np.float64)
+    for name in ("V", "L1", "L2", "L3", "W1", "W2", *CHECKED_TERMS, "two_path_rel_err")
+])
 
 # Default certification tolerances.  The per-step slack on monotonicity is
 # relative to V at the start; the dissipation sign slack is absolute.
@@ -175,9 +190,7 @@ class LyapunovBreakdown:
 
     dissipation is the full right-hand side of the identity, the sum of
     grad_terms, quad_terms and g_terms; every summand is nonpositive up
-    to roundoff.  two_path_rel_err is set only at checkpoint steps of a
-    certifying run, where it records the relative disagreement between
-    the cached W1, W2 and their recomputation from the raw window.
+    to roundoff.
     """
 
     V: float
@@ -190,13 +203,20 @@ class LyapunovBreakdown:
     grad_terms: tuple[float, float, float]
     g_terms: tuple[float, float, float]
     quad_terms: tuple[float, float]
-    two_path_rel_err: float | None = None
 
     @property
     def terms(self) -> dict[str, float]:
         """All eight dissipation terms keyed by TERM_NAMES."""
         values = self.grad_terms + self.quad_terms + self.g_terms
         return dict(zip(TERM_NAMES, values))
+
+    def record_row(self, two_path_rel_err: float) -> tuple[float, ...]:
+        """This breakdown as a RECORD_DTYPE row; two_path_rel_err is NaN off checkpoints."""
+        return (
+            self.V, self.L1, self.L2, self.L3, self.W1, self.W2,
+            *self.grad_terms, *self.quad_terms, *self.g_terms,
+            self.dissipation, two_path_rel_err,
+        )
 
 
 def _all_positive(values: np.ndarray) -> bool:
@@ -509,6 +529,17 @@ class Certificate:
         }
 
 
+def _violations(times: np.ndarray, kinds, steps, values, threshold: float) -> list[dict]:
+    """One violation dict per step, with its kind and value, from .tolist() values."""
+    steps = np.asarray(steps, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    rows = zip(kinds, steps.tolist(), times[steps].tolist(), values.tolist())
+    return [
+        {"kind": kind, "step": k, "time": t, "value": v, "threshold": float(threshold)}
+        for kind, k, t, v in rows
+    ]
+
+
 def certify(
     trajectory: "Trajectory",
     *,
@@ -527,6 +558,11 @@ def certify(
     recomputed W integrals, and the kernels' column-mass defect, must
     each stay within two_path_tol when recorded.
 
+    Each check reads columns of trajectory.lyapunov, the record that
+    timeseries.csv prints V and dissipation from.  Violations come by
+    check, V increases and then positive terms, each by step, the terms
+    of one step in CHECKED_TERMS order.
+
     Args:
         trajectory: A run recorded with Lyapunov evaluation enabled.
         v_tol: Per-step monotonicity slack, relative to V(0).
@@ -543,100 +579,51 @@ def certify(
             without Lyapunov data.
     """
     check_tolerances(v_tol=v_tol, d_tol=d_tol, two_path_tol=two_path_tol)
-    breakdowns = trajectory.lyapunov
-    if not breakdowns:
+    record = trajectory.lyapunov
+    v = record["V"]
+    if np.isnan(v).all():
         raise ValueError("trajectory carries no Lyapunov data; rerun with certify")
-    v = np.asarray([b.V for b in breakdowns])
-    violations: list[dict] = []
     times = trajectory.times
 
     # Floor the slack so runs started at (numerical) equilibrium, where
     # V(0) is pure roundoff, are not failed on jitter at that scale.
     slack = v_tol * max(v[0], EQUILIBRIUM_V_FLOOR)
-    v_monotone = True
-    for k in range(len(v) - 1):
-        if v[k + 1] > v[k] + slack:
-            v_monotone = False
-            violations.append(
-                {
-                    "kind": "v_increase",
-                    "step": k + 1,
-                    "time": float(times[k + 1]),
-                    "value": float(v[k + 1] - v[k]),
-                    "threshold": float(slack),
-                }
-            )
+    rises = np.flatnonzero(v[1:] > v[:-1] + slack)
+    violations = _violations(times, repeat("v_increase"), rises + 1, np.diff(v)[rises], slack)
 
-    dissipation_nonpositive = True
-    ranges = {name: [math.inf, -math.inf] for name in TERM_NAMES}
-    ranges["dissipation"] = [math.inf, -math.inf]
-    for k, b in enumerate(breakdowns):
-        checked = dict(b.terms)
-        checked["dissipation"] = b.dissipation
-        for name, value in checked.items():
-            lo, hi = ranges[name]
-            ranges[name] = [min(lo, value), max(hi, value)]
-            if value > d_tol:
-                dissipation_nonpositive = False
-                violations.append(
-                    {
-                        "kind": f"positive_{name}",
-                        "step": k,
-                        "time": float(times[k]),
-                        "value": float(value),
-                        "threshold": float(d_tol),
-                    }
-                )
+    # One float column per field; np.nonzero runs by step, then by term.
+    table = record.view((np.float64, len(RECORD_DTYPE.names)))
+    terms = table[:, [RECORD_DTYPE.names.index(name) for name in CHECKED_TERMS]]
+    steps, cols = np.nonzero(terms > d_tol)
+    kinds = [f"positive_{CHECKED_TERMS[c]}" for c in cols.tolist()]
+    violations += _violations(times, kinds, steps, terms[steps, cols], d_tol)
 
     v_decreased: bool | None = None
     if v[0] > EQUILIBRIUM_V_FLOOR:
         v_decreased = bool(v[-1] < v[0])
         if not v_decreased:
-            violations.append(
-                {
-                    "kind": "v_not_decreased",
-                    "step": len(v) - 1,
-                    "time": float(times[-1]),
-                    "value": float(v[-1] - v[0]),
-                    "threshold": 0.0,
-                }
-            )
+            violations += _violations(times, ["v_not_decreased"], [v.size - 1], [v[-1] - v[0]], 0.0)
 
-    checkpoints = [
-        (k, b.two_path_rel_err)
-        for k, b in enumerate(breakdowns)
-        if b.two_path_rel_err is not None
-    ]
+    errs = record["two_path_rel_err"]
     two_path_ok: bool | None = None
     max_rel = None
-    if checkpoints:
-        worst_step, max_rel = max(checkpoints, key=lambda item: item[1])
-        max_rel = float(max_rel)
+    if not np.isnan(errs).all():
+        worst_step = int(np.nanargmax(errs))  # the first of equal maxima
+        max_rel = float(errs[worst_step])
         two_path_ok = max_rel <= two_path_tol
         if not two_path_ok:
-            violations.append(
-                {
-                    "kind": "two_path_disagreement",
-                    "step": worst_step,
-                    "time": float(times[worst_step]),
-                    "value": max_rel,
-                    "threshold": float(two_path_tol),
-                }
+            violations += _violations(
+                times, ["two_path_disagreement"], [worst_step], [max_rel], two_path_tol
             )
 
     mass = trajectory.kernel_mass_defect
     mass_ok = mass is None or mass <= two_path_tol
     if not mass_ok:
-        violations.append(
-            {
-                "kind": "kernel_mass_defect",
-                "step": 0,
-                "time": float(times[0]),
-                "value": float(mass),
-                "threshold": float(two_path_tol),
-            }
-        )
+        violations += _violations(times, ["kernel_mass_defect"], [0], [mass], two_path_tol)
 
+    lows, highs = terms.min(axis=0).tolist(), terms.max(axis=0).tolist()
+    v_monotone = rises.size == 0
+    dissipation_nonpositive = steps.size == 0
     passed = (
         v_monotone
         and dissipation_nonpositive
@@ -658,5 +645,5 @@ def certify(
         d_tol=d_tol,
         two_path_tol=two_path_tol,
         violations=violations,
-        term_ranges={k: (v2[0], v2[1]) for k, v2 in ranges.items()},
+        term_ranges=dict(zip(CHECKED_TERMS, zip(lows, highs))),
     )

@@ -298,8 +298,7 @@ def test_criterion_8_two_path_agreement(cert_run, halved_runs):
     # lets the delay integrals collapse, holds at every lag.
     runs = [cert_run[0], *halved_runs.values()]
     checkpoints = [
-        [bd.two_path_rel_err for bd in traj.lyapunov if bd.two_path_rel_err is not None]
-        for traj in runs
+        errs[~np.isnan(errs)] for errs in (traj.lyapunov["two_path_rel_err"] for traj in runs)
     ]
     fewest = min(len(c) for c in checkpoints)
     worst = max(max(c) for c in checkpoints)

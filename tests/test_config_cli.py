@@ -24,6 +24,8 @@ from dengue_rd.output import TIMESERIES_HEADER, _write_table, equilibria_report,
 
 from conftest import config_doc
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -263,6 +265,50 @@ def test_cli_certify_pass(tmp_path, capsys):
     assert doc["passed"] is True
     assert doc["v_final"] < doc["v_initial"]
     assert doc["tolerances"]["v_step_slack"] == 1e-8
+
+
+CERTIFY_FILES = ("timeseries.csv", "snapshots.csv", "certificate.json")
+
+
+def certify_outputs(tmp_path, capsys, path, seed, flags, name):
+    """Exit code, stdout and the bytes of every certify output file."""
+    out = tmp_path / name
+    rc = main(["certify", "--config", path, "--out", str(out), "--seed", str(seed), *flags])
+    return rc, capsys.readouterr().out, [(out / f).read_bytes() for f in CERTIFY_FILES]
+
+
+def test_cli_certify_is_deterministic_and_seed_sensitive(tmp_path, capsys):
+    path = write_doc(tmp_path, config_doc(t_end=1.0, certify=True))
+    first, again, other = (
+        certify_outputs(tmp_path, capsys, path, seed, [], name)
+        for seed, name in ((3, "a"), (3, "b"), (4, "c"))
+    )
+    assert first == again
+    assert first[0] == other[0] == 0 and "certificate PASS" in first[1]
+    assert first[1] != other[1]
+    assert all(x != y for x, y in zip(first[2], other[2]))
+
+
+def test_cli_certify_failing_certificate_is_deterministic(tmp_path, capsys):
+    # On the attractor with zero slack, roundoff alone fails the
+    # certificate: a real failing run, nothing mocked.
+    doc = json.loads((CONFIG_DIR / "worked_sqrt2.json").read_text())
+    path = write_doc(tmp_path, {**doc, "perturb_amplitude": 0.0})
+    flags = ["--tol", "0", "--dissipation-tol", "0"]
+    first, again, other = (
+        certify_outputs(tmp_path, capsys, path, seed, flags, name)
+        for seed, name in ((3, "a"), (3, "b"), (4, "c"))
+    )
+    assert first == again
+    # the seed only draws the perturbation, and its amplitude is zero
+    assert other == first
+    rc, stdout, files = first
+    cert = json.loads(files[2])
+    assert rc == 3 and not cert["passed"]
+    assert stdout.endswith(f", {len(cert['violations'])} violations\n")
+    assert cert["violations"]
+    allowed = {"v_increase"} | {f"positive_{name}" for name in cert["term_ranges"]}
+    assert {v["kind"] for v in cert["violations"]} <= allowed
 
 
 def test_cli_certify_tolerance_flags(tmp_path, capsys):

@@ -110,6 +110,40 @@ def test_domain_grid_and_weights(domain):
     assert w[0] == w[-1] == 0.5 * w[1]
 
 
+@pytest.mark.parametrize("name", ["grid", "trapezoid_weights"])
+def test_domain_arrays_are_built_once_and_read_only(name):
+    domain = Domain(L=2.0, n=16)
+    arr = getattr(domain, name)
+    assert getattr(domain, name) is arr
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = 1.0
+
+
+def test_domain_cache_leaves_equality_and_hash_alone():
+    warm, cold = Domain(L=2.0, n=16), Domain(L=2.0, n=16, N=16)
+    warm.grid, warm.trapezoid_weights
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {warm: 1}[cold] == 1
+    assert warm != Domain(L=2.0, n=16, N=8)
+    assert warm != Domain(L=2.5, n=16)
+
+
+def test_domain_keyed_caches_still_hit(worked_params):
+    from dengue_rd.integrator import _step_plan
+    from dengue_rd.spectral import _operators
+
+    first = Domain(L=1.5, n=20)
+    ops, plan = _operators(first), _step_plan(worked_params, first, 0.05)
+    twin = Domain(L=1.5, n=20)
+    twin.trapezoid_weights  # its own cached arrays, same fields
+    ops_hits, plan_hits = _operators.cache_info().hits, _step_plan.cache_info().hits
+    assert _operators(twin) is ops
+    assert _step_plan(worked_params, twin, 0.05) is plan
+    assert _operators.cache_info().hits == ops_hits + 1
+    assert _step_plan.cache_info().hits == plan_hits + 1
+
+
 def test_history_state_layout(domain):
     rng = np.random.default_rng(3)
     arr = rng.uniform(0.1, 1.0, size=(3, domain.n))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from dengue_rd import (
     run,
     step,
 )
+
+from dengue_rd.lyapunov import CHECKED_TERMS, DEFAULT_V_TOL, RECORD_DTYPE
 
 from conftest import WORKED, constant_state
 
@@ -77,7 +80,7 @@ def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     assert abs(bd.dissipation) < 1e-15
     for value in bd.terms.values():
         assert abs(value) < 1e-15
-    assert bd.two_path_rel_err is None  # set by certifying runs at checkpoints
+    assert not hasattr(bd, "two_path_rel_err")  # the run's record keeps it
     assert ring.window_rel_err(hist) < 1e-12
     assert prepare_kernels(delayed_params, domain, 0.05).mass_defect < 1e-12
 
@@ -251,21 +254,31 @@ def test_certify_passes_on_decaying_run(worked_params, domain):
     assert set(cert.term_ranges) == set(TERM_NAMES) | {"dissipation"}
 
 
-def test_certify_flags_artificial_v_increase(worked_params, domain):
+def test_certify_flags_artificial_v_increase(worked_params, domain, tmp_path):
+    # V is a view of the run's record: one write reaches both the
+    # certificate and timeseries.csv.
+    from dengue_rd.output import write_timeseries
+
     traj = certifying_trajectory(worked_params, domain)
-    bd = traj.lyapunov[5]
-    traj.lyapunov[5] = dataclasses.replace(bd, V=2.0 * traj.lyapunov[0].V)
+    write_timeseries(tmp_path / "before.csv", traj)
+    traj.V[5] = 2.0 * traj.V[0]
+    assert traj.lyapunov["V"][5] == 2.0 * traj.V[0]
+    write_timeseries(tmp_path / "after.csv", traj)
     cert = certify(traj)
     assert not cert.passed
     kinds = {(v["kind"], v["step"]) for v in cert.violations}
     assert ("v_increase", 5) in kinds
     assert cert.v_monotone is False
+    before = (tmp_path / "before.csv").read_text().splitlines()
+    after = (tmp_path / "after.csv").read_text().splitlines()
+    changed = [k - 1 for k, (a, b) in enumerate(zip(before, after)) if a != b]
+    assert changed == [5]  # row k of the data, after the header line
+    assert float(after[6].split(",")[3]) == traj.V[5]
 
 
 def test_certify_flags_positive_dissipation(worked_params, domain):
     traj = certifying_trajectory(worked_params, domain)
-    bd = traj.lyapunov[3]
-    traj.lyapunov[3] = dataclasses.replace(bd, dissipation=1e-6)
+    traj.dissipation[3] = 1e-6
     cert = certify(traj)
     assert not cert.passed
     assert {"positive_dissipation"} == {
@@ -311,6 +324,99 @@ def test_certificate_round_trips_through_json(worked_params, domain):
     assert set(doc["term_ranges"]) == set(cert.term_ranges)
 
 
+# ------------------------------------------- certify on synthetic records
+
+
+@st.composite
+def clean_records(draw):
+    """A passing certifying run's stand-in: V strictly decreasing, every term negative."""
+    size = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    record = np.full(size, np.nan, dtype=RECORD_DTYPE)
+    record["V"] = draw(st.floats(1e-6, 1e3)) * np.exp(-np.cumsum(rng.uniform(0.0, 1.0, size)))
+    for name in TERM_NAMES:
+        record[name] = -rng.uniform(1e-9, 1.0, size)
+    record["dissipation"] = sum(record[name] for name in TERM_NAMES)
+    record["two_path_rel_err"][[0, -1]] = 0.0
+    times = np.arange(size) * 0.05
+    return SimpleNamespace(lyapunov=record, times=times, kernel_mass_defect=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(clean_records(), st.data())
+def test_certify_names_exactly_the_positive_term(traj, data):
+    assert certify(traj).violations == []
+    step = data.draw(st.integers(0, len(traj.times) - 1))
+    name = data.draw(st.sampled_from(CHECKED_TERMS))
+    value = data.draw(st.floats(2e-12, 1e3))
+    traj.lyapunov[name][step] = value
+    cert = certify(traj)
+    assert not cert.passed and not cert.dissipation_nonpositive and cert.v_monotone
+    assert cert.violations == [{
+        "kind": f"positive_{name}", "step": step, "time": traj.times[step],
+        "value": value, "threshold": cert.d_tol,
+    }]
+    assert cert.term_ranges[name][1] == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(clean_records(), st.data())
+def test_certify_names_exactly_the_v_increase(traj, data):
+    v = traj.lyapunov["V"]
+    step = data.draw(st.integers(1, len(v) - 1))
+    slack = DEFAULT_V_TOL * v[0]
+    v[step] = v[step - 1] + slack + v[0] * data.draw(st.floats(1e-6, 10.0))
+    cert = certify(traj)
+    assert not cert.passed and not cert.v_monotone and cert.dissipation_nonpositive
+    rises = [viol for viol in cert.violations if viol["kind"] == "v_increase"]
+    assert rises == [{
+        "kind": "v_increase", "step": step, "time": traj.times[step],
+        "value": v[step] - v[step - 1], "threshold": slack,
+    }]
+    # raising the last step may also leave V above where it started
+    assert {viol["kind"] for viol in cert.violations} - {"v_increase"} <= {"v_not_decreased"}
+
+
+def loop_certify(traj, v_tol, d_tol):
+    """certify's V and sign checks and term ranges, one step at a time."""
+    v, times = traj.lyapunov["V"], traj.times
+    slack = v_tol * max(v[0], 1e-12)
+    violations = [
+        {"kind": "v_increase", "step": k + 1, "time": float(times[k + 1]),
+         "value": float(v[k + 1] - v[k]), "threshold": float(slack)}
+        for k in range(len(v) - 1)
+        if v[k + 1] > v[k] + slack
+    ]
+    ranges = {name: (math.inf, -math.inf) for name in CHECKED_TERMS}
+    for k, row in enumerate(traj.lyapunov):
+        for name in CHECKED_TERMS:
+            value = float(row[name])
+            ranges[name] = (min(ranges[name][0], value), max(ranges[name][1], value))
+            if value > d_tol:
+                violations.append({"kind": f"positive_{name}", "step": k, "time": float(times[k]),
+                                   "value": value, "threshold": float(d_tol)})
+    return violations, ranges
+
+
+@settings(max_examples=60, deadline=None)
+@given(clean_records(), st.data())
+def test_certify_matches_a_loop_over_steps(traj, data):
+    size = len(traj.times)
+    record = traj.lyapunov
+    for _ in range(data.draw(st.integers(0, 12))):
+        step = data.draw(st.integers(0, size - 1))
+        name = data.draw(st.sampled_from(("V", *CHECKED_TERMS)))
+        record[name][step] = data.draw(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-12]))
+    v_tol, d_tol = data.draw(st.sampled_from([(0.0, 0.0), (DEFAULT_V_TOL, 1e-12)]))
+    cert = certify(traj, v_tol=v_tol, d_tol=d_tol)
+    violations, ranges = loop_certify(traj, v_tol, d_tol)
+    # the loop covers the per-step checks, which come first in the list
+    assert cert.violations[: len(violations)] == violations
+    rest = {viol["kind"] for viol in cert.violations[len(violations):]}
+    assert rest <= {"v_not_decreased"}
+    assert cert.term_ranges == ranges
+
+
 # ------------------------------------------------- cached lag integrals
 
 
@@ -341,7 +447,7 @@ def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
     assert violation["time"] == traj.times[20]
     assert violation["value"] == cert.two_path_max_rel_err > cert.two_path_tol
     # the corrupted value left the window before the next checkpoint
-    assert traj.lyapunov[30].two_path_rel_err == 0.0
+    assert traj.lyapunov["two_path_rel_err"][30] == 0.0
 
     write_json(tmp_path / "certificate.json", cert.to_dict())
     doc = json.loads(
@@ -351,7 +457,7 @@ def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
 
 
 def checkpoint_steps(traj):
-    return [k for k, bd in enumerate(traj.lyapunov) if bd.two_path_rel_err is not None]
+    return np.flatnonzero(~np.isnan(traj.lyapunov["two_path_rel_err"])).tolist()
 
 
 def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
@@ -375,10 +481,11 @@ def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
     assert cert.two_path_ok is False
     [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
     assert violation["step"] == 6
-    assert traj.lyapunov[6].two_path_rel_err > cert.two_path_tol
+    errs = traj.lyapunov["two_path_rel_err"]
+    assert errs[6] > cert.two_path_tol
     # it still sits at lag k_a = 2 at step 8 and has left W1's window by 10
-    assert traj.lyapunov[8].two_path_rel_err > cert.two_path_tol
-    assert traj.lyapunov[10].two_path_rel_err == 0.0
+    assert errs[8] > cert.two_path_tol
+    assert errs[10] == 0.0
 
 
 def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
@@ -392,7 +499,7 @@ def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     assert ring.integrals() == (0.0, 0.0)
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=0.3, certify=True)
     traj = run(config, hist)
-    assert all(bd.W1 == 0.0 and bd.W2 == 0.0 for bd in traj.lyapunov)
+    assert (traj.lyapunov["W1"] == 0.0).all() and (traj.lyapunov["W2"] == 0.0).all()
     assert checkpoint_steps(traj) == list(range(7))  # stride 1
     assert traj.kernel_mass_defect == 0.0
     assert certify(traj).passed
@@ -441,7 +548,7 @@ def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
     steps = checkpoint_steps(traj)
     assert steps == [0, 10, 20, 27]
     assert len(steps) == 27 // stride + 2  # multiples of the stride, plus the last
-    assert all(traj.lyapunov[k].two_path_rel_err == 0.0 for k in steps)
+    assert (traj.lyapunov["two_path_rel_err"][steps] == 0.0).all()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -559,7 +666,7 @@ def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
     traj = run(config, build_initial_history(config, 3))
     cert = certify(traj)
     assert cert.passed, cert.violations
-    assert all(b.g_terms[1] < 0.0 and b.g_terms[2] < 0.0 for b in traj.lyapunov)
+    assert (traj.lyapunov["g_delay_b"] < 0.0).all() and (traj.lyapunov["g_delay_a"] < 0.0).all()
 
 
 @pytest.mark.parametrize("seed", [1, 4])
