@@ -28,6 +28,7 @@ from .lyapunov import certify as certify_trajectory, check_tolerances
 from .output import (
     equilibria_report,
     fmt_float,
+    json_text,
     write_json,
     write_snapshots,
     write_sweep,
@@ -193,8 +194,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_equilibria(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     report = equilibria_report(config)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json_text(report))
     if args.out:
         write_json(_out_dir(args) / "equilibria.json", report)
     return 0

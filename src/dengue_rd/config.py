@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 PARAM_KEYS = tuple(f.name for f in dataclass_fields(ModelParams))
-DOMAIN_KEYS = ("L", "n", "N", "dt")
+DOMAIN_KEYS = ("L", "n", "dt")
 RUN_KEYS = (
     "t_end",
     "snapshot_every",
@@ -62,8 +62,8 @@ class SimConfig:
     it and continue.  The perturbation fields control the seeded initial
     history built for CLI runs: a smooth low-mode relative perturbation
     of the predicted attractor, constant or modulated in time, in cosine
-    modes 1 .. perturb_modes, all of which must be below domain.N unless
-    perturb_amplitude is 0.
+    modes 1 .. perturb_modes, all of which must be below the grid size
+    domain.n unless perturb_amplitude is 0.
     """
 
     params: ModelParams
@@ -97,10 +97,10 @@ class SimConfig:
             raise ValueError("perturb_amplitude must lie in [0, 1)")
         if self.perturb_modes < 1:
             raise ValueError("perturb_modes must be at least 1")
-        if self.perturb_amplitude > 0.0 and self.perturb_modes >= self.domain.N:
+        if self.perturb_amplitude > 0.0 and self.perturb_modes >= self.domain.n:
             raise ValueError(
                 f"perturb_modes={self.perturb_modes} must be below the number "
-                f"of retained modes N={self.domain.N}"
+                f"of cosine modes n={self.domain.n}"
             )
         for tau in (self.params.tau_a, self.params.tau_b):
             lag_steps(tau, self.dt)
@@ -120,11 +120,7 @@ def _as_number(doc: dict, key: str) -> float:
 
 
 def _as_int(doc: dict, key: str, default: int | None = None) -> int:
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    value = doc[key]
+    value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
     return value
@@ -168,9 +164,8 @@ def load_config(source: str | Path | dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    n = _as_int(doc, "n")
     try:
-        domain = Domain(L=_as_number(doc, "L"), n=n, N=_as_int(doc, "N", default=n))
+        domain = Domain(L=_as_number(doc, "L"), n=_as_int(doc, "n"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -144,28 +144,22 @@ class Domain:
 
     The grid x_j = j * L / (n - 1) includes both endpoints; spatial
     integrals use trapezoid weights on it and the cosine transform pair is
-    built to be exactly consistent with those weights.  N is the number of
-    retained cosine modes (N <= n, default all of them).
+    built to be exactly consistent with those weights, keeping all n
+    cosine modes.
 
     Attributes:
         L: Habitat length, positive.
         n: Number of grid points, at least 8.
-        N: Number of retained cosine modes, 1 <= N <= n.
     """
 
     L: float
     n: int
-    N: int | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValueError(f"L must be positive and finite, got {self.L!r}")
         if self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
-        if self.N is None:
-            object.__setattr__(self, "N", self.n)
-        if not (1 <= self.N <= self.n):
-            raise ValueError(f"N must satisfy 1 <= N <= n, got N={self.N}, n={self.n}")
 
     # Built once, read-only, and outside the fields that eq and hash see.
     @cached_property

@@ -127,9 +127,9 @@ class _StepPlan:
 
     k_a: int
     k_b: int
-    decay: np.ndarray      # (3, N)
+    decay: np.ndarray      # (3, n)
     lag_rows: tuple[int, ...]
-    lag_decay: np.ndarray  # (len(lag_rows), N)
+    lag_decay: np.ndarray  # (len(lag_rows), n)
 
 
 @lru_cache(maxsize=32)
@@ -187,12 +187,12 @@ class Trajectory:
     step: V, L1-L3, W1, W2, the eight TERM_NAMES, dissipation and
     two_path_rel_err (NaN off checkpoints); V and dissipation are views
     of it, so timeseries.csv and certify read one buffer.  Without
-    certification it is one NaN row, broadcast read-only.  dVdt_fd[k] is
-    (V[k] - V[k-1]) / dt.  snapshots holds (time, state) pairs at the
-    configured stride plus the first and last step; each state, like
-    final_state, is a (3, n) array, rows u1, u2, u3, owned by the
-    trajectory.  kernel_mass_defect is the kernels' worst column-mass
-    defect, recorded by certifying runs.
+    certification it is one NaN row, broadcast read-only.  checkpoints
+    marks the steps that record two_path_rel_err.  snapshots holds
+    (time, state) pairs at the configured stride plus the first and last
+    step; each state, like final_state, is a (3, n) array, rows u1, u2,
+    u3, owned by the trajectory.  kernel_mass_defect is the kernels'
+    worst column-mass defect, recorded by certifying runs.
     """
 
     times: np.ndarray
@@ -201,7 +201,7 @@ class Trajectory:
     comp_min: np.ndarray
     comp_max: np.ndarray
     lyapunov: np.ndarray
-    dVdt_fd: np.ndarray
+    checkpoints: np.ndarray
     snapshots: list[tuple[float, np.ndarray]]
     bounds_ok: bool
     final_state: np.ndarray
@@ -251,6 +251,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     eqs = compute_equilibria(params)
     ceiling = bound_vector(params) * (1.0 + BOX_SLACK)
 
+    n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
+    size = n_steps + 1
+    checkpoints = np.zeros(size, dtype=bool)
     kernels = ring = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
@@ -264,10 +267,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         # A value pushed at step s weighs in a delay's W through step
         # s + k for that delay's k, so a stride of the shortest nonzero k
         # checks each cached value while it still counts in every W.
-        checkpoint_stride = min((k for k in (k_a, k_b) if k), default=1)
+        checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
+        checkpoints[-1] = True
 
-    n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
-    size = n_steps + 1
     times = np.arange(size) * dt
     dist_endemic = np.full(size, np.nan)
     dist_dfe = np.full(size, np.nan)
@@ -299,8 +301,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             if k:
                 ring.push(initial)
             bd = eval_V(initial, params, eqs.endemic, domain, ring=ring)
-            checkpoint = k % checkpoint_stride == 0 or k == n_steps
-            lyapunov[k] = bd.record_row(ring.window_rel_err(initial) if checkpoint else math.nan)
+            lyapunov[k] = bd.record_row(ring.window_rel_err(initial) if checkpoints[k] else math.nan)
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):
@@ -311,10 +312,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         state = step(initial, params, domain, dt)
         record(k, state)
 
-    dvdt = np.full(size, np.nan)
-    if config.certify:
-        dvdt[1:] = np.diff(lyapunov["V"]) / dt
-    else:
+    if not config.certify:
         lyapunov = np.broadcast_to(lyapunov, (size,))
 
     return Trajectory(
@@ -324,7 +322,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         comp_min=comp_min,
         comp_max=comp_max,
         lyapunov=lyapunov,
-        dVdt_fd=dvdt,
+        checkpoints=checkpoints,
         snapshots=snapshots,
         bounds_ok=bounds_ok,
         final_state=initial.latest,

@@ -116,8 +116,10 @@ TERM_NAMES = (
     "g_delay_a",
 )
 
-# The quantities certify checks for sign, in violation order.
+# The quantities certify checks for sign, and those it requires finite
+# at every step, in violation order.
 CHECKED_TERMS = (*TERM_NAMES, "dissipation")
+FINITE_COLUMNS = ("V", *CHECKED_TERMS)
 
 # One row per step of a certifying run: integrator.Trajectory.lyapunov.
 RECORD_DTYPE = np.dtype([
@@ -353,7 +355,7 @@ class LagIntegrals:
             )
             if k
         ]
-        return max(errs, default=0.0)
+        return float(np.max(errs, initial=0.0))  # NaN propagates
 
 
 def eval_V(
@@ -369,9 +371,10 @@ def eval_V(
     The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
     int [g(N / D) + (KN - N) / D + ln N - K ln N] dx, with K = Gamma(d tau)
     of unit row mass; the form needs only N, D > 0, not KN > 0 (the
-    truncated kernel is not positive).  Logs of N over its endemic value
-    keep the bracket small near equilibrium, and at tau = 0 the integrand
-    is exactly g(N / D).  KN for g_delay_a is quad_u1's smoothed field.
+    n-mode kernel is not positive at small times).  Logs of N over its
+    endemic value keep the bracket small near equilibrium, and at tau = 0
+    the integrand is exactly g(N / D).  KN for g_delay_a is quad_u1's
+    smoothed field.
 
     Args:
         history: Delay window whose newest entry is the current state;
@@ -556,12 +559,14 @@ def certify(
     strictly decreased over the run when the start was off equilibrium.
     The worst checkpoint disagreement between the cached and the
     recomputed W integrals, and the kernels' column-mass defect, must
-    each stay within two_path_tol when recorded.
+    each stay within two_path_tol when recorded.  A NaN or infinity in
+    a FINITE_COLUMNS column, or a NaN disagreement at a checkpoint,
+    fails its check.
 
     Each check reads columns of trajectory.lyapunov, the record that
     timeseries.csv prints V and dissipation from.  Violations come by
-    check, V increases and then positive terms, each by step, the terms
-    of one step in CHECKED_TERMS order.
+    check, non-finite values, V increases and then positive terms, each
+    by step, the columns of one step in FINITE_COLUMNS order.
 
     Args:
         trajectory: A run recorded with Lyapunov evaluation enabled.
@@ -585,15 +590,21 @@ def certify(
         raise ValueError("trajectory carries no Lyapunov data; rerun with certify")
     times = trajectory.times
 
+    # One float column per field; np.nonzero runs by step, then by column.
+    table = record.view((np.float64, len(RECORD_DTYPE.names)))
+    columns = table[:, [RECORD_DTYPE.names.index(name) for name in FINITE_COLUMNS]]
+    finite = np.isfinite(columns)
+    steps, cols = np.nonzero(~finite)
+    kinds = [f"nonfinite_{FINITE_COLUMNS[c]}" for c in cols.tolist()]
+    violations = _violations(times, kinds, steps, columns[steps, cols], math.inf)
+
     # Floor the slack so runs started at (numerical) equilibrium, where
     # V(0) is pure roundoff, are not failed on jitter at that scale.
     slack = v_tol * max(v[0], EQUILIBRIUM_V_FLOOR)
     rises = np.flatnonzero(v[1:] > v[:-1] + slack)
-    violations = _violations(times, repeat("v_increase"), rises + 1, np.diff(v)[rises], slack)
+    violations += _violations(times, repeat("v_increase"), rises + 1, v[rises + 1] - v[rises], slack)
 
-    # One float column per field; np.nonzero runs by step, then by term.
-    table = record.view((np.float64, len(RECORD_DTYPE.names)))
-    terms = table[:, [RECORD_DTYPE.names.index(name) for name in CHECKED_TERMS]]
+    terms = columns[:, 1:]
     steps, cols = np.nonzero(terms > d_tol)
     kinds = [f"positive_{CHECKED_TERMS[c]}" for c in cols.tolist()]
     violations += _violations(times, kinds, steps, terms[steps, cols], d_tol)
@@ -604,12 +615,13 @@ def certify(
         if not v_decreased:
             violations += _violations(times, ["v_not_decreased"], [v.size - 1], [v[-1] - v[0]], 0.0)
 
-    errs = record["two_path_rel_err"]
+    checkpoints = np.flatnonzero(trajectory.checkpoints)
     two_path_ok: bool | None = None
     max_rel = None
-    if not np.isnan(errs).all():
-        worst_step = int(np.nanargmax(errs))  # the first of equal maxima
-        max_rel = float(errs[worst_step])
+    if checkpoints.size:
+        # argmax takes the first NaN, else the first of equal maxima.
+        worst_step = int(checkpoints[np.argmax(record["two_path_rel_err"][checkpoints])])
+        max_rel = float(record["two_path_rel_err"][worst_step])
         two_path_ok = max_rel <= two_path_tol
         if not two_path_ok:
             violations += _violations(
@@ -622,8 +634,8 @@ def certify(
         violations += _violations(times, ["kernel_mass_defect"], [0], [mass], two_path_tol)
 
     lows, highs = terms.min(axis=0).tolist(), terms.max(axis=0).tolist()
-    v_monotone = rises.size == 0
-    dissipation_nonpositive = steps.size == 0
+    v_monotone = rises.size == 0 and bool(finite[:, 0].all())
+    dissipation_nonpositive = steps.size == 0 and bool(finite[:, 1:].all())
     passed = (
         v_monotone
         and dissipation_nonpositive

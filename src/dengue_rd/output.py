@@ -23,6 +23,7 @@ from .integrator import Trajectory, stability_dt_bound
 __all__ = [
     "equilibria_report",
     "fmt_float",
+    "json_text",
     "write_json",
     "write_snapshots",
     "write_sweep",
@@ -50,9 +51,11 @@ def _write_table(handle, table: np.ndarray) -> None:
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:
+    """One row per step; dVdt_fd is the backward difference of V, NaN at step 0."""
     bounds = np.stack((traj.comp_min, traj.comp_max), axis=2).reshape(-1, 6)
+    dvdt = np.concatenate(([np.nan], np.diff(traj.V) / traj.config.dt))
     table = np.column_stack(
-        (traj.times, traj.dist_endemic, traj.dist_dfe, traj.V, traj.dVdt_fd, traj.dissipation, bounds)
+        (traj.times, traj.dist_endemic, traj.dist_dfe, traj.V, dvdt, traj.dissipation, bounds)
     )
     with open(path, "w") as handle:
         handle.write(TIMESERIES_HEADER + "\n")
@@ -85,14 +88,28 @@ def write_sweep(path: Path, rows: list[dict]) -> None:
             )
 
 
+def _json_ready(obj):
+    """obj with each NaN or infinity, which JSON cannot carry, as None."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def json_text(obj) -> str:
+    """Sorted, indented JSON; each NaN or infinity is written as null."""
+    return json.dumps(_json_ready(obj), indent=2, sort_keys=True)
+
+
 def write_json(path: Path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(obj) + "\n")
 
 
 def equilibria_report(config: SimConfig) -> dict:
-    """JSON-ready summary of R0, regime, equilibria and residuals."""
+    """Summary of R0, regime, equilibria and residuals, for json_text."""
     eqs = compute_equilibria(config.params)
-    report = {
+    return {
         "r0": eqs.r0,
         "regime": eqs.regime,
         "bound_vector": list(bound_vector(config.params)),
@@ -104,9 +121,3 @@ def equilibria_report(config: SimConfig) -> dict:
         ),
         "stability_dt_bound": stability_dt_bound(config.params),
     }
-    # JSON has no NaN; the report should never contain one, but guard so
-    # emitted documents always parse.
-    for key, value in report.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            report[key] = None
-    return report

@@ -15,8 +15,8 @@ symmetric in (x, y), with unit mass in each argument.
 Discretisation uses the closed uniform grid x_j = j L / (n - 1) and
 trapezoid quadrature.  The forward transform uses the discrete cosine
 orthogonality on that grid, which matches the continuous normalisation
-2/L for every mode except the top one (k = n - 1, when all modes are
-retained), where the grid sees cos^2 with weight 1/L instead of 2/L.
+2/L for every mode except the top one (k = n - 1), where the grid sees
+cos^2 with weight 1/L instead of 2/L.
 With that single weight adjusted, the transform pair inverts exactly,
 constants are exact fixed points of the semigroup, mode 0 equals the
 trapezoid mean (mass conservation becomes an identity), and the
@@ -26,8 +26,8 @@ The heat flow is one transform pair, shared by heat_apply and the
 integrator's step: forward to the cosine basis, scale mode k by its
 decay, back to the grid.  That pair is exactly the DCT-I, so on grids of
 FFT_MIN_N points or more it runs as irfft(rfft(e) * decay) of the even
-extension e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), with the modes
-from N on set to zero (Makhoul, IEEE Trans. ASSP 28, 1980).  That costs
+extension e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral
+bins are the n cosine modes (Makhoul, IEEE Trans. ASSP 28, 1980).  That costs
 O(n log n) per row and never forms the n x n matrices.  Below FFT_MIN_N
 the dense matrix-vector products, one row at a time, are faster.  The
 two paths agree to about 1e-14 of sup |f|.
@@ -43,11 +43,12 @@ the FFT was faster on every size with a smooth n - 1, and at n = 1024 it
 was 13x faster; grids of 256 to about 360 points with a prime n - 1
 are better served by a neighbouring n.
 
-Truncation caveat: the spectrally truncated kernel is not pointwise
-positive for very small times.  Applying the semigroup to a nonnegative
-field can undershoot zero by about 1e-9 of its sup for rough data;
-kernel_matrix additionally refuses times below min_resolvable_time,
-where the truncated series cannot represent the near-delta kernel.
+Truncation caveat: the n-term kernel series is not pointwise positive
+at small times.  A unit spike at mid-grid diffused for min_resolvable_time
+dips to about -3e-3 at n = 8 and n = 48, and for three times that to
+-9e-3 at n = 8 and -4e-5 at n = 48.  kernel_matrix refuses times below
+min_resolvable_time, where the series cannot represent the near-delta
+kernel.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ __all__ = [
     "to_modal",
 ]
 
-# Below d * t = KERNEL_TIME_FLOOR_FACTOR * (L / pi)^2 the truncated series
-# is too close to a delta for the retained modes to resolve.
+# Below d * t = KERNEL_TIME_FLOOR_FACTOR * (L / pi)^2 the kernel is too
+# close to a delta for the n grid modes to resolve.
 KERNEL_TIME_FLOOR_FACTOR = 1e-3
 
 # Grids of at least this many points run the heat flow through numpy.fft;
@@ -84,44 +85,39 @@ FFT_MIN_N = 256
 class _Operators:
     """Precomputed grid and transform matrices for one domain."""
 
-    x: np.ndarray        # grid points, (n,)
     w: np.ndarray        # trapezoid weights, (n,)
-    lam: np.ndarray      # Laplacian eigenvalues (k pi / L)^2, (N,)
-    cos: np.ndarray      # cos(k pi x_j / L), (n, N)
-    fwd: np.ndarray      # forward transform matrix, (N, n)
-    dcos: np.ndarray     # d/dx of the basis columns, (n, N)
-    weight: np.ndarray   # per-mode series weights c_k / L, (N,)
+    cos: np.ndarray      # cos(k pi x_j / L), (n, n)
+    fwd: np.ndarray      # forward transform matrix, (n, n)
+    dcos: np.ndarray     # d/dx of the basis columns, (n, n)
+    weight: np.ndarray   # per-mode series weights c_k / L, (n,)
 
 
 @lru_cache(maxsize=32)
 def _eigenvalues(domain: Domain) -> np.ndarray:
-    """Laplacian eigenvalues (k pi / L)^2 of the retained modes, read-only."""
-    lam = (np.arange(domain.N) * math.pi / domain.L) ** 2
+    """Laplacian eigenvalues (k pi / L)^2 of the n cosine modes, read-only."""
+    lam = (np.arange(domain.n) * math.pi / domain.L) ** 2
     lam.flags.writeable = False
     return lam
 
 
 @lru_cache(maxsize=32)
 def _operators(domain: Domain) -> _Operators:
-    n, N, L = domain.n, domain.N, domain.L
+    n, L = domain.n, domain.L
     m = n - 1
     x = domain.grid
     w = domain.trapezoid_weights
-    freq = np.arange(N) * math.pi / L
-    lam = _eigenvalues(domain)
+    freq = np.arange(n) * math.pi / L
     cos = np.cos(np.outer(x, freq))
-    # Discrete orthogonality weight: 2 everywhere except mode 0 and, when
-    # all n modes are retained, the top mode, where the closed grid sums
-    # cos^2 to the full mass rather than half of it.
-    c = np.full(N, 2.0)
-    c[0] = 1.0
-    if N == n:
-        c[-1] = 1.0
+    # Discrete orthogonality weight: 2 everywhere except mode 0 and the
+    # top mode, where the closed grid sums cos^2 to the full mass rather
+    # than half of it.
+    c = np.full(n, 2.0)
+    c[0] = c[-1] = 1.0
     eps = np.full(n, 1.0)
     eps[0] = eps[-1] = 0.5
     fwd = (c / m)[:, None] * (cos.T * eps[None, :])
     dcos = -np.sin(np.outer(x, freq)) * freq[None, :]
-    return _Operators(x=x, w=w, lam=lam, cos=cos, fwd=fwd, dcos=dcos, weight=c / L)
+    return _Operators(w=w, cos=cos, fwd=fwd, dcos=dcos, weight=c / L)
 
 
 def _check_field(f: np.ndarray, domain: Domain) -> np.ndarray:
@@ -132,47 +128,40 @@ def _check_field(f: np.ndarray, domain: Domain) -> np.ndarray:
 
 
 def to_modal(f: np.ndarray, domain: Domain) -> np.ndarray:
-    """Cosine coefficients a_k of a grid field, k = 0 .. N - 1.
+    """Cosine coefficients a_k of a grid field, k = 0 .. n - 1.
 
-    Coefficient 0 is exactly the trapezoid spatial mean of f.  For fields
-    resolved by the retained modes, to_grid inverts this transform to
-    roundoff.
+    Coefficient 0 is exactly the trapezoid spatial mean of f, and to_grid
+    inverts this transform to roundoff.
     """
-    ops = _operators(domain)
-    return ops.fwd @ _check_field(f, domain)
+    return _operators(domain).fwd @ _check_field(f, domain)
 
 
 def to_grid(a: np.ndarray, domain: Domain) -> np.ndarray:
-    """Evaluates sum_k a_k cos(k pi x / L) on the grid."""
-    a = np.asarray(a, dtype=float)
-    ops = _operators(domain)
-    if a.shape != (domain.N,):
-        raise ValueError(f"modal vector has shape {a.shape}, expected ({domain.N},)")
-    return ops.cos @ a
+    """Evaluates sum_k a_k cos(k pi x / L) on the grid, k = 0 .. n - 1."""
+    return _operators(domain).cos @ _check_field(a, domain)
 
 
 def _heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
-    """Per-mode factors exp(-d t lam_k) of the heat flow, k = 0 .. N - 1."""
+    """Per-mode factors exp(-d t lam_k) of the heat flow, k = 0 .. n - 1."""
     return np.exp(-d * t * _eigenvalues(domain))
 
 
 def _heat_rows(
     rows: Sequence[np.ndarray], decay: np.ndarray, domain: Domain
 ) -> Sequence[np.ndarray]:
-    """Scales the cosine modes of each grid field in rows by that row of decay, (r, N).
+    """Scales the cosine modes of each grid field in rows by that row of decay, (r, n).
 
     The transform pair behind every heat flow: dense products row by row
     below FFT_MIN_N grid points, the DCT-I through rfft at and above it.
     rows is a sequence of r fields of length n; so is the result.
     """
-    n, N = domain.n, domain.N
+    n = domain.n
     if n < FFT_MIN_N:
         ops = _operators(domain)
         return [ops.cos @ (decay[i] * (ops.fwd @ row)) for i, row in enumerate(rows)]
     f = np.asarray(rows)
     spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
-    spec[:, :N] *= decay
-    spec[:, N:] = 0.0
+    spec *= decay
     return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
 
 
@@ -204,13 +193,13 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
     if t == 0.0:
         return f.copy()
     rows = f if f.ndim == 2 else f[None, :]
-    decay = np.broadcast_to(_heat_decay(d, t, domain), (len(rows), domain.N))
+    decay = np.broadcast_to(_heat_decay(d, t, domain), (len(rows), domain.n))
     out = _heat_rows(rows, decay, domain)
     return np.asarray(out) if f.ndim == 2 else out[0]
 
 
 def min_resolvable_time(d: float, domain: Domain) -> float:
-    """Smallest kernel time the truncated series resolves, for diffusivity d."""
+    """Smallest kernel time the n-term series resolves, for diffusivity d."""
     return KERNEL_TIME_FLOOR_FACTOR * (domain.L / math.pi) ** 2 / d
 
 
@@ -226,7 +215,7 @@ def kernel_matrix(d: float, t: float, domain: Domain) -> np.ndarray:
 
     Raises:
         ValueError: if t is below min_resolvable_time(d, domain), where
-            the truncated series cannot represent the kernel pointwise.
+            the n-term series cannot represent the kernel pointwise.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"diffusivity must be positive and finite, got {d!r}")
@@ -234,7 +223,7 @@ def kernel_matrix(d: float, t: float, domain: Domain) -> np.ndarray:
     if not (math.isfinite(t) and t >= floor):
         raise ValueError(
             f"kernel time t={t!r} below the minimal resolvable time {floor!r} "
-            f"for d={d!r}; increase t or the mode count"
+            f"for d={d!r}; increase t"
         )
     ops = _operators(domain)
     decay = ops.weight * _heat_decay(d, t, domain)
@@ -256,7 +245,7 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     if times.size == 0:
         return 0.0
     ops = _operators(domain)
-    decay = ops.weight * np.exp(-d * times[:, None] * ops.lam[None, :])
+    decay = ops.weight * np.exp(-d * times[:, None] * _eigenvalues(domain)[None, :])
     col = ops.w * ((decay * (ops.cos.T @ ops.w)) @ ops.cos.T)
     return float(np.abs(col - ops.w).max() / ops.w.max())
 
@@ -264,9 +253,9 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
 def gradient_energy(f: np.ndarray, domain: Domain) -> float:
     """Trapezoid value of the relative Fisher-type integral of |grad f|^2 / f^2.
 
-    Differentiates the cosine interpolant of f, so for fields resolved by
-    the retained modes the derivative is exact and the trapezoid rule on
-    the smooth even extension converges spectrally.
+    Differentiates the cosine interpolant of f, so the derivative of the
+    interpolant is exact and the trapezoid rule on the smooth even
+    extension converges spectrally.
 
     Raises:
         ValueError: if f is not strictly positive everywhere.

@@ -36,7 +36,7 @@ def delayed_params() -> ModelParams:
 
 @pytest.fixture
 def domain() -> Domain:
-    return Domain(L=1.0, n=48, N=48)
+    return Domain(L=1.0, n=48)
 
 
 def config_doc(**overrides) -> dict:
@@ -53,9 +53,9 @@ def constant_state(values, n: int) -> np.ndarray:
 
 
 def random_smooth_field(domain: Domain, rng: np.random.Generator, offset: float = 0.0) -> np.ndarray:
-    """Random field resolved well inside the retained modes."""
+    """Random field in the lowest third of the grid's cosine modes."""
     x = domain.grid
     f = np.full(domain.n, offset)
-    for k in range(domain.N // 3):
+    for k in range(domain.n // 3):
         f += rng.standard_normal() * np.exp(-0.5 * k) * np.cos(k * np.pi * x / domain.L)
     return f

@@ -9,6 +9,7 @@ import pytest
 
 from dengue_rd import (
     ConfigError,
+    Domain,
     ModelParams,
     SimConfig,
     build_initial_history,
@@ -39,7 +40,7 @@ def write_doc(tmp_path, doc, name="config.json"):
 def test_load_config_from_dict_defaults():
     config = load_config(config_doc())
     assert config.params.A == 2.0 and config.params.tau_a == 0.5
-    assert config.domain.n == 48 and config.domain.N == 48
+    assert config.domain == Domain(L=1.0, n=48)
     assert config.dt == 0.05 and config.t_end == 2.0
     assert config.snapshot_every == 0 and config.certify is False
     assert config.strict_box is None and config.history_mode == "constant"
@@ -47,9 +48,9 @@ def test_load_config_from_dict_defaults():
 
 
 def test_load_config_from_file(tmp_path):
-    path = write_doc(tmp_path, config_doc(N=32, snapshot_every=5))
+    path = write_doc(tmp_path, config_doc(n=32, snapshot_every=5))
     config = load_config(path)
-    assert config.domain.N == 32 and config.snapshot_every == 5
+    assert config.domain.n == 32 and config.snapshot_every == 5
 
 
 def test_load_config_bad_sources(tmp_path):
@@ -71,6 +72,16 @@ def test_load_config_names_unknown_and_missing_keys():
     del doc["dt"]
     with pytest.raises(ConfigError, match="H.*dt|dt.*H"):
         load_config(doc)
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_cli_rejects_a_mode_count_key(tmp_path, capsys, command):
+    # Every run keeps all n cosine modes, so "N" is an unknown key.
+    path = write_doc(tmp_path, config_doc(N=48))
+    out = tmp_path / "run"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown configuration keys: N\n"
+    assert not out.exists()
 
 
 def test_load_config_type_errors():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,13 +93,13 @@ def test_bound_vector_monotone_in_each_parameter():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        Domain(L=0.0, n=16, N=16)
+        Domain(L=0.0, n=16)
     with pytest.raises(ValueError):
-        Domain(L=1.0, n=4, N=4)
-    with pytest.raises(ValueError):
-        Domain(L=1.0, n=16, N=17)
-    with pytest.raises(ValueError):
-        Domain(L=1.0, n=16, N=0)
+        Domain(L=1.0, n=4)
+    # every run keeps all n cosine modes: there is no mode count to set
+    assert [f.name for f in dataclasses.fields(Domain)] == ["L", "n"]
+    with pytest.raises(TypeError):
+        Domain(L=1.0, n=16, N=8)
 
 
 def test_domain_grid_and_weights(domain):
@@ -121,11 +122,11 @@ def test_domain_arrays_are_built_once_and_read_only(name):
 
 
 def test_domain_cache_leaves_equality_and_hash_alone():
-    warm, cold = Domain(L=2.0, n=16), Domain(L=2.0, n=16, N=16)
+    warm, cold = Domain(L=2.0, n=16), Domain(L=2.0, n=16)
     warm.grid, warm.trapezoid_weights
     assert warm == cold and hash(warm) == hash(cold)
     assert {warm: 1}[cold] == 1
-    assert warm != Domain(L=2.0, n=16, N=8)
+    assert warm != Domain(L=2.0, n=8)
     assert warm != Domain(L=2.5, n=16)
 
 

@@ -59,13 +59,11 @@ def heat_path(n: int, fft_min_n: int | None):
 
 def dense_reference(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
     """The cosine-basis heat flow, written out from the trapezoid-consistent DCT-I."""
-    n, N, L = domain.n, domain.N, domain.L
+    n, L = domain.n, domain.L
     m = n - 1
-    k = np.arange(N)
-    basis = np.cos(np.pi * (np.outer(k, np.arange(n)) % (2 * m)) / m)  # (N, n)
-    c = np.where(k == 0, 1.0, 2.0)
-    if N == n:
-        c[-1] = 1.0
+    k = np.arange(n)
+    basis = np.cos(np.pi * (np.outer(k, k) % (2 * m)) / m)  # (mode, grid point)
+    c = np.where((k == 0) | (k == m), 1.0, 2.0)
     eps = np.ones(n)
     eps[0] = eps[-1] = 0.5
     a = c / m * (basis @ (eps * f))
@@ -74,9 +72,7 @@ def dense_reference(f: np.ndarray, d: float, t: float, domain: Domain) -> np.nda
 
 @st.composite
 def domains(draw):
-    n = draw(grid_sizes)
-    N = draw(st.one_of(st.just(n), st.integers(1, n)))
-    return Domain(L=draw(st.sampled_from([1.0, 2.5])), n=n, N=N)
+    return Domain(L=draw(st.sampled_from([1.0, 2.5])), n=draw(grid_sizes))
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,7 +112,7 @@ def test_constants_are_fixed_points_on_both_paths(domain, fft_min_n, d, t, value
 @pytest.mark.parametrize("fft_min_n", [None, 8])
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_a_stack_of_fields_diffuses_row_by_row_bit_for_bit(fft_min_n, t):
-    domain = Domain(L=1.0, n=24, N=17)
+    domain = Domain(L=1.0, n=24)
     rows = np.random.default_rng(5).standard_normal((3, domain.n))
     with heat_path(domain.n, fft_min_n):
         got = heat_apply(rows, 0.8, t, domain)
@@ -226,7 +222,7 @@ def test_run_derives_lag_counts_once(monkeypatch):
 
 def test_wide_run_builds_no_dense_operators():
     params = ModelParams(**{**WORKED, "tau_b": 0.1})
-    domain = Domain(L=1.0, n=FFT_MIN_N, N=FFT_MIN_N // 2)
+    domain = Domain(L=1.0, n=FFT_MIN_N)
     with heat_path(domain.n, None) as use_fft:
         assert use_fft
         config = SimConfig(params=params, domain=domain, dt=DT, t_end=0.25)

@@ -157,11 +157,12 @@ def test_run_record_lengths_and_snapshots(worked_params, domain):
     traj = run(config, hist)
     size = 21
     for arr in (traj.times, traj.dist_endemic, traj.dist_dfe, traj.V,
-                traj.dVdt_fd, traj.dissipation):
+                traj.dissipation, traj.checkpoints):
         assert len(arr) == size
     assert traj.comp_min.shape == (size, 3) and traj.comp_max.shape == (size, 3)
     assert [t for t, _ in traj.snapshots] == [0.0, 0.4, 0.8, 1.0]
     assert np.isnan(traj.V).all()  # not a certifying run
+    assert not traj.checkpoints.any()
     assert traj.bounds_ok
 
 
@@ -272,7 +273,9 @@ def test_box_strict_defaults_follow_certify(worked_params, domain):
     assert SimConfig(**base, certify=True, strict_box=False).box_strict is False
 
 
-def test_certifying_run_records_lyapunov_series(worked_params, domain):
+def test_certifying_run_records_lyapunov_series(worked_params, domain, tmp_path):
+    from dengue_rd.output import write_timeseries
+
     star = endemic_equilibrium(worked_params)
     hist = constant_history(0.9 * star, worked_params, domain, 0.05)
     config = SimConfig(
@@ -284,11 +287,14 @@ def test_certifying_run_records_lyapunov_series(worked_params, domain):
     assert len(traj.lyapunov) == len(traj.times)
     assert np.shares_memory(traj.V, traj.lyapunov)
     assert np.shares_memory(traj.dissipation, traj.lyapunov)
-    assert np.isnan(traj.dVdt_fd[0])
-    assert np.allclose(traj.dVdt_fd[1:], np.diff(traj.V) / 0.05, rtol=0, atol=0)
+    write_timeseries(tmp_path / "timeseries.csv", traj)
+    table = np.genfromtxt(tmp_path / "timeseries.csv", delimiter=",", names=True)
+    assert np.isnan(table["dVdt_fd"][0])
+    assert np.array_equal(table["dVdt_fd"][1:], np.diff(traj.V) / 0.05)
     # the cache is checked against the raw window at step 0, every
     # k_a = 10 steps and the last step; here those are steps 0 and 10
     errs = traj.lyapunov["two_path_rel_err"]
     assert np.flatnonzero(~np.isnan(errs)).tolist() == [0, 10]
+    assert np.flatnonzero(traj.checkpoints).tolist() == [0, 10]
     assert errs[0] <= 1e-8 and errs[10] <= 1e-8
     assert traj.kernel_mass_defect is not None and traj.kernel_mass_defect <= 1e-8

@@ -30,7 +30,7 @@ from dengue_rd import (
     step,
 )
 
-from dengue_rd.lyapunov import CHECKED_TERMS, DEFAULT_V_TOL, RECORD_DTYPE
+from dengue_rd.lyapunov import CHECKED_TERMS, DEFAULT_V_TOL, FINITE_COLUMNS, RECORD_DTYPE
 
 from conftest import WORKED, constant_state
 
@@ -187,7 +187,7 @@ def test_eval_V_two_path_agreement(delayed_params, domain):
 
 def test_prepare_kernels_column_mass_defect(delayed_params):
     dt = 0.05
-    for domain in (Domain(L=1.3, n=24), Domain(L=1.3, n=24, N=9)):
+    for domain in (Domain(L=1.3, n=24), Domain(L=1.3, n=9)):
         kernels = prepare_kernels(delayed_params, domain, dt)
         assert kernels.theta_a == [] and kernels.theta_b == []
         w = domain.trapezoid_weights
@@ -272,8 +272,16 @@ def test_certify_flags_artificial_v_increase(worked_params, domain, tmp_path):
     before = (tmp_path / "before.csv").read_text().splitlines()
     after = (tmp_path / "after.csv").read_text().splitlines()
     changed = [k - 1 for k, (a, b) in enumerate(zip(before, after)) if a != b]
-    assert changed == [5]  # row k of the data, after the header line
-    assert float(after[6].split(",")[3]) == traj.V[5]
+    assert changed == [5, 6]  # row k of the data, after the header line
+    columns = [
+        k for k, (a, b) in enumerate(zip(before[6].split(","), after[6].split(","))) if a != b
+    ]
+    assert columns == [3, 4]  # V and its backward difference dVdt_fd
+    assert [a != b for a, b in zip(before[7].split(","), after[7].split(","))].count(True) == 1
+    rows = [[float(v) for v in line.split(",")] for line in after[6:8]]
+    assert rows[0][3] == traj.V[5]
+    assert rows[0][4] == (traj.V[5] - traj.V[4]) / 0.05
+    assert rows[1][4] == (traj.V[6] - traj.V[5]) / 0.05
 
 
 def test_certify_flags_positive_dissipation(worked_params, domain):
@@ -337,9 +345,13 @@ def clean_records(draw):
     for name in TERM_NAMES:
         record[name] = -rng.uniform(1e-9, 1.0, size)
     record["dissipation"] = sum(record[name] for name in TERM_NAMES)
-    record["two_path_rel_err"][[0, -1]] = 0.0
+    checkpoints = np.zeros(size, dtype=bool)
+    checkpoints[[0, -1]] = True
+    record["two_path_rel_err"][checkpoints] = 0.0
     times = np.arange(size) * 0.05
-    return SimpleNamespace(lyapunov=record, times=times, kernel_mass_defect=0.0)
+    return SimpleNamespace(
+        lyapunov=record, times=times, checkpoints=checkpoints, kernel_mass_defect=0.0
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,6 +387,41 @@ def test_certify_names_exactly_the_v_increase(traj, data):
     }]
     # raising the last step may also leave V above where it started
     assert {viol["kind"] for viol in cert.violations} - {"v_increase"} <= {"v_not_decreased"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(clean_records(), st.data())
+def test_certify_fails_on_a_nonfinite_value_at_its_step(traj, data):
+    step = data.draw(st.integers(0, len(traj.times) - 1))
+    name = data.draw(st.sampled_from(FINITE_COLUMNS))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    traj.lyapunov[name][step] = bad
+    cert = certify(traj)
+    assert not cert.passed
+    assert (cert.v_monotone if name == "V" else cert.dissipation_nonpositive) is False
+    nonfinite = [v for v in cert.violations if v["kind"].startswith("nonfinite_")]
+    value = nonfinite[0]["value"]
+    assert value == bad or math.isnan(value) and math.isnan(bad)
+    assert nonfinite == [{
+        "kind": f"nonfinite_{name}", "step": step, "time": traj.times[step],
+        "value": value, "threshold": math.inf,
+    }]
+    assert cert.violations[0] is nonfinite[0]  # the first check in the list
+
+
+@settings(max_examples=40, deadline=None)
+@given(clean_records(), st.data())
+def test_certify_fails_on_a_nan_disagreement_at_a_checkpoint(traj, data):
+    errs = traj.lyapunov["two_path_rel_err"]
+    steps = np.flatnonzero(traj.checkpoints)
+    errs[steps] = data.draw(st.floats(0.0, 1e-9))
+    step = int(data.draw(st.sampled_from(steps.tolist())))
+    errs[step] = math.nan
+    cert = certify(traj)
+    assert not cert.passed and cert.two_path_ok is False
+    [violation] = cert.violations
+    assert violation["kind"] == "two_path_disagreement" and violation["step"] == step
+    assert math.isnan(violation["value"]) and math.isnan(cert.two_path_max_rel_err)
 
 
 def loop_certify(traj, v_tol, d_tol):
@@ -454,6 +501,41 @@ def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
         (tmp_path / "certificate.json").read_text(), parse_constant=_reject_constant
     )
     assert doc["violations"] == cert.violations
+
+
+def test_certify_fails_closed_on_a_nan_lag_cache(worked_params, domain, monkeypatch, tmp_path):
+    # A NaN cached value makes V NaN until it leaves the window and the
+    # next checkpoint's disagreement NaN: the run fails at both places,
+    # and certificate.json stays strict JSON, with null for each NaN.
+    import dengue_rd.integrator as integrator
+    from dengue_rd.output import write_json
+
+    real_eval_V = integrator.eval_V
+
+    def corrupting(history, *args, ring, **kwargs):
+        if round(history.t_now / history.dt) == 13:
+            ring.a[0] = math.nan
+        return real_eval_V(history, *args, ring=ring, **kwargs)
+
+    monkeypatch.setattr(integrator, "eval_V", corrupting)
+    traj = certifying_trajectory(worked_params, domain, t_end=2.0)
+    cert = certify(traj)
+    assert not cert.passed and cert.v_monotone is False and cert.two_path_ok is False
+    nan_steps = np.flatnonzero(np.isnan(traj.V)).tolist()
+    assert nan_steps == list(range(13, 24))  # k_a = 10: steps 13 .. 23
+    assert [v["step"] for v in cert.violations if v["kind"] == "nonfinite_V"] == nan_steps
+    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
+    assert violation["step"] == 20 and math.isnan(violation["value"])
+
+    write_json(tmp_path / "certificate.json", cert.to_dict())
+    doc = json.loads(
+        (tmp_path / "certificate.json").read_text(), parse_constant=_reject_constant
+    )
+    assert doc["passed"] is False and doc["two_path_max_rel_err"] is None
+    assert doc["violations"][0] == {
+        "kind": "nonfinite_V", "step": 13, "time": traj.times[13],
+        "value": None, "threshold": None,
+    }
 
 
 def checkpoint_steps(traj):
@@ -553,8 +635,8 @@ def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
-    # Random delays (including zero and unequal ones), grid sizes with
-    # N < n, and time-varying histories.
+    # Random delays (including zero and unequal ones), random grid sizes
+    # and time-varying histories.
     import dengue_rd.integrator as integrator
     from dengue_rd import ModelParams, build_initial_history
 
@@ -564,8 +646,7 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
     dt = 0.05
     k_a, k_b = (int(k) for k in rng.integers(0, 6, size=2))
     params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
-    n = int(rng.integers(8, 20))
-    domain = Domain(L=1.0, n=n, N=int(rng.integers(4, n + 1)))
+    domain = Domain(L=1.0, n=int(rng.integers(8, 20)))
     config = SimConfig(
         params=params, domain=domain, dt=dt, t_end=0.6, certify=True,
         history_mode="modulated",
@@ -611,11 +692,10 @@ def delay_windows(draw):
         "tau_b": k_b * dt,
     })
     n = draw(st.integers(8, 24))
-    domain = Domain(L=draw(st.floats(0.5, 3.0)), n=n, N=draw(st.integers(1, 3) | st.integers(1, n)))
+    domain = Domain(L=draw(st.floats(0.5, 3.0)), n=n)
     amplitude = draw(st.sampled_from([0.9, 0.1, 1e-3, 1e-8, 0.0]) | st.floats(0.0, 0.9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # Grid noise, or the first cosine mode with random signs: with few
-    # modes kept, the smoothed product of the latter can dip below zero.
+    # Grid noise, or the first cosine mode with random signs.
     if draw(st.booleans()):
         shape = lambda: rng.uniform(-1.0, 1.0, (3, n))
     else:
@@ -671,16 +751,21 @@ def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_delay_terms_allow_a_smoothed_numerator_below_zero(seed):
-    # With N = 2 the truncated kernel is not positive: these seeds start
-    # with (u1 u2)(-tau_b) ~ (1 + 0.9 cos)^2, whose two-mode smoothing dips
-    # below zero, so g(K N / D) is undefined while the delay term is not.
-    config = SimConfig(
-        params=ModelParams(**{**WORKED, "tau_b": 0.02}), domain=Domain(L=1.0, n=8, N=2),
-        dt=0.01, t_end=0.5, certify=True, perturb_amplitude=0.9, perturb_modes=1,
-    )
-    hist = build_initial_history(config, seed)
-    lag_b = hist.lookup_arrays(lag_steps(config.params.tau_b, config.dt))
-    assert heat_apply(lag_b[0] * lag_b[1], 1.0, 0.02, config.domain).min() < 0.0
+    # The n-mode kernel is not positive at small times, even with every
+    # mode kept.  The delayed u2 is a spike at the ceiling on grid point
+    # `seed` over a floor of 1e-6; its smoothing over tau_b = dt, about
+    # twice the kernel floor, dips below zero, so g(K N / D) is undefined
+    # while the delay term is not.  The current state sits at u*.
+    dt = 2e-4
+    params = ModelParams(**{**WORKED, "tau_a": 0.0, "tau_b": dt})
+    domain = Domain(L=1.0, n=8)
+    current = constant_state(endemic_equilibrium(params), domain.n)
+    delayed = current.copy()
+    delayed[1] = 1e-6
+    delayed[1, seed] = 2.0
+    hist = History([delayed, current], dt)
+    assert heat_apply(delayed[0] * delayed[1], params.d_h, dt, domain).min() < 0.0
+    config = SimConfig(params=params, domain=domain, dt=dt, t_end=50 * dt, certify=True)
     cert = certify(run(config, hist))
     assert cert.passed, cert.violations
 
@@ -753,15 +838,15 @@ def reference_eval_V(history, params, star, domain):
     [(0.15, 0.0), (0.0, 0.1), (0.15, 0.1), (0.0, 0.0)],
     ids=["tau_a-only", "tau_b-only", "both-delays", "no-delay"],
 )
-@pytest.mark.parametrize("N", [16, 5])
-def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, N):
+@pytest.mark.parametrize("seed", [16, 5])
+def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, seed):
     params = ModelParams(**{**WORKED, "tau_a": tau_a, "tau_b": tau_b})
-    domain = Domain(L=1.0, n=16, N=N)
+    domain = Domain(L=1.0, n=16)
     config = SimConfig(
         params=params, domain=domain, dt=0.05, t_end=0.4, certify=True,
-        history_mode="modulated", perturb_modes=min(3, N - 1),
+        history_mode="modulated",
     )
-    hist = build_initial_history(config, 2)
+    hist = build_initial_history(config, seed)
     star = endemic_equilibrium(params)
     ring = LagIntegrals(hist, params, star, domain)
     for _ in range(6):
@@ -789,6 +874,12 @@ def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
     fresh = LagIntegrals(hist, params, star, domain)
     assert (list(ring.a), list(ring.b)) == (list(fresh.a), list(fresh.b))
     assert ring.window_rel_err(hist) == 0.0
+    # a NaN cached value of either delay reaches the disagreement, which
+    # a Python max over (W1 error, W2 error) drops when it comes second
+    for cache in (ring.a, ring.b):
+        kept, cache[0] = cache[0], math.nan
+        assert math.isnan(ring.window_rel_err(hist))
+        cache[0] = kept
 
 
 @pytest.mark.parametrize("row", [0, 1, 2])

@@ -41,7 +41,7 @@ def test_transform_size_checks(domain):
     with pytest.raises(ValueError):
         to_modal(np.zeros(domain.n + 1), domain)
     with pytest.raises(ValueError):
-        to_grid(np.zeros(domain.N + 1), domain)
+        to_grid(np.zeros(domain.n + 1), domain)
 
 
 def test_heat_apply_time_zero_is_identity(domain):
@@ -155,7 +155,7 @@ def test_gradient_energy_constant_is_zero(domain):
 
 def test_gradient_energy_matches_dense_quadrature():
     # f = 2 + cos(pi x), L = 1: integral of (pi sin(pi x))^2 / (2 + cos(pi x))^2
-    domain = Domain(L=1.0, n=64, N=64)
+    domain = Domain(L=1.0, n=64)
     f = 2.0 + np.cos(np.pi * domain.grid)
     value = gradient_energy(f, domain)
     xs = np.linspace(0.0, 1.0, 200001)
@@ -180,13 +180,13 @@ def test_gradient_energy_requires_positive(domain):
         gradient_energy(f, domain)
 
 
-def test_truncated_modes_domain():
-    # dropping the top modes must keep the contracts on resolved fields
-    full = Domain(L=2.0, n=64, N=64)
-    cut = Domain(L=2.0, n=64, N=40)
-    x = cut.grid
-    f = 1.0 + 0.3 * np.cos(np.pi * x / cut.L) + 0.1 * np.cos(5 * np.pi * x / cut.L)
-    assert np.abs(to_grid(to_modal(f, cut), cut) - f).max() < 1e-12
-    assert np.abs(
-        heat_apply(f, 1.0, 0.2, cut) - heat_apply(f, 1.0, 0.2, full)
-    ).max() < 1e-12
+def test_low_mode_field_keeps_its_coefficients_and_decays_mode_by_mode():
+    # every grid mode is kept: a field in modes 0, 1 and 5 transforms to
+    # exactly those coefficients, and the heat flow scales each by its decay
+    domain = Domain(L=2.0, n=64)
+    a = np.zeros(domain.n)
+    a[[0, 1, 5]] = (1.0, 0.3, 0.1)
+    f = to_grid(a, domain)
+    assert np.abs(to_modal(f, domain) - a).max() < 1e-12
+    decay = np.exp(-0.2 * (np.arange(domain.n) * np.pi / domain.L) ** 2)
+    assert np.abs(heat_apply(f, 1.0, 0.2, domain) - to_grid(a * decay, domain)).max() < 1e-12
