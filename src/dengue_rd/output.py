@@ -63,11 +63,18 @@ def write_timeseries(path: Path, traj: Trajectory) -> None:
 
 
 def write_snapshots(path: Path, traj: Trajectory) -> None:
-    x = traj.config.domain.grid
+    """Rows t, x, u1, u2, u3 per snapshot, each value as fmt_float would write it.
+
+    Each grid coordinate is formatted once per file and each snapshot time
+    once per snapshot; a row formats only its u1, u2 and u3.
+    """
+    xs = [fmt_float(x) + "," for x in traj.config.domain.grid.tolist()]
+    row = ",".join([FLOAT_FMT] * 3) + "\n"
     with open(path, "w") as handle:
         handle.write("t,x,u1,u2,u3\n")
         for t, state in traj.snapshots:
-            _write_table(handle, np.column_stack((np.full(x.size, t), x, state.T)))
+            head = fmt_float(t) + ","
+            handle.writelines(head + x + row % tuple(u) for x, u in zip(xs, state.T.tolist()))
 
 
 def write_sweep(path: Path, rows: list[dict]) -> None:

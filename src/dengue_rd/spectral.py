@@ -32,16 +32,44 @@ O(n log n) per row and never forms the n x n matrices.  Below FFT_MIN_N
 the dense matrix-vector products, one row at a time, are faster.  The
 two paths agree to about 1e-14 of sup |f|.
 
-FFT_MIN_N comes from timing the fused (3, n) heat flow of one step both
-ways at n = 64, 72, ..., 448 (2-core x86-64, numpy 2.4, one OpenBLAS
-thread, best of 21 repeats).  The FFT's cost depends on the factors of
-n - 1.  When n - 1 has no prime factor above about 150 the FFT was
-faster from n = 136 on, and 2-3x faster from n = 208 on.  When n - 1 is
-prime, numpy.fft falls back to Bluestein's algorithm, and the FFT stayed
-slower up to n = 312 (about 3x slower at n = 264 and 272).  From 256 on
-the FFT was faster on every size with a smooth n - 1, and at n = 1024 it
-was 13x faster; grids of 256 to about 360 points with a prime n - 1
-are better served by a neighbouring n.
+FFT_MIN_N comes from timing the fused (3, n) heat flow of one step over
+dt = 0.005 (d = 1, L = 1, decay floor applied) both ways at n = 64, 72,
+..., 448 (2-core x86-64, numpy 2.4, one OpenBLAS thread, best of 21
+repeats).  The FFT's cost depends on the factors of n - 1.  When n - 1
+has no prime factor above about 150 the FFT was level or faster from
+n = 176 on (level at 136 and 184, slower at 144 and 160), 1.35-2.3x
+faster from n = 208 to 304, and 1.6-5.4x faster above.  When n - 1 is prime,
+numpy.fft falls back to Bluestein's algorithm, and the FFT stayed slower
+up to n = 368 (2.1x slower at n = 264 and 272, level at 360 and 368).
+At n = 256 the FFT took 37 us against 72 us dense, and at n = 1024 it
+was 19x faster (122 against 2365 us).  Grids of 256 to about 370 points
+with a prime n - 1 are better served by a neighbouring n.  The constant
+stays at 256 although the smooth sizes from 208 on would gain too:
+moving it moves the bytes of every grid in between, and no shipped
+workload runs one.
+
+Subnormal floor: exp(-d t lam_k) passes through the subnormal range
+(below 2.2e-308) on its way to zero, and so do its products with the
+spectrum.  Subnormal operands are slow on x86-64, and the FFT's
+butterflies carry a subnormal bin through every stage.  On the shipped
+workloads the factor itself is subnormal for k = 120-122 of the step's
+flow over dt = 0.005 at n = 1024, k = 38 of the flow over dt = 0.05 at
+n = 64, and k = 12 of the flow over tau_a = 0.5 on every grid of more
+than 12 points; its products with a spectrum go subnormal from lower
+modes still.
+_heat_decay therefore sets every factor below HEAT_DECAY_FLOOR = 1e-150
+to exactly 0.0 (k >= 84 of the dt = 0.005 flow, k >= 9 of the tau_a
+flow).  That moves no bit of any result: a dropped term is below 1e-150
+of its mode's coefficient, so it could reach the last bit of a grid
+value only if that value were some 1e-134 of the field's scale, more
+than 100 orders of magnitude below anything the model holds (certifying
+runs keep states above 1e-10 of the box ceiling).  Every sum the term
+would have entered rounds to the same double, and the tests hold
+heat_apply, step and kernel_mass_defect bit for bit against unfloored
+factors.  On the sweep base at n = 1024
+(dt = 0.005, tau_a = 0.5) the subnormals cost about a third of a step:
+step took 285 us with the floor against 412 us without, median of 60
+interleaved repeats, faster in 58 of them, identical states.
 
 Truncation caveat: the n-term kernel series is not pointwise positive
 at small times.  A unit spike at mid-grid diffused for min_resolvable_time
@@ -79,6 +107,10 @@ KERNEL_TIME_FLOOR_FACTOR = 1e-3
 # Grids of at least this many points run the heat flow through numpy.fft;
 # smaller ones use the dense transform matrices (see the module docstring).
 FFT_MIN_N = 256
+
+# Heat factors below this are set to exactly 0.0: far above the subnormal
+# range, and far below any half-ulp the flow can move (module docstring).
+HEAT_DECAY_FLOOR = 1e-150
 
 
 @dataclass(frozen=True)
@@ -141,9 +173,17 @@ def to_grid(a: np.ndarray, domain: Domain) -> np.ndarray:
     return _operators(domain).cos @ _check_field(a, domain)
 
 
-def _heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
-    """Per-mode factors exp(-d t lam_k) of the heat flow, k = 0 .. n - 1."""
-    return np.exp(-d * t * _eigenvalues(domain))
+def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:
+    """Per-mode factors exp(-d t lam_k) of the heat flow, k = 0 .. n - 1.
+
+    Every heat factor comes from here.  t is a time or an array of times,
+    which gains a trailing mode axis.  Factors below HEAT_DECAY_FLOOR are
+    exactly 0.0, so no transform carries a subnormal (see the module
+    docstring).
+    """
+    decay = np.exp(-d * t * _eigenvalues(domain))
+    decay[decay < HEAT_DECAY_FLOOR] = 0.0
+    return decay
 
 
 def _heat_rows(
@@ -245,7 +285,7 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     if times.size == 0:
         return 0.0
     ops = _operators(domain)
-    decay = ops.weight * np.exp(-d * times[:, None] * _eigenvalues(domain)[None, :])
+    decay = ops.weight * _heat_decay(d, times[:, None], domain)
     col = ops.w * ((decay * (ops.cos.T @ ops.w)) @ ops.cos.T)
     return float(np.abs(col - ops.w).max() / ops.w.max())
 

@@ -3,9 +3,12 @@ import io
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dengue_rd import (
     ConfigError,
@@ -21,7 +24,13 @@ from dengue_rd import (
     validate_initial_history,
 )
 from dengue_rd.cli import load_sweep, main, run_sweep
-from dengue_rd.output import TIMESERIES_HEADER, _write_table, equilibria_report, fmt_float
+from dengue_rd.output import (
+    TIMESERIES_HEADER,
+    _write_table,
+    equilibria_report,
+    fmt_float,
+    write_snapshots,
+)
 
 from conftest import config_doc
 
@@ -213,6 +222,39 @@ def test_fmt_float_round_trips():
     table = io.StringIO()
     _write_table(table, np.array([specials]))
     assert table.getvalue() == ",".join(format(v, ".17g") for v in specials) + "\n"
+
+
+SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300)
+
+
+def reference_snapshots(x: np.ndarray, snapshots) -> str:
+    """snapshots.csv written as one _write_table call per snapshot."""
+    handle = io.StringIO()
+    handle.write("t,x,u1,u2,u3\n")
+    for t, state in snapshots:
+        _write_table(handle, np.column_stack((np.full(x.size, t), x, state.T)))
+    return handle.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([8, 9, 1024]),
+    L=st.sampled_from([1.0, 2.5, 1.0 / 3.0]),
+    times=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIALS)), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_snapshots_matches_per_snapshot_tables(tmp_path_factory, n, L, times, seed):
+    rng = np.random.default_rng(seed)
+    snapshots = []
+    for t in times:
+        state = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-320, 300, (3, n))
+        state.flat[rng.choice(3 * n, len(SPECIALS), replace=False)] = SPECIALS
+        snapshots.append((t, state))
+    domain = Domain(L=L, n=n)
+    traj = SimpleNamespace(config=SimpleNamespace(domain=domain), snapshots=snapshots)
+    path = tmp_path_factory.mktemp("snapshots") / "snapshots.csv"
+    write_snapshots(path, traj)
+    assert path.read_bytes() == reference_snapshots(domain.grid, snapshots).encode()
 
 
 def test_equilibria_report_contents():

@@ -3,7 +3,9 @@
 Grids below spectral.FFT_MIN_N run the heat flow as dense products, grids
 at or above it through numpy.fft.  Small grids are pushed onto the FFT
 path by lowering FFT_MIN_N, so both paths are exercised cheaply; the
-grids next to the real crossover are exercised as they stand.
+grids next to the real crossover are exercised as they stand.  Heat
+factors below spectral.HEAT_DECAY_FLOOR are zeroed, and the flows are
+held bit for bit against the same flows built from raw np.exp factors.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from dengue_rd import (
 )
 from dengue_rd.spectral import FFT_MIN_N
 
-from conftest import WORKED
+from conftest import WORKED, random_smooth_field
 
 DT = 0.05
 
@@ -228,3 +230,109 @@ def test_wide_run_builds_no_dense_operators():
         config = SimConfig(params=params, domain=domain, dt=DT, t_end=0.25)
         traj = run(config, random_history(params, domain, np.random.default_rng(1)))
     assert np.isfinite(traj.final_state).all()
+
+
+# ------------------------------------------------------------ the decay floor
+
+
+def raw_decay(d, t, domain: Domain) -> np.ndarray:
+    """The heat factors without the floor, as np.exp gives them."""
+    return np.exp(-d * t * spectral._eigenvalues(domain))
+
+
+@st.composite
+def kernel_times(draw, d: float, domain: Domain):
+    """A time from the kernel floor up to where every mode k >= 1 underflows."""
+    lo = spectral.min_resolvable_time(d, domain)
+    hi = 800.0 / (d * (math.pi / domain.L) ** 2)
+    return lo * (hi / lo) ** draw(st.floats(0.0, 1.0))
+
+
+def around(t: float, spread: list[float]) -> np.ndarray:
+    """t, then one time within 1.5 decades of it per entry of spread."""
+    return np.array([t] + [t * 10.0 ** (3.0 * u - 1.5) for u in spread])
+
+
+@st.composite
+def decay_cases(draw):
+    domain = draw(domains())
+    d = draw(st.floats(0.01, 10.0))
+    return domain, d, draw(kernel_times(d, domain))
+
+
+def smooth_box_rows(domain: Domain, rng, count: int, ceiling: float = 2.0) -> np.ndarray:
+    """count smooth fields with values in [0.1, 0.9] * ceiling, (count, n)."""
+    rows = []
+    for _ in range(count):
+        g = random_smooth_field(domain, rng)
+        g = (g - g.min()) / max(g.max() - g.min(), 1e-300)
+        rows.append(ceiling * (0.1 + 0.8 * g))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=decay_cases(), extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_heat_decay_is_the_raw_factor_or_zero_never_subnormal(case, extra):
+    domain, d, t = case
+    times = around(t, extra)
+    for got, raw in (
+        (spectral._heat_decay(d, t, domain), raw_decay(d, t, domain)),
+        (spectral._heat_decay(d, times[:, None], domain), raw_decay(d, times[:, None], domain)),
+    ):
+        assert got.shape == raw.shape
+        assert not np.any((got > 0.0) & (got < np.finfo(float).tiny))
+        assert np.all((got == 0.0) | (got >= spectral.HEAT_DECAY_FLOOR))
+        assert np.array_equal(got, np.where(raw < spectral.HEAT_DECAY_FLOOR, 0.0, raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=decay_cases(), fft_min_n=fft_from, seed=st.integers(0, 2**32 - 1))
+def test_floor_moves_no_bit_of_heat_apply(case, fft_min_n, seed):
+    domain, d, t = case
+    rows = smooth_box_rows(domain, np.random.default_rng(seed), 3)
+    with heat_path(domain.n, fft_min_n):
+        got = heat_apply(rows, d, t, domain)
+        raw = np.broadcast_to(raw_decay(d, t, domain), rows.shape)
+        expected = np.asarray(spectral._heat_rows(rows, raw, domain))
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    params=model_params(),
+    domain=domains(),
+    fft_min_n=fft_from,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_floor_moves_no_bit_of_step(params, domain, fft_min_n, seed):
+    rng = np.random.default_rng(seed)
+    n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
+    window = np.array([smooth_box_rows(domain, rng, 3) for _ in range(n_lags + 1)])
+    floored, unfloored = History(window, DT), History(window, DT)
+    try:
+        with heat_path(domain.n, fft_min_n), pytest.MonkeyPatch.context() as mp:
+            integrator._step_plan.cache_clear()
+            got = [step(floored, params, domain, DT).copy() for _ in range(3)]
+            mp.setattr(integrator, "_heat_decay", raw_decay)
+            integrator._step_plan.cache_clear()
+            expected = [step(unfloored, params, domain, DT).copy() for _ in range(3)]
+    finally:
+        integrator._step_plan.cache_clear()  # no unfloored plan outlives the test
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def raw_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
+    """kernel_mass_defect's formula with its own unfloored np.exp factors."""
+    ops = spectral._operators(domain)
+    decay = ops.weight * np.exp(-d * times[:, None] * spectral._eigenvalues(domain)[None, :])
+    col = ops.w * ((decay * (ops.cos.T @ ops.w)) @ ops.cos.T)
+    return float(np.abs(col - ops.w).max() / ops.w.max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=decay_cases(), extra=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_kernel_mass_defect_matches_its_unfloored_formula(case, extra):
+    domain, d, t = case
+    times = around(t, extra)
+    assert spectral.kernel_mass_defect(d, times, domain) == raw_mass_defect(d, times, domain)
