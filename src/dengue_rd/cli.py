@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -154,21 +153,20 @@ def _sweep_one(spec: SweepSpec, value: float, seed: int) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec, seed: int = 0, max_workers: int | None = None) -> list[SweepRow]:
-    """Runs every swept value; rows come back in input order.
+    """Runs every swept value in the calling thread, in input order.
 
-    Runs are independent and execute concurrently; row i perturbs its
-    initial history with seed + i.  A failing row, including one that
-    hits a floating-point trap or runs out of memory, records its error
-    and leaves the others untouched.
+    Row i perturbs its initial history with seed + i.  A failing row,
+    including one that hits a floating-point trap or runs out of memory,
+    records its error and leaves the others untouched.  max_workers is
+    kept for callers that still pass it: 1 or None, both meaning one row
+    at a time (a thread pool measured slower than none).
+
+    Raises:
+        ValueError: if max_workers is anything but 1 or None.
     """
-    if max_workers is None:
-        max_workers = min(8, len(spec.values))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_sweep_one, spec, value, seed + i)
-            for i, value in enumerate(spec.values)
-        ]
-        return [f.result() for f in futures]
+    if max_workers not in (1, None):
+        raise ValueError(f"max_workers must be 1 or None, got {max_workers!r}")
+    return [_sweep_one(spec, value, seed + i) for i, value in enumerate(spec.values)]
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -162,7 +162,8 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np
     if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
         raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
     plan = _step_plan(params, domain, dt)
-    u1, u2, u3 = history.lookup_arrays(0)
+    state = history.lookup_arrays(0)
+    u1, u2, u3 = state
     lag_b = history.lookup_arrays(plan.k_b)
     delayed = [history.lookup_arrays(plan.k_a)[2], lag_b[0] * lag_b[1]]
     rows = plan.lag_rows
@@ -170,11 +171,14 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np
         for i, row in zip(rows, _heat_rows([delayed[i] for i in rows], plan.lag_decay, domain)):
             delayed[i] = row
 
-    r1 = _mosquito_infection(u1, delayed[0], params) - params.mu_m * u1
-    r2 = params.H - params.beta_h * u1 * u2 - params.mu_h * u2
-    r3 = _human_infection(delayed[1], params) - params.rho_h * u3
-
-    post = (u1 + dt * r1, u2 + dt * r2, u3 + dt * r3)
+    # Euler substep u + dt r, formed as r * dt + u over the (3, n) array:
+    # the same two roundings per element, so the same bits.
+    post = np.empty_like(state)
+    np.subtract(_mosquito_infection(u1, delayed[0], params), params.mu_m * u1, out=post[0])
+    np.subtract(params.H - params.beta_h * u1 * u2, params.mu_h * u2, out=post[1])
+    np.subtract(_human_infection(delayed[1], params), params.rho_h * u3, out=post[2])
+    post *= dt
+    post += state
     return history.append(_heat_rows(post, plan.decay, domain))
 
 
@@ -273,25 +277,29 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     times = np.arange(size) * dt
     dist_endemic = np.full(size, np.nan)
     dist_dfe = np.full(size, np.nan)
-    comp_min = np.full((size, 3), np.nan)
-    comp_max = np.full((size, 3), np.nan)
+    # Row k holds the (3, 2) per-component minima and maxima of step k.
+    extremes = np.full((size, 3, 2), np.nan)
+    comp_min, comp_max = extremes[..., 0], extremes[..., 1]
     lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
     snapshots: list[tuple[float, np.ndarray]] = []
     bounds_ok = True
 
     def record(k: int, state: np.ndarray) -> None:
         nonlocal bounds_ok
-        lo = comp_min[k] = state.min(axis=1)
-        hi = comp_max[k] = state.max(axis=1)
+        bounds = extremes[k]
+        lo = state.min(axis=1, out=bounds[:, 0])
+        hi = state.max(axis=1, out=bounds[:, 1])
+        # Rounding u - p is monotone in u, so a row's sup |u - p| sits at
+        # its min or max: the distance of bounds is that of state, bit for bit.
         if eqs.endemic is not None:
-            dist_endemic[k] = sup_distance(state, eqs.endemic)
-        dist_dfe[k] = sup_distance(state, eqs.dfe)
-        # min and max propagate NaN, so they see every non-finite value.
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise SimulationError(
-                f"non-finite state at step {k}, t={times[k]:.6g}"
-            )
-        if (lo < 0.0).any() or (hi > ceiling).any():
+            dist_endemic[k] = sup_distance(bounds, eqs.endemic)
+        dist_dfe[k] = sup_distance(bounds, eqs.dfe)
+        if not ((lo >= 0.0).all() and (hi <= ceiling).all()):
+            # min and max propagate NaN, so they see every non-finite value.
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise SimulationError(
+                    f"non-finite state at step {k}, t={times[k]:.6g}"
+                )
             if config.box_strict:
                 raise SimulationError(
                     f"state left the invariant box at step {k}, t={times[k]:.6g}"

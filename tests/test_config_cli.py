@@ -501,14 +501,34 @@ def test_run_sweep_regimes_and_certification():
     assert all(np.isfinite(r.final_dist) for r in rows)
 
 
-def test_run_sweep_isolates_failing_rows():
+def test_run_sweep_isolates_failing_rows(monkeypatch):
+    import threading
+
+    from dengue_rd.cli import _sweep_one
+
     doc = sweep_doc(certify=False)
-    doc["values"] = [1.0, 40.0]  # b = 40 violates the stability bound
-    rows = run_sweep(load_sweep(doc), seed=0)
-    assert rows[0].error is None and np.isfinite(rows[0].final_dist)
+    doc["values"] = [1.0, 40.0, 4.0]  # b = 40 violates the stability bound
+    spec = load_sweep(doc)
+    standalone = [_sweep_one(spec, value, 7 + i) for i, value in enumerate(spec.values)]
+
+    def no_thread(self):
+        raise AssertionError("run_sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for workers in (None, 1):  # rows run one after another in the calling thread
+        rows = run_sweep(spec, seed=7, max_workers=workers)
+        assert rows == standalone
+    for row in (rows[0], rows[2]):
+        assert row.error is None and np.isfinite(row.final_dist)
     assert rows[1].error is not None and "stability" in rows[1].error
     assert rows[1].final_dist is None
     assert rows[1].r0 is not None  # still reported for the failing row
+
+
+@pytest.mark.parametrize("workers", [0, 2, 8])
+def test_run_sweep_rejects_a_worker_count_other_than_one(workers):
+    with pytest.raises(ValueError, match=f"max_workers must be 1 or None, got {workers}"):
+        run_sweep(load_sweep(sweep_doc()), max_workers=workers)
 
 
 @pytest.mark.parametrize("broken", ["missing", "null"])

@@ -24,12 +24,15 @@ from dengue_rd import (
     History,
     ModelParams,
     SimConfig,
+    gradient_energy,
     heat_apply,
     infection_term_u1,
     infection_term_u3,
     lag_steps,
     run,
     step,
+    to_grid,
+    to_modal,
 )
 from dengue_rd.spectral import FFT_MIN_N
 
@@ -130,6 +133,30 @@ def test_crossover_neighbours_take_the_expected_path():
         with heat_path(n, None) as use_fft:
             assert use_fft is fft
             heat_apply(np.linspace(0.0, 1.0, n), 1.0, 0.1, Domain(L=1.0, n=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, FFT_MIN_N - 1),
+    d=st.floats(0.01, 10.0),
+    t=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_products_equal_their_matmul_form_bit_for_bit(n, d, t, seed):
+    """The dense path's products, held against the same matrices applied with @."""
+    domain = Domain(L=1.0, n=n)
+    ops = spectral._operators(domain)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 1))
+    decay = spectral._heat_decay(np.array([d, 0.5 * d, 2.0 * d])[:, None], t, domain)
+    flows = spectral._heat_rows(rows, decay, domain)
+    for row, scale, got in zip(rows, decay, flows):
+        assert np.array_equal(got, ops.cos @ (scale * (ops.fwd @ row)))
+    assert np.array_equal(to_modal(rows[0], domain), ops.fwd @ rows[0])
+    assert np.array_equal(to_grid(rows[1], domain), ops.cos @ rows[1])
+    positive = np.exp(rows[2] / np.abs(rows[2]).max())
+    ratio = (ops.dcos @ (ops.fwd @ positive)) / positive
+    assert gradient_energy(positive, domain) == float(ops.w @ (ratio * ratio))
 
 
 def random_history(params: ModelParams, domain: Domain, rng) -> History:

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dengue_rd.integrator as integrator
 from dengue_rd import (
     BOX_SLACK,
     Domain,
@@ -18,6 +23,7 @@ from dengue_rd import (
     run_homogeneous,
     stability_dt_bound,
     step,
+    sup_distance,
 )
 
 from conftest import WORKED, constant_state
@@ -235,6 +241,86 @@ def test_record_box_check_at_the_ceiling(delayed_params, domain):
         negative = bound.copy()
         negative[i] = -1e-12
         assert not bounds_ok(negative)
+
+
+def run_through_states(states, strict_box=False):
+    """Runs the worked point with step replaced by appending the given states."""
+    params = ModelParams(**WORKED)
+    domain = Domain(L=1.0, n=states[0].shape[1])
+    hist = constant_history(endemic_equilibrium(params), params, domain, 0.05)
+    pending = iter(states)
+    config = SimConfig(
+        params=params, domain=domain, dt=0.05, t_end=len(states) * 0.05, strict_box=strict_box
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "step", lambda history, *_: history.append(next(pending)))
+        return run(config, hist)
+
+
+# Rows relative to a centre value: all on it, wholly above or below it
+# (by magnitudes from subnormal to near overflow), or anything at all.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308]
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-16, 1.0, 1e300, 1.7e308]),
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def state_rows(draw, centre: float, n: int) -> list[float]:
+    kind = draw(st.sampled_from(["on", "above", "below", "any"]))
+    if kind == "on":
+        return [centre] * n
+    if kind == "any":
+        values = st.one_of(st.sampled_from([centre, *SPECIAL]), st.floats(-1e300, 1e300))
+        return draw(st.lists(values, min_size=n, max_size=n))
+    sign = 1.0 if kind == "above" else -1.0
+    return [centre + sign * m for m in draw(st.lists(MAGNITUDES, min_size=n, max_size=n))]
+
+
+@st.composite
+def wild_runs(draw) -> list[np.ndarray]:
+    """One to three (3, n) states, each row centred on u* or the DFE."""
+    params = ModelParams(**WORKED)
+    points = (endemic_equilibrium(params), disease_free_equilibrium(params))
+    n = draw(st.integers(8, 12))
+    return [
+        np.array([draw(state_rows(float(draw(st.sampled_from(points))[i]), n)) for i in range(3)])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=wild_runs())
+def test_record_distances_from_row_bounds_match_the_full_state(states):
+    traj = run_through_states(states)
+    params = ModelParams(**WORKED)
+    ceiling = bound_vector(params) * (1.0 + BOX_SLACK)
+    for k, state in enumerate(states, start=1):
+        for got, point in ((traj.dist_endemic[k], endemic_equilibrium(params)),
+                           (traj.dist_dfe[k], disease_free_equilibrium(params))):
+            assert float(got).hex() == sup_distance(state, point).hex()
+        assert np.array_equal(traj.comp_min[k], state.min(axis=1))
+        assert np.array_equal(traj.comp_max[k], state.max(axis=1))
+    inside = all((s >= 0.0).all() and (s <= ceiling[:, None]).all() for s in states)
+    assert traj.bounds_ok is inside
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    where=st.tuples(st.integers(0, 2), st.integers(0, 7)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    also=st.sampled_from([None, -1.0, 10.0]),
+)
+def test_non_finite_state_is_reported_before_a_box_violation(k, where, bad, also):
+    params = ModelParams(**WORKED)
+    states = [constant_state(endemic_equilibrium(params), 8) for _ in range(3)]
+    states[k - 1][where] = bad
+    if also is not None:  # a second entry outside the box at the same step
+        states[k - 1][(where[0] + 1) % 3, (where[1] + 1) % 8] = also
+    with pytest.raises(SimulationError, match=rf"^non-finite state at step {k}, t="):
+        run_through_states(states, strict_box=True)
 
 
 def test_sim_config_enforces_stability_bound(domain):
