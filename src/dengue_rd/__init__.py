@@ -51,7 +51,6 @@ from .integrator import (
 from .lyapunov import (
     Certificate,
     LagIntegrals,
-    LyapunovBreakdown,
     TERM_NAMES,
     certify,
     eval_V,
@@ -78,7 +77,6 @@ __all__ = [
     "History",
     "HistoryValidation",
     "LagIntegrals",
-    "LyapunovBreakdown",
     "ModelParams",
     "SimConfig",
     "SimulationError",

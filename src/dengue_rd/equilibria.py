@@ -193,9 +193,13 @@ def solve_endemic_newton(
     residual floor and the Jacobian alike, so the root is still located
     to machine precision even though the residual cannot reach rtol.
 
-    Returns the endemic root, or None when neither condition is met;
-    the disease-free root is not a root of the per-capita form, so it
-    cannot be returned.
+    Returns the endemic root, or None when neither condition is met.
+    The disease-free state is not a root of the per-capita form, but
+    along u1, u3 -> 0 that form's residual tends to rho_h (R0^2 - 1),
+    which is below rtol when R0^2 lies within about rtol of 1.  There a
+    boundary point with u1 and u3 near zero can pass as a root, even
+    for R0 < 1, so near the threshold check the result against the
+    closed form.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,) or np.any(x0 <= 0.0):

@@ -226,12 +226,14 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
-    dissipation identity at every step, reading the W integrals from a
-    ring of per-lag values that gains one entry per step.  At checkpoint
-    steps, every min(k_a, k_b) steps (over the nonzero ones, and every
-    step when both delays are zero) plus the first and the last, the
-    ring is compared with W recomputed from the raw window.  Certifying
-    runs require a strictly positive initial history; SimConfig checks R0.
+    dissipation identity at every step and store the row eval_V returns.
+    eval_V reads the W integrals from a ring of per-lag values and adds
+    the new state's entry to it.  At checkpoint steps, every
+    min(k_a, k_b) steps (over the nonzero ones, and every step when both
+    delays are zero) plus the first and the last, the row's
+    two_path_rel_err compares the ring with W recomputed from the raw
+    window by separate code.  Certifying runs require a strictly positive
+    initial history; SimConfig checks R0.
 
     Raises:
         ValueError: on a history that does not fit the config, or one
@@ -268,7 +270,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             )
         kernels = prepare_kernels(params, domain, dt)
         ring = LagIntegrals(initial, params, eqs.endemic, domain)
-        # A value pushed at step s weighs in a delay's W through step
+        # A value cached at step s weighs in a delay's W through step
         # s + k for that delay's k, so a stride of the shortest nonzero k
         # checks each cached value while it still counts in every W.
         checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
@@ -306,10 +308,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 )
             bounds_ok = False
         if config.certify:
-            if k:
-                ring.push(initial)
-            bd = eval_V(initial, params, eqs.endemic, domain, ring=ring)
-            lyapunov[k] = bd.record_row(ring.window_rel_err(initial) if checkpoints[k] else math.nan)
+            lyapunov[k] = eval_V(initial, params, eqs.endemic, domain, ring=ring)
+            if checkpoints[k]:
+                lyapunov["two_path_rel_err"][k] = ring.window_rel_err(initial)
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):

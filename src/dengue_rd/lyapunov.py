@@ -57,16 +57,19 @@ corrupted cache fails certification.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  eval_V checks the
-(3, n) state once, hands the ratio rows of L1, L2, g_u2 and the two
-delay terms to one g call, and smooths the numerator of each nonzero
-delay and its log in one heat_apply call.  L3's integral is the ring's
-newest a value when tau_a has lag steps, and one more g row otherwise.
-LagIntegrals, on a push or a checkpoint recompute, writes the ratios of
-every lag it needs from views of the history's states into one buffer,
-which it checks once and passes to g once.  Every scalar is still its
-own dot product over its own row, so the numbers are bit for bit those
-of a term-by-term evaluation, and only a failed check goes back row by
-row, so its message still names the field or the lag.
+(3, n) state once, hands the ratio rows of L1, L2, g_u2, the two delay
+terms and the newest state's lag values to one g call, and smooths the
+numerator of each nonzero delay and its log in one heat_apply call.
+eval_V is also the ring's only writer after construction: the newest
+g(u3 / u3*) integral is L3's and the ring's newest a value, and with the
+newest g(u1 u2 / (u1* u2*)) integral it enters the ring once per step.
+LagIntegrals, when built or on a checkpoint recompute, writes the ratios
+of every lag it needs from views of the history's states into one
+buffer, which it checks once and passes to g once; that is code of its
+own, so the checkpoint compares two independent paths.  Every scalar is
+still its own dot product over its own row, so the numbers are bit for
+bit those of a term-by-term evaluation, and only a failed check goes
+back row by row, so its message still names the field or the lag.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
 the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
@@ -94,7 +97,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Certificate",
     "LagIntegrals",
-    "LyapunovBreakdown",
     "LyapunovKernels",
     "RECORD_DTYPE",
     "TERM_NAMES",
@@ -186,41 +188,6 @@ def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> LyapunovK
     return LyapunovKernels(mass_defect=mass_defect)
 
 
-@dataclass(frozen=True, slots=True)
-class LyapunovBreakdown:
-    """V, its five component integrals and the eight dissipation terms.
-
-    dissipation is the full right-hand side of the identity, the sum of
-    grad_terms, quad_terms and g_terms; every summand is nonpositive up
-    to roundoff.
-    """
-
-    V: float
-    L1: float
-    L2: float
-    L3: float
-    W1: float
-    W2: float
-    dissipation: float
-    grad_terms: tuple[float, float, float]
-    g_terms: tuple[float, float, float]
-    quad_terms: tuple[float, float]
-
-    @property
-    def terms(self) -> dict[str, float]:
-        """All eight dissipation terms keyed by TERM_NAMES."""
-        values = self.grad_terms + self.quad_terms + self.g_terms
-        return dict(zip(TERM_NAMES, values))
-
-    def record_row(self, two_path_rel_err: float) -> tuple[float, ...]:
-        """This breakdown as a RECORD_DTYPE row; two_path_rel_err is NaN off checkpoints."""
-        return (
-            self.V, self.L1, self.L2, self.L3, self.W1, self.W2,
-            *self.grad_terms, *self.quad_terms, *self.g_terms,
-            self.dissipation, two_path_rel_err,
-        )
-
-
 def _all_positive(values: np.ndarray) -> bool:
     """True if every value is finite and strictly positive (min is NaN if any value is)."""
     return bool(values.min() > 0.0 and values.max() < math.inf)
@@ -250,8 +217,9 @@ class LagIntegrals:
     ring has max(k_a, k_b) + 1 slots, newest first; a delay of zero
     steps caches nothing and its W is zero.  A state's values, and its
     positivity check, are computed once, when it enters the window:
-    built from the whole window here, then one push after every
-    History.append.
+    built from the whole window here, then appended by the eval_V call
+    that follows each History.append.  t_now is the time of the newest
+    cached state.
 
     Raises:
         ValueError: if the history spans fewer lags than the longer
@@ -322,13 +290,6 @@ class LagIntegrals:
         per_lag = [[float(self._w @ row) for row in rows] for rows in g(ratio)]
         return (per_lag[0] if self.k_a else [], per_lag[-1] if self.k_b else [])
 
-    def push(self, history: History) -> None:
-        """Caches the newest state's values; call after each History.append."""
-        a, b = self._lag_values(history, 1)
-        self.a.extendleft(a)
-        self.b.extendleft(b)
-        self.t_now = history.t_now
-
     def _w_values(self, a: deque, b: deque) -> tuple[float, float]:
         w1 = self._bstar * _theta_trapezoid(list(islice(a, self.k_a + 1)), self._dt)
         w2 = self._bstar * _theta_trapezoid(list(islice(b, self.k_b + 1)), self._dt)
@@ -365,7 +326,7 @@ def eval_V(
     domain: Domain,
     *,
     ring: LagIntegrals | None = None,
-) -> LyapunovBreakdown:
+) -> np.void:
     """Evaluates V and the dissipation identity on the current history.
 
     The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
@@ -376,29 +337,36 @@ def eval_V(
     the integrand is exactly g(N / D).  KN for g_delay_a is quad_u1's
     smoothed field.
 
+    The ring advances here: when it sits one step behind the history,
+    the current state's per-lag values, from this call's g pass, enter
+    it; when it is level, nothing does, so a repeated call leaves it as
+    it was.
+
     Args:
         history: Delay window whose newest entry is the current state;
             every stored state must be strictly positive.
         params: Model parameters; R0 > 1 is assumed (ustar exists).
         ustar: The endemic triple (u1*, u2*, u3*).
         domain: Spatial discretisation.
-        ring: Cached per-lag integrals, pushed up to the current state;
-            built from the whole window if omitted.
+        ring: Cached per-lag integrals, at most one step behind the
+            history; built from the whole window if omitted.
 
     Returns:
-        The full breakdown; V equals L1 + L2 + L3 + W1 + W2 by
-        construction.
+        One RECORD_DTYPE row, with two_path_rel_err NaN; V equals
+        L1 + L2 + L3 + W1 + W2 by construction.
 
     Raises:
         ValueError: on a nonpositive state or endemic triple, a history
-            shorter than the delays, or a ring out of step with it.
+            shorter than the delays, or a ring neither level with the
+            history nor one step behind it.
     """
     if ring is None:
         ring = LagIntegrals(history, params, ustar, domain)
-    elif ring.t_now != history.t_now:
+    advance = ring.t_now + history.dt == history.t_now
+    if not advance and ring.t_now != history.t_now:
         raise ValueError(
             f"lag ring is at t={ring.t_now!r}, history at t={history.t_now!r}; "
-            "push the ring after every append"
+            "evaluate V after every append"
         )
     k_a, k_b = ring.k_a, ring.k_b
     u1s, u2s, u3s = (float(v) for v in ustar)
@@ -415,11 +383,12 @@ def eval_V(
     lag_b = history.lookup_arrays(k_b)
     numer_a = u1s * u3_lag_a / u3s
     numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
-    # Rows: L1, L2, g_u2, g(N / D) of g_delay_a and g_delay_b, then L3's
-    # unless the ring holds it already (a[0], when tau_a has lag steps).
-    rows = [u1 / u1s, u2 / u2s, u2s / u2, numer_a / u1, numer_b / u3]
-    if not k_a:
-        rows.append(u3 / u3s)
+    # Rows: L1, L2, g_u2, g(N / D) of g_delay_a and g_delay_b, the current
+    # state's a value (L3's integral), then its b value when tau_b has lag
+    # steps.
+    rows = [u1 / u1s, u2 / u2s, u2s / u2, numer_a / u1, numer_b / u3, u3 / u3s]
+    if k_b:
+        rows.append(u1 * u2 / (u1s * u2s))
     gs = g(np.array(rows))
 
     # Each nonzero delay smooths its numerator and the log of it in one
@@ -441,37 +410,36 @@ def eval_V(
         gs[4] += (numer_b_smoothed - numer_b) / u3
         gs[4] += log_b - log_b_smoothed
 
+    a_now = float(w @ gs[5])
+    if advance:
+        if k_a:
+            ring.a.appendleft(a_now)
+        if k_b:
+            ring.b.appendleft(float(w @ gs[6]))
+        ring.t_now = history.t_now
     l1 = bstar / params.mu_m * float(w @ gs[0])
     l2 = u2s * float(w @ gs[1])
-    l3 = expb * u3s * (ring.a[0] if k_a else float(w @ gs[5]))
+    l3 = expb * u3s * a_now
     w1, w2 = ring.integrals()
 
-    # Dissipation terms.
-    grad1 = -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain)
-    grad2 = -(params.d_h * u2s) * gradient_energy(u2, domain)
-    grad3 = -(expb * params.d_h * u3s) * gradient_energy(u3, domain)
-    quad1 = -(params.beta_m * params.beta_h * u2s / params.mu_m) * float(
-        w @ ((u1 - u1s) ** 2 / u1 * smoothed)
+    # Dissipation terms, in TERM_NAMES order.
+    terms = (
+        -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain),
+        -(params.d_h * u2s) * gradient_energy(u2, domain),
+        -(expb * params.d_h * u3s) * gradient_energy(u3, domain),
+        -(params.beta_m * params.beta_h * u2s / params.mu_m)
+        * float(w @ ((u1 - u1s) ** 2 / u1 * smoothed)),
+        -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2)),
+        -bstar * float(w @ gs[2]),
+        -bstar * float(w @ gs[4]),
+        -bstar * float(w @ gs[3]),
     )
-    quad2 = -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2))
-    g_u2 = -bstar * float(w @ gs[2])
-    g_delay_b = -bstar * float(w @ gs[4])
-    g_delay_a = -bstar * float(w @ gs[3])
-
-    grad_terms = (grad1, grad2, grad3)
-    quad_terms = (quad1, quad2)
-    g_terms = (g_u2, g_delay_b, g_delay_a)
-    return LyapunovBreakdown(
-        V=l1 + l2 + l3 + w1 + w2,
-        L1=l1,
-        L2=l2,
-        L3=l3,
-        W1=w1,
-        W2=w2,
-        dissipation=sum(grad_terms) + sum(quad_terms) + sum(g_terms),
-        grad_terms=grad_terms,
-        g_terms=g_terms,
-        quad_terms=quad_terms,
+    # Gradient, quadratic and g terms are summed apart, then added, to keep
+    # the bits of a term-by-term evaluation.
+    dissipation = sum(terms[:3]) + sum(terms[3:5]) + sum(terms[5:])
+    return np.void(
+        (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation, math.nan),
+        RECORD_DTYPE,
     )
 
 

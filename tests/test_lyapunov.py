@@ -15,6 +15,7 @@ from dengue_rd import (
     LagIntegrals,
     SimConfig,
     TERM_NAMES,
+    basic_reproduction_number,
     certify,
     endemic_equilibrium,
     eval_V,
@@ -27,6 +28,7 @@ from dengue_rd import (
     lag_steps,
     prepare_kernels,
     run,
+    stability_dt_bound,
     step,
 )
 
@@ -41,6 +43,11 @@ def endemic_history(params, domain, dt, transform=lambda a: a):
     n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
     state = transform(constant_state(star, domain.n))
     return History.constant(state, n_lags, dt), star
+
+
+def values(row):
+    """A record row's fields as a dict, without the run-filled two_path_rel_err."""
+    return {name: row[name] for name in RECORD_DTYPE.names if name != "two_path_rel_err"}
 
 
 def test_g_zero_only_at_one():
@@ -74,13 +81,14 @@ def test_g_rejects_nonpositive_or_nonfinite(bad):
 def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     hist, star = endemic_history(delayed_params, domain, 0.05)
     ring = LagIntegrals(hist, delayed_params, star, domain)
-    bd = eval_V(hist, delayed_params, star, domain, ring=ring)
-    assert bd.V == 0.0
-    assert (bd.L1, bd.L2, bd.L3, bd.W1, bd.W2) == (0.0, 0.0, 0.0, 0.0, 0.0)
-    assert abs(bd.dissipation) < 1e-15
-    for value in bd.terms.values():
-        assert abs(value) < 1e-15
-    assert not hasattr(bd, "two_path_rel_err")  # the run's record keeps it
+    row = eval_V(hist, delayed_params, star, domain, ring=ring)
+    assert row.dtype == RECORD_DTYPE
+    assert row["V"] == 0.0
+    assert tuple(row[k] for k in ("L1", "L2", "L3", "W1", "W2")) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert abs(row["dissipation"]) < 1e-15
+    for name in TERM_NAMES:
+        assert abs(row[name]) < 1e-15
+    assert math.isnan(row["two_path_rel_err"])  # the run fills it at checkpoints
     assert ring.window_rel_err(hist) < 1e-12
     assert prepare_kernels(delayed_params, domain, 0.05).mass_defect < 1e-12
 
@@ -94,16 +102,16 @@ def test_eval_V_scaled_infectious_component(delayed_params, domain):
         return arr
 
     hist, star = endemic_history(delayed_params, domain, 0.05, scale_u3)
-    bd = eval_V(hist, delayed_params, star, domain)
+    row = eval_V(hist, delayed_params, star, domain)
     p = delayed_params
     bstar = p.beta_h * star[0] * star[1]
-    assert bd.L1 == 0.0 and bd.L2 == 0.0
-    assert bd.L3 == pytest.approx(
+    assert row["L1"] == 0.0 and row["L2"] == 0.0
+    assert row["L3"] == pytest.approx(
         math.exp(p.mu_h * p.tau_b) * star[2] * g(c) * domain.L, rel=1e-13
     )
-    assert bd.W1 == pytest.approx(bstar * p.tau_a * g(c) * domain.L, rel=1e-13)
-    assert bd.W2 == 0.0
-    assert bd.V == pytest.approx(bd.L3 + bd.W1, rel=1e-14)
+    assert row["W1"] == pytest.approx(bstar * p.tau_a * g(c) * domain.L, rel=1e-13)
+    assert row["W2"] == 0.0
+    assert row["V"] == pytest.approx(row["L3"] + row["W1"], rel=1e-14)
 
 
 def test_eval_V_terms_sum_matches(delayed_params, domain):
@@ -112,12 +120,12 @@ def test_eval_V_terms_sum_matches(delayed_params, domain):
         delayed_params, domain, 0.05,
         lambda arr: arr * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, arr.shape)),
     )
-    bd = eval_V(hist, delayed_params, star, domain)
-    assert bd.V == pytest.approx(bd.L1 + bd.L2 + bd.L3 + bd.W1 + bd.W2, rel=1e-14)
-    assert bd.dissipation == pytest.approx(
-        sum(bd.grad_terms) + sum(bd.quad_terms) + sum(bd.g_terms), rel=1e-14
+    row = eval_V(hist, delayed_params, star, domain)
+    assert row["V"] == pytest.approx(
+        row["L1"] + row["L2"] + row["L3"] + row["W1"] + row["W2"], rel=1e-14
     )
-    assert set(bd.terms) == set(TERM_NAMES)
+    assert row["dissipation"] == pytest.approx(sum(row[name] for name in TERM_NAMES), rel=1e-14)
+    assert set(TERM_NAMES) <= set(row.dtype.names)
 
 
 def test_eval_V_quadrature_consistency_under_refinement(delayed_params):
@@ -140,7 +148,7 @@ def test_eval_V_quadrature_consistency_under_refinement(delayed_params):
             lag_steps(delayed_params.tau_b, 0.05),
         )
         hist = History.constant(arr, n_lags, 0.05)
-        return eval_V(hist, delayed_params, star, dom).V
+        return eval_V(hist, delayed_params, star, dom)["V"]
 
     assert build(48) == pytest.approx(build(95), abs=1e-6)
 
@@ -176,13 +184,13 @@ def test_eval_V_two_path_agreement(delayed_params, domain):
         lambda arr: arr * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, arr.shape)),
     )
     ring = LagIntegrals(hist, delayed_params, star, domain)
-    bd = eval_V(hist, delayed_params, star, domain, ring=ring)
-    assert bd == eval_V(hist, delayed_params, star, domain)
+    row = eval_V(hist, delayed_params, star, domain, ring=ring)
+    assert values(row) == values(eval_V(hist, delayed_params, star, domain))
     assert ring.window_rel_err(hist) < 1e-12
     w1, w2 = kernel_weighted_W(hist, delayed_params, star, domain, 0.05)
-    assert bd.W1 > 0.0 and bd.W2 > 0.0
-    assert abs(bd.W1 - w1) / bd.W1 < 1e-12
-    assert abs(bd.W2 - w2) / bd.W2 < 1e-12
+    assert row["W1"] > 0.0 and row["W2"] > 0.0
+    assert abs(row["W1"] - w1) / row["W1"] < 1e-12
+    assert abs(row["W2"] - w2) / row["W2"] < 1e-12
 
 
 def test_prepare_kernels_column_mass_defect(delayed_params):
@@ -203,12 +211,13 @@ def test_prepare_kernels_column_mass_defect(delayed_params):
 
 def test_eval_V_constant_fields_have_no_gradient_terms(delayed_params, domain):
     hist, star = endemic_history(delayed_params, domain, 0.05, lambda a: 0.8 * a)
-    bd = eval_V(hist, delayed_params, star, domain)
-    assert bd.V > 0.0
-    assert max(abs(t) for t in bd.grad_terms) < 1e-24  # constant up to transform roundoff
-    for value in bd.terms.values():
-        assert value <= 1e-12
-    assert bd.dissipation <= 1e-12
+    row = eval_V(hist, delayed_params, star, domain)
+    assert row["V"] > 0.0
+    # constant up to transform roundoff
+    assert max(abs(row[name]) for name in TERM_NAMES[:3]) < 1e-24
+    for name in TERM_NAMES:
+        assert row[name] <= 1e-12
+    assert row["dissipation"] <= 1e-12
 
 
 def test_eval_V_rejects_nonpositive_history(delayed_params, domain):
@@ -471,21 +480,37 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
+    """Makes run's eval_V call corrupt(ring) right after it caches the state of step at_step.
+
+    The row of that step is already formed, so the corrupted value first
+    reaches V one step later; run's checkpoint comparison, which follows
+    eval_V, sees it at once.
+    """
+    import dengue_rd.integrator as integrator
+
+    real_eval_V = integrator.eval_V
+
+    def corrupting(history, *args, ring, **kwargs):
+        row = real_eval_V(history, *args, ring=ring, **kwargs)
+        if round(history.t_now / history.dt) == at_step:
+            assert ring.t_now == history.t_now
+            corrupt(ring)
+        return row
+
+    monkeypatch.setattr(integrator, "eval_V", corrupting)
+
+
 def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
     worked_params, domain, monkeypatch, tmp_path
 ):
-    import dengue_rd.integrator as integrator
     from dengue_rd.output import write_json
 
-    real_eval_V = integrator.eval_V
-    corrupt_step = 13  # k_a = 10, so checkpoints fall on 0, 10, 20, ...
+    # k_a = 10, so checkpoints fall on 0, 10, 20, ...
+    def shift(ring):
+        ring.a[0] += 1.0
 
-    def corrupting(history, *args, ring, **kwargs):
-        if round(history.t_now / history.dt) == corrupt_step:
-            ring.a[0] += 1.0
-        return real_eval_V(history, *args, ring=ring, **kwargs)
-
-    monkeypatch.setattr(integrator, "eval_V", corrupting)
+    corrupt_after_eval_V(monkeypatch, 13, shift)
     traj = certifying_trajectory(worked_params, domain, t_end=2.0)
     cert = certify(traj)
     assert not cert.passed and cert.two_path_ok is False
@@ -507,22 +532,18 @@ def test_certify_fails_closed_on_a_nan_lag_cache(worked_params, domain, monkeypa
     # A NaN cached value makes V NaN until it leaves the window and the
     # next checkpoint's disagreement NaN: the run fails at both places,
     # and certificate.json stays strict JSON, with null for each NaN.
-    import dengue_rd.integrator as integrator
     from dengue_rd.output import write_json
 
-    real_eval_V = integrator.eval_V
+    def poison(ring):
+        ring.a[0] = math.nan
 
-    def corrupting(history, *args, ring, **kwargs):
-        if round(history.t_now / history.dt) == 13:
-            ring.a[0] = math.nan
-        return real_eval_V(history, *args, ring=ring, **kwargs)
-
-    monkeypatch.setattr(integrator, "eval_V", corrupting)
+    corrupt_after_eval_V(monkeypatch, 13, poison)
     traj = certifying_trajectory(worked_params, domain, t_end=2.0)
     cert = certify(traj)
     assert not cert.passed and cert.v_monotone is False and cert.two_path_ok is False
     nan_steps = np.flatnonzero(np.isnan(traj.V)).tolist()
-    assert nan_steps == list(range(13, 24))  # k_a = 10: steps 13 .. 23
+    # step 13's value counts in W1 from step 14 on, and while at lag <= k_a = 10
+    assert nan_steps == list(range(14, 24))
     assert [v["step"] for v in cert.violations if v["kind"] == "nonfinite_V"] == nan_steps
     [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
     assert violation["step"] == 20 and math.isnan(violation["value"])
@@ -533,7 +554,7 @@ def test_certify_fails_closed_on_a_nan_lag_cache(worked_params, domain, monkeypa
     )
     assert doc["passed"] is False and doc["two_path_max_rel_err"] is None
     assert doc["violations"][0] == {
-        "kind": "nonfinite_V", "step": 13, "time": traj.times[13],
+        "kind": "nonfinite_V", "step": 14, "time": traj.times[14],
         "value": None, "threshold": None,
     }
 
@@ -545,18 +566,13 @@ def checkpoint_steps(traj):
 def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
     # k_a = 2, k_b = 5: a value of the shorter delay's cache weighs in W1
     # for two steps only, so the stride must be 2, not 5.
-    import dengue_rd.integrator as integrator
-
     params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)
     domain = Domain(L=1.0, n=12)
-    real_eval_V = integrator.eval_V
 
-    def corrupting(history, *args, ring, **kwargs):
-        if round(history.t_now / history.dt) == 6:
-            ring.a[0] += 1.0
-        return real_eval_V(history, *args, ring=ring, **kwargs)
+    def shift(ring):
+        ring.a[0] += 1.0
 
-    monkeypatch.setattr(integrator, "eval_V", corrupting)
+    corrupt_after_eval_V(monkeypatch, 6, shift)
     traj = certifying_trajectory(params, domain, t_end=0.75)  # 15 steps
     assert checkpoint_steps(traj) == [0, 2, 4, 6, 8, 10, 12, 14, 15]
     cert = certify(traj)
@@ -606,20 +622,41 @@ def test_ring_sized_for_the_longer_delay(worked_params):
         lag = hist.lookup_arrays(j)
         assert ring.a[j] == float(w @ g(lag[2] / star[2]))
         assert ring.b[j] == float(w @ g(lag[0] * lag[1] / (star[0] * star[1])))
-    bd = eval_V(hist, params, star, domain, ring=ring)
+    row = eval_V(hist, params, star, domain, ring=ring)
     w1, w2 = kernel_weighted_W(hist, params, star, domain, 0.05)
-    assert bd.W1 == pytest.approx(w1, rel=1e-12)
-    assert bd.W2 == pytest.approx(w2, rel=1e-12)
+    assert row["W1"] == pytest.approx(w1, rel=1e-12)
+    assert row["W2"] == pytest.approx(w2, rel=1e-12)
 
 
 def test_ring_out_of_step_with_history_is_rejected(delayed_params, domain):
+    def ring_state(ring):
+        return ring.t_now, list(ring.a), list(ring.b)
+
+    # Two appends without an evaluation between them: the ring would miss
+    # a state, so eval_V refuses and leaves the ring as it was.
+    hist, star = endemic_history(delayed_params, domain, 0.05, lambda a: 0.9 * a)
+    ring = LagIntegrals(hist, delayed_params, star, domain)
+    before = ring_state(ring)
+    hist.append(hist.latest)
+    hist.append(hist.latest)
+    with pytest.raises(ValueError, match="after every append"):
+        eval_V(hist, delayed_params, star, domain, ring=ring)
+    assert ring_state(ring) == before
+
+    # A ring one step ahead of the history is out of step too.
+    earlier = History.constant(hist.latest, hist.n_lags, 0.05, t_now=ring.t_now - 0.05)
+    with pytest.raises(ValueError, match="after every append"):
+        eval_V(earlier, delayed_params, star, domain, ring=ring)
+    assert ring_state(ring) == before
+
+    # One append: eval_V caches the new state and advances the ring.
     hist, star = endemic_history(delayed_params, domain, 0.05, lambda a: 0.9 * a)
     ring = LagIntegrals(hist, delayed_params, star, domain)
     hist.append(hist.latest)
-    with pytest.raises(ValueError, match="push"):
-        eval_V(hist, delayed_params, star, domain, ring=ring)
-    ring.push(hist)
-    assert eval_V(hist, delayed_params, star, domain, ring=ring).V > 0.0
+    assert eval_V(hist, delayed_params, star, domain, ring=ring)["V"] > 0.0
+    assert ring.t_now == hist.t_now
+    fresh = LagIntegrals(hist, delayed_params, star, domain)
+    assert ring_state(ring) == ring_state(fresh)
 
 
 def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
@@ -655,18 +692,18 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
     real_eval_V = integrator.eval_V
 
     def both(history, p, star, dom, *, ring):
-        bd = real_eval_V(history, p, star, dom, ring=ring)
-        pairs.append((bd, real_eval_V(history, p, star, dom)))
-        return bd
+        row = real_eval_V(history, p, star, dom, ring=ring)
+        pairs.append((row, real_eval_V(history, p, star, dom)))
+        return row
 
     monkeypatch.setattr(integrator, "eval_V", both)
     traj = run(config, build_initial_history(config, seed))
     assert len(pairs) == len(traj.times) == 13
     for cached, window in pairs:
         for name in ("V", "W1", "W2"):
-            a, b = getattr(cached, name), getattr(window, name)
+            a, b = cached[name], window[name]
             assert abs(a - b) <= 1e-13 * max(abs(b), 1e-300), (name, a, b)
-        assert cached.dissipation == window.dissipation
+        assert cached["dissipation"] == window["dissipation"]
     assert certify(traj).passed
 
 
@@ -713,7 +750,7 @@ def delay_windows(draw):
 @given(delay_windows())
 def test_separated_delay_terms_match_the_dense_double_integral(window):
     hist, params, star, domain = window
-    bd = eval_V(hist, params, star, domain)
+    row = eval_V(hist, params, star, domain)
     u1s, u2s, u3s = star
     bstar = params.beta_h * u1s * u2s
     cur = hist.lookup_arrays(0)
@@ -725,9 +762,9 @@ def test_separated_delay_terms_match_the_dense_double_integral(window):
     ):
         dense = -bstar * dense_delay_g_integral(d, tau, numer, denom, domain)
         if tau == 0.0:
-            assert bd.terms[term] == dense
+            assert row[term] == dense
         else:
-            assert abs(bd.terms[term] - dense) <= 1e-14 * domain.L, (term, bd.terms[term], dense)
+            assert abs(row[term] - dense) <= 1e-14 * domain.L, (term, row[term], dense)
 
 
 def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
@@ -850,12 +887,9 @@ def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, see
     star = endemic_equilibrium(params)
     ring = LagIntegrals(hist, params, star, domain)
     for _ in range(6):
-        bd = eval_V(hist, params, star, domain, ring=ring)
-        got = {**bd.terms, **{k: getattr(bd, k) for k in ("V", "L1", "L2", "L3", "W1", "W2")}}
-        got["dissipation"] = bd.dissipation
-        assert got == reference_eval_V(hist, params, star, domain)
+        row = eval_V(hist, params, star, domain, ring=ring)  # caches the stepped state
+        assert values(row) == reference_eval_V(hist, params, star, domain)
         step(hist, params, domain, 0.05)
-        ring.push(hist)
 
 
 def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
@@ -870,7 +904,7 @@ def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
     ring = LagIntegrals(hist, params, star, domain)
     for _ in range(40):  # the 6-slot ring wraps several times
         step(hist, params, domain, 0.05)
-        ring.push(hist)
+        eval_V(hist, params, star, domain, ring=ring)
     fresh = LagIntegrals(hist, params, star, domain)
     assert (list(ring.a), list(ring.b)) == (list(fresh.a), list(fresh.b))
     assert ring.window_rel_err(hist) == 0.0
@@ -909,8 +943,100 @@ def test_lag_ring_names_the_nonpositive_lag(worked_params, lag, row, name):
     with pytest.raises(ValueError, match=rf"{name} at lag {lag};"):
         LagIntegrals(hist, params, star, domain)
 
+    # A bad new state is named by eval_V's check of the current state,
+    # and never enters the ring.
     good = History([constant_state(0.9 * star, domain.n)] * 6, 0.05)
     ring = LagIntegrals(good, params, star, domain)
+    cached = (ring.t_now, list(ring.a), list(ring.b))
     good.append(bad)
-    with pytest.raises(ValueError, match=rf"{name} at lag 0;"):
-        ring.push(good)
+    with pytest.raises(ValueError, match=rf"strictly positive u{row + 1};"):
+        eval_V(good, params, star, domain, ring=ring)
+    assert (ring.t_now, list(ring.a), list(ring.b)) == cached
+
+
+# ------------------------------------------------- boundary properties
+
+
+def ring_bits(ring):
+    """The ring's time and both deques, as bytes."""
+    return ring.t_now, np.array(ring.a, dtype=float).tobytes(), np.array(ring.b, dtype=float).tobytes()
+
+
+def row_bits(row):
+    """A record row's bytes, without the run-filled two_path_rel_err (the last field)."""
+    assert RECORD_DTYPE.names[-1] == "two_path_rel_err"
+    return row.tobytes()[: -RECORD_DTYPE["two_path_rel_err"].itemsize]
+
+
+@st.composite
+def random_windows(draw):
+    """Lag counts 0 .. 5 each, n in [8, 20] and a random positive window around u*."""
+    dt = 0.05
+    k_a, k_b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
+    n = draw(st.integers(8, 20))
+    star = endemic_equilibrium(params)
+    amplitude = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = [
+        constant_state(star, n) * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (3, n)))
+        for _ in range(max(k_a, k_b) + 1)
+    ]
+    return History(window, dt), params, star, Domain(L=1.0, n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_windows(), st.integers(1, 4))
+def test_eval_V_keeps_the_ring_equal_to_a_fresh_one_at_any_lag_count(window, rounds):
+    # Zero delays included: a zero lag count caches nothing and its W is 0.
+    hist, params, star, domain = window
+    ring = LagIntegrals(hist, params, star, domain)
+    for k in range(rounds + 1):
+        if k:
+            step(hist, params, domain, hist.dt)
+        row = eval_V(hist, params, star, domain, ring=ring)
+        assert ring_bits(ring) == ring_bits(LagIntegrals(hist, params, star, domain))
+        assert row_bits(row) == row_bits(eval_V(hist, params, star, domain))
+        assert math.isnan(row["two_path_rel_err"])
+        cached = ring_bits(ring)
+        assert row_bits(eval_V(hist, params, star, domain, ring=ring)) == row_bits(row)
+        assert ring_bits(ring) == cached
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    excess=st.floats(math.log(1e-6), math.log(10.0)).map(math.exp),
+    b=st.floats(0.5, 1.3),
+    d_m=st.floats(0.2, 2.0),
+    d_h=st.floats(0.2, 2.0),
+    k_a=st.integers(0, 5),
+    k_b=st.integers(0, 5),
+    dt_fraction=st.just(1.0) | st.floats(0.01, 1.0),
+    n=st.integers(8, 20),
+    history_mode=st.sampled_from(["constant", "modulated"]),
+    amplitude=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_certify_passes_at_random_supercritical_points(
+    excess, b, d_m, d_h, k_a, k_b, dt_fraction, n, history_mode, amplitude, seed
+):
+    # R0^2 - 1 is log-uniform in [1e-6, 10], set through mu_m, to which
+    # R0^2 is inversely proportional.  For b <= 1.3 the stiffest loss
+    # rate is mu_h + beta_h A = 1 + 2 b whatever mu_m and tau_b, so the
+    # stability bound is known before the delays are: dt may sit on it.
+    base = {**WORKED, "b": b, "d_m": d_m, "d_h": d_h}
+    bound = stability_dt_bound(ModelParams(**base))
+    dt = dt_fraction * bound
+    delays = {"tau_a": k_a * dt, "tau_b": k_b * dt}
+    r0_squared = basic_reproduction_number(ModelParams(**{**base, **delays})) ** 2
+    params = ModelParams(**{**base, **delays, "mu_m": r0_squared / (1.0 + excess)})
+    assert stability_dt_bound(params) == bound
+    assert basic_reproduction_number(params) ** 2 - 1.0 == pytest.approx(excess, rel=1e-6)
+    config = SimConfig(
+        params=params, domain=Domain(L=1.0, n=n), dt=dt, t_end=30 * dt, certify=True,
+        history_mode=history_mode, perturb_amplitude=amplitude,
+    )
+    traj = run(config, build_initial_history(config, seed))
+    assert len(traj.times) == 31
+    cert = certify(traj)
+    assert cert.passed, cert.violations
