@@ -57,19 +57,29 @@ corrupted cache fails certification.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  eval_V checks the
-(3, n) state once, hands the ratio rows of L1, L2, g_u2, the two delay
-terms and the newest state's lag values to one g call, and smooths the
-numerator of each nonzero delay and its log in one heat_apply call.
+(3, n) state once, and writes every integrand into one (r, n) buffer: the
+ratio rows of L1, L2, g_u2 and the two delay terms, and the newest
+state's lag values, go through one g call; each nonzero delay smooths
+its numerator and its log in one heat_apply call; the two quadratic
+integrands fill the buffer's last free rows.  Rows that share an
+operation share the call: u / u* for the three fields, N / D for both
+delays, both quadratic rows.  One stacked product then reduces every row
+against the quadrature weights, and one gradient_energy call takes the
+whole (3, n) state.  The stacked products are the forms that equal a
+row-by-row evaluation bit for bit (see the spectral module docstring),
+and each element sees the same operations in the same order, so every
+number is bit for bit that of a term-by-term evaluation.  Sums of
+scalars run left to right from 0.0, as Python 3.11's sum does, so the
+bits do not depend on the Python version.  Only a failed check goes back
+row by row, so its message still names the field or the lag.
 eval_V is also the ring's only writer after construction: the newest
 g(u3 / u3*) integral is L3's and the ring's newest a value, and with the
 newest g(u1 u2 / (u1* u2*)) integral it enters the ring once per step.
 LagIntegrals, when built or on a checkpoint recompute, writes the ratios
 of every lag it needs from views of the history's states into one
-buffer, which it checks once and passes to g once; that is code of its
-own, so the checkpoint compares two independent paths.  Every scalar is
-still its own dot product over its own row, so the numbers are bit for
-bit those of a term-by-term evaluation, and only a failed check goes
-back row by row, so its message still names the field or the lag.
+buffer, which it checks once, passes to g once and reduces in one
+stacked product; that is code of its own, so the checkpoint compares
+two independent paths.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
 the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
@@ -81,6 +91,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import TYPE_CHECKING
@@ -129,6 +140,11 @@ RECORD_DTYPE = np.dtype([
     for name in ("V", "L1", "L2", "L3", "W1", "W2", *CHECKED_TERMS, "two_path_rel_err")
 ])
 
+# The integrand rows eval_V reduces in one call: the a and b rows are the
+# current state's per-lag values; b's row exists only when tau_b has lag
+# steps.
+_ROWS = ("L1", "L2", "a", "g_delay_a", "g_delay_b", "g_u2", "quad_u1", "quad_u2", "b")
+
 # Default certification tolerances.  The per-step slack on monotonicity is
 # relative to V at the start; the dissipation sign slack is absolute.
 DEFAULT_V_TOL = 1e-8
@@ -148,11 +164,13 @@ def g(omega):
     nonnegative down to roundoff near w = 1.
     """
     w = np.asarray(omega, dtype=float)
-    if (w <= 0.0).any() or not np.isfinite(w).all():
+    if w.size and not _all_positive(w):
         raise ValueError("g is defined for strictly positive finite arguments only")
     e = w - 1.0
     e -= np.log1p(e)
-    return float(e) if np.isscalar(omega) else e
+    if isinstance(omega, np.ndarray) or not np.isscalar(omega):  # isscalar is slow on arrays
+        return e
+    return float(e)
 
 
 @dataclass(frozen=True)
@@ -201,12 +219,24 @@ def _require_positive(name: str, values: np.ndarray) -> None:
         )
 
 
-def _theta_trapezoid(values: list[float], dt: float) -> float:
-    """Composite trapezoid of per-lag values over [-k dt, 0]."""
-    if len(values) <= 1:
+def _add_left_to_right(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn, one rounding per term.
+
+    The built-in sum does this up to Python 3.11 and compensates its
+    rounding from 3.12 on; this gives the same bits on every version,
+    including 0.0 for values that are all -0.0.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _theta_trapezoid(values: Sequence[float], k: int, dt: float) -> float:
+    """Composite trapezoid of the per-lag values 0 .. k over [-k dt, 0]."""
+    if k == 0:
         return 0.0
-    acc = 0.5 * (values[0] + values[-1]) + sum(values[1:-1])
-    return dt * acc
+    return dt * (0.5 * (values[0] + values[k]) + _add_left_to_right(islice(values, 1, k)))
 
 
 class LagIntegrals:
@@ -262,10 +292,10 @@ class LagIntegrals:
         """The a and b values of the states at lags 0 .. size - 1, newest first.
 
         The ratios of both delays are written from views of the history's
-        states into one buffer, which takes one check and one g pass; each
-        lag's integral is its own dot product.  On a failed check the
-        states are checked again one by one, oldest first, so the error
-        names the lag.
+        states into one buffer, which takes one check, one g pass and one
+        stacked product, each lag's integral equal to its own dot product.
+        On a failed check the states are checked again one by one, oldest
+        first, so the error names the lag.
         """
         delays = [k > 0 for k in (self.k_a, self.k_b)]
         if not any(delays):
@@ -287,12 +317,12 @@ class LagIntegrals:
                     _require_positive(f"u3 at lag {j}", state[2])
                 if self.k_b:
                     _require_positive(f"u1*u2 at lag {j}", state[0] * state[1])
-        per_lag = [[float(self._w @ row) for row in rows] for rows in g(ratio)]
+        per_lag = np.matmul(g(ratio)[:, :, None, :], self._w[:, None]).reshape(-1, size).tolist()
         return (per_lag[0] if self.k_a else [], per_lag[-1] if self.k_b else [])
 
     def _w_values(self, a: deque, b: deque) -> tuple[float, float]:
-        w1 = self._bstar * _theta_trapezoid(list(islice(a, self.k_a + 1)), self._dt)
-        w2 = self._bstar * _theta_trapezoid(list(islice(b, self.k_b + 1)), self._dt)
+        w1 = self._bstar * _theta_trapezoid(a, self.k_a, self._dt)
+        w2 = self._bstar * _theta_trapezoid(b, self.k_b, self._dt)
         return w1, w2
 
     def integrals(self) -> tuple[float, float]:
@@ -337,6 +367,10 @@ def eval_V(
     the integrand is exactly g(N / D).  KN for g_delay_a is quad_u1's
     smoothed field.
 
+    Each call makes one g call, one gradient_energy call on the whole
+    (3, n) state and one heat_apply call per nonzero delay, through this
+    module's names, where the benchmark's tracing counts them.
+
     The ring advances here: when it sits one step behind the history,
     the current state's per-lag values, from this call's g pass, enter
     it; when it is level, nothing does, so a repeated call leaves it as
@@ -369,7 +403,8 @@ def eval_V(
             "evaluate V after every append"
         )
     k_a, k_b = ring.k_a, ring.k_b
-    u1s, u2s, u3s = (float(v) for v in ustar)
+    star = np.asarray(ustar, dtype=float)[:, None]
+    u1s, u2s, u3s = star[:, 0].tolist()
     w = domain.trapezoid_weights
     bstar = params.beta_h * u1s * u2s
     expb = math.exp(params.mu_h * params.tau_b)
@@ -381,62 +416,84 @@ def eval_V(
     u1, u2, u3 = cur
     u3_lag_a = history.lookup_arrays(k_a)[2]
     lag_b = history.lookup_arrays(k_b)
-    numer_a = u1s * u3_lag_a / u3s
-    numer_b = lag_b[0] * lag_b[1] * (u3s / (u1s * u2s))
-    # Rows: L1, L2, g_u2, g(N / D) of g_delay_a and g_delay_b, the current
-    # state's a value (L3's integral), then its b value when tau_b has lag
-    # steps.
-    rows = [u1 / u1s, u2 / u2s, u2s / u2, numer_a / u1, numer_b / u3, u3 / u3s]
+    # The delay numerators N, over the denominators D = (u1, u3).
+    numer = np.empty((2, domain.n))
+    np.multiply(u1s, u3_lag_a, out=numer[0])
+    numer[0] /= u3s
+    np.multiply(lag_b[0], lag_b[1], out=numer[1])
+    numer[1] *= u3s / (u1s * u2s)
+
+    # One row per integrand, in _ROWS order.  The two quadratic rows hold
+    # 1.0 through g and are written after it.
+    rows = np.empty((len(_ROWS) if k_b else len(_ROWS) - 1, domain.n))
+    np.divide(cur, star, out=rows[:3])
+    np.divide(numer, cur[::2], out=rows[3:5])
+    np.divide(u2s, u2, out=rows[5])
+    rows[6:8] = 1.0
     if k_b:
-        rows.append(u1 * u2 / (u1s * u2s))
-    gs = g(np.array(rows))
+        np.multiply(u1, u2, out=rows[8])
+        rows[8] /= u1s * u2s
+    rows = g(rows)
 
     # Each nonzero delay smooths its numerator and the log of it in one
     # heat_apply call, and adds the bracket (KN - N) / D + [ln N - K ln N]
     # to its g(N / D) row; a zero delay has KN = N and a zero bracket.
     smoothed = u3_lag_a
     if k_a:
-        log_a = np.log(numer_a / u1s)
+        log_a = np.log(numer[0] / u1s)
         smoothed, log_a_smoothed = heat_apply(
             np.array((u3_lag_a, log_a)), params.d_m, params.tau_a, domain
         )
-        gs[3] += (u1s * smoothed / u3s - numer_a) / u1
-        gs[3] += log_a - log_a_smoothed
+        rows[3] += (u1s * smoothed / u3s - numer[0]) / u1
+        rows[3] += log_a - log_a_smoothed
     if k_b:
-        log_b = np.log(numer_b / u3s)
+        log_b = np.log(numer[1] / u3s)
         numer_b_smoothed, log_b_smoothed = heat_apply(
-            np.array((numer_b, log_b)), params.d_h, params.tau_b, domain
+            np.array((numer[1], log_b)), params.d_h, params.tau_b, domain
         )
-        gs[4] += (numer_b_smoothed - numer_b) / u3
-        gs[4] += log_b - log_b_smoothed
+        rows[4] += (numer_b_smoothed - numer[1]) / u3
+        rows[4] += log_b - log_b_smoothed
+    quad = rows[6:8]
+    np.subtract(cur[:2], star[:2], out=quad)
+    quad *= quad
+    quad /= cur[:2]
+    quad[0] *= smoothed
 
-    a_now = float(w @ gs[5])
+    # Every integral in one stacked call: a row times the weights is the
+    # same dot product as float(w @ row), bit for bit (spectral docstring).
+    l1_int, l2_int, a_now, delay_a, delay_b, g_u2, quad_u1, quad_u2, *b_now = (
+        np.matmul(rows[:, None, :], w[:, None]).ravel().tolist()
+    )
     if advance:
         if k_a:
             ring.a.appendleft(a_now)
         if k_b:
-            ring.b.appendleft(float(w @ gs[6]))
+            ring.b.appendleft(b_now[0])
         ring.t_now = history.t_now
-    l1 = bstar / params.mu_m * float(w @ gs[0])
-    l2 = u2s * float(w @ gs[1])
+    l1 = bstar / params.mu_m * l1_int
+    l2 = u2s * l2_int
     l3 = expb * u3s * a_now
     w1, w2 = ring.integrals()
 
+    grad_u1, grad_u2, grad_u3 = gradient_energy(cur, domain).tolist()
     # Dissipation terms, in TERM_NAMES order.
     terms = (
-        -(params.d_m * bstar / params.mu_m) * gradient_energy(u1, domain),
-        -(params.d_h * u2s) * gradient_energy(u2, domain),
-        -(expb * params.d_h * u3s) * gradient_energy(u3, domain),
-        -(params.beta_m * params.beta_h * u2s / params.mu_m)
-        * float(w @ ((u1 - u1s) ** 2 / u1 * smoothed)),
-        -params.mu_h * float(w @ ((u2 - u2s) ** 2 / u2)),
-        -bstar * float(w @ gs[2]),
-        -bstar * float(w @ gs[4]),
-        -bstar * float(w @ gs[3]),
+        -(params.d_m * bstar / params.mu_m) * grad_u1,
+        -(params.d_h * u2s) * grad_u2,
+        -(expb * params.d_h * u3s) * grad_u3,
+        -(params.beta_m * params.beta_h * u2s / params.mu_m) * quad_u1,
+        -params.mu_h * quad_u2,
+        -bstar * g_u2,
+        -bstar * delay_b,
+        -bstar * delay_a,
     )
     # Gradient, quadratic and g terms are summed apart, then added, to keep
     # the bits of a term-by-term evaluation.
-    dissipation = sum(terms[:3]) + sum(terms[3:5]) + sum(terms[5:])
+    dissipation = (
+        _add_left_to_right(terms[:3])
+        + _add_left_to_right(terms[3:5])
+        + _add_left_to_right(terms[5:])
+    )
     return np.void(
         (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation, math.nan),
         RECORD_DTYPE,

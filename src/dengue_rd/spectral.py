@@ -29,8 +29,22 @@ FFT_MIN_N points or more it runs as irfft(rfft(e) * decay) of the even
 extension e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral
 bins are the n cosine modes (Makhoul, IEEE Trans. ASSP 28, 1980).  That costs
 O(n log n) per row and never forms the n x n matrices.  Below FFT_MIN_N
-the dense matrix-vector products, one row at a time, are faster.  The
-two paths agree to about 1e-14 of sup |f|.
+dense matrix-vector products are faster.  The two paths agree to about
+1e-14 of sup |f|.
+
+Stacks keep the bits of single rows.  On small grids a product's cost is
+numpy's fixed cost per call, so a stack of r fields goes through one call
+rather than r, and it must give each row's bytes exactly.  Two stacked
+forms do: np.matmul(M, X[:, :, None]) runs the same BLAS matrix-vector
+product (gemv) per row as M.dot(x), and np.matmul(R[:, None, :],
+w[:, None]) the same dot product per row as float(w @ r).  Two forms do
+not: a matrix-matrix product (gemm) such as M.dot(X.T), and R @ w, a
+single gemv over the whole stack, both sum in another order, and they
+differed from the per-row values on nearly every draw.  Never batch the
+dense products that way: every output byte would move.  (numpy 2.4.6,
+one OpenBLAS thread, 50 random draws for each n from 8 to 255.)  On the
+FFT path a batched rfft or irfft equals per-row calls, so it keeps its
+stacks.
 
 FFT_MIN_N comes from timing the fused (3, n) heat flow of one step over
 dt = 0.005 (d = 1, L = 1, decay floor applied) both ways at n = 64, 72,
@@ -186,26 +200,34 @@ def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:
     return decay
 
 
+@lru_cache(maxsize=64)
+def _cached_heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
+    """_heat_decay(d, t, domain) for one time, computed once and read-only."""
+    decay = _heat_decay(d, t, domain)
+    decay.flags.writeable = False
+    return decay
+
+
 def _heat_rows(
     rows: Sequence[np.ndarray], decay: np.ndarray, domain: Domain
 ) -> np.ndarray:
-    """Scales the cosine modes of each grid field in rows by that row of decay, (r, n).
+    """Scales the cosine modes of each grid field in rows by its decay, (r, n).
 
-    The transform pair behind every heat flow: dense products row by row
-    below FFT_MIN_N grid points, the DCT-I through rfft at and above it.
-    rows is a sequence of r fields of length n; the result is an (r, n)
-    array.
+    The transform pair behind every heat flow: dense products below
+    FFT_MIN_N grid points, the DCT-I through rfft at and above it.  rows
+    is a sequence of r fields of length n; decay is one (n,) vector for
+    every row or an (r, n) array with a vector per row.  The result is
+    an (r, n) array.
     """
     n = domain.n
+    f = np.asarray(rows)
     if n < FFT_MIN_N:
         ops = _operators(domain)
-        # ndarray.dot reaches the same BLAS gemv as @, bit for bit, with
-        # less dispatch per call; at n = 48 the dispatch is most of it.
-        out = np.empty((len(rows), n))
-        for i, row in enumerate(rows):
-            ops.cos.dot(decay[i] * ops.fwd.dot(row), out=out[i])
-        return out
-    f = np.asarray(rows)
+        # A stacked matrix-vector product equals the per-row ndarray.dot,
+        # bit for bit (module docstring), in one call for all r rows.
+        spec = np.matmul(ops.fwd, f[:, :, None])
+        spec *= decay[..., None]
+        return np.matmul(ops.cos, spec)[:, :, 0]
     spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
     spec *= decay
     return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
@@ -216,7 +238,9 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
 
     Diagonal in the cosine basis: mode k picks up exp(-d t lam_k), so the
     semigroup property in time is exact and constants are fixed points for
-    every t.  t = 0 returns f unchanged.
+    every t.  t = 0 returns f unchanged.  The factors for each (d, t,
+    domain) are computed once and kept read-only, so a repeated flow, one
+    delay's smoothing at every certifying step, computes no exp.
 
     Args:
         f: Grid field of length n, or an (r, n) stack of fields, each of
@@ -238,9 +262,8 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return f.copy()
-    rows = f if f.ndim == 2 else f[None, :]
-    decay = np.broadcast_to(_heat_decay(d, t, domain), (len(rows), domain.n))
-    out = _heat_rows(rows, decay, domain)
+    decay = _cached_heat_decay(float(d), float(t), domain)
+    out = _heat_rows(f if f.ndim == 2 else f[None, :], decay, domain)
     return out if f.ndim == 2 else out[0]
 
 
@@ -296,22 +319,31 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     return float(np.abs(col - ops.w).max() / ops.w.max())
 
 
-def gradient_energy(f: np.ndarray, domain: Domain) -> float:
+def gradient_energy(f: np.ndarray, domain: Domain) -> float | np.ndarray:
     """Trapezoid value of the relative Fisher-type integral of |grad f|^2 / f^2.
 
     Differentiates the cosine interpolant of f, so the derivative of the
     interpolant is exact and the trapezoid rule on the smooth even
-    extension converges spectrally.
+    extension converges spectrally.  f is one grid field, which gives a
+    float, or an (r, n) stack, which gives r values in one pass, each bit
+    for bit the value of its row passed alone.
 
     Raises:
         ValueError: if f is not strictly positive everywhere.
     """
-    f = _check_field(f, domain)
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (1, 2) or f.shape[-1] != domain.n:
+        raise ValueError(
+            f"field has shape {f.shape}, expected ({domain.n},) or (r, {domain.n})"
+        )
     if f.min() <= 0.0:
         raise ValueError(
             f"gradient_energy requires a strictly positive field, min is {f.min():.6g}"
         )
     ops = _operators(domain)
-    df = ops.dcos.dot(ops.fwd.dot(f))
-    ratio = df / f
-    return float(ops.w.dot(ratio * ratio))
+    rows = f if f.ndim == 2 else f[None, :]
+    ratio = np.matmul(ops.dcos, np.matmul(ops.fwd, rows[:, :, None]))[:, :, 0]
+    ratio /= rows
+    ratio *= ratio
+    energy = np.matmul(ratio[:, None, :], ops.w[:, None]).ravel()
+    return energy if f.ndim == 2 else float(energy[0])

@@ -128,6 +128,24 @@ def test_a_stack_of_fields_diffuses_row_by_row_bit_for_bit(fft_min_n, t):
         heat_apply(rows[:, 1:], 0.8, t, domain)
 
 
+@settings(max_examples=40, deadline=None)
+@given(domain=domains(), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_stack_of_gradient_energies_equals_its_rows_bit_for_bit(domain, r, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.exp(rng.uniform(-2.0, 2.0) * rng.standard_normal((r, domain.n)))
+    got = gradient_energy(rows, domain)
+    singles = [gradient_energy(row, domain) for row in rows]
+    assert isinstance(got, np.ndarray) and got.shape == (r,)
+    assert all(type(value) is float for value in singles)
+    assert [value.hex() for value in got.tolist()] == [value.hex() for value in singles]
+    bad = rows.copy()
+    bad[-1, rng.integers(domain.n)] = 0.0
+    with pytest.raises(ValueError, match="strictly positive"):
+        gradient_energy(bad, domain)
+    with pytest.raises(ValueError, match="shape"):
+        gradient_energy(rows[:, 1:], domain)
+
+
 def test_crossover_neighbours_take_the_expected_path():
     for n, fft in ((FFT_MIN_N - 1, False), (FFT_MIN_N, True), (FFT_MIN_N + 1, True)):
         with heat_path(n, None) as use_fft:
@@ -310,6 +328,22 @@ def test_heat_decay_is_the_raw_factor_or_zero_never_subnormal(case, extra):
         assert not np.any((got > 0.0) & (got < np.finfo(float).tiny))
         assert np.all((got == 0.0) | (got >= spectral.HEAT_DECAY_FLOOR))
         assert np.array_equal(got, np.where(raw < spectral.HEAT_DECAY_FLOOR, 0.0, raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=decay_cases())
+def test_heat_apply_reads_a_cached_read_only_decay(case):
+    domain, d, t = case
+    cached = spectral._cached_heat_decay(d, t, domain)
+    assert not cached.flags.writeable
+    assert np.array_equal(cached, spectral._heat_decay(d, t, domain))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 2.0
+    f = np.linspace(1.0, 2.0, domain.n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_heat_decay", None)  # a recomputation would fail
+        got = heat_apply(f, d, t, domain)
+    assert np.array_equal(got, spectral._heat_rows(f[None, :], cached, domain)[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,10 @@ from dengue_rd import (
     step,
 )
 
+import dengue_rd.lyapunov as lyapunov
 from dengue_rd.lyapunov import CHECKED_TERMS, DEFAULT_V_TOL, FINITE_COLUMNS, RECORD_DTYPE
+
+from dengue_rd.spectral import FFT_MIN_N
 
 from conftest import WORKED, constant_state
 
@@ -76,6 +80,50 @@ def test_g_rejects_nonpositive_or_nonfinite(bad):
         g(bad)
     with pytest.raises(ValueError):
         g(np.array([1.0, bad]))
+
+
+def elementwise_g(omega):
+    """g as first written: an elementwise sign and finiteness check, then e - log1p(e)."""
+    w = np.asarray(omega, dtype=float)
+    if (w <= 0.0).any() or not np.isfinite(w).all():
+        raise ValueError("g is defined for strictly positive finite arguments only")
+    e = w - 1.0
+    e -= np.log1p(e)
+    return float(e) if np.isscalar(omega) else e
+
+
+def g_outcome(fn, omega):
+    """fn's result as (type, shape, bytes), or the error it raises.
+
+    Warnings are errors in the tests, so an argument below 2**-53, where
+    w - 1 rounds to -1 and log1p divides by zero, raises RuntimeWarning.
+    """
+    try:
+        out = fn(omega)
+    except (ValueError, RuntimeWarning) as err:
+        return type(err), str(err)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan, 1e308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats() | special_floats, max_size=7),
+    form=st.sampled_from(["float", "float64", "0-d", "list", "1-d", "2-d"]),
+)
+def test_g_behaves_as_its_elementwise_definition_on_every_input(values, form):
+    # Empty arrays included: they pass the check and give an empty result.
+    if form in ("float", "float64", "0-d"):
+        if not values:
+            return
+        omega = {"float": float, "float64": np.float64, "0-d": np.array}[form](values[0])
+    elif form == "2-d":
+        omega = np.array(values[: len(values) // 2 * 2]).reshape(2, -1)
+    else:
+        omega = values if form == "list" else np.array(values, dtype=float)
+    assert g_outcome(g, omega) == g_outcome(elementwise_g, omega)
 
 
 def test_eval_V_vanishes_at_endemic(delayed_params, domain):
@@ -827,7 +875,16 @@ def reference_eval_V(history, params, star, domain):
     def trapezoid(values):
         if len(values) <= 1:
             return 0.0
-        return dt * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))
+        interior = 0.0
+        for value in values[1:-1]:
+            interior += value
+        return dt * (0.5 * (values[0] + values[-1]) + interior)
+
+    def left_to_right(names):
+        total = 0.0
+        for name in names:
+            total += terms[name]
+        return total
 
     def delay_term(numer, smoothed, denom, nstar, d, tau):
         log_n = np.log(numer / nstar)
@@ -863,9 +920,9 @@ def reference_eval_V(history, params, star, domain):
     }
     terms["V"] = terms["L1"] + terms["L2"] + terms["L3"] + terms["W1"] + terms["W2"]
     terms["dissipation"] = (
-        sum(terms[name] for name in TERM_NAMES[:3])
-        + sum(terms[name] for name in TERM_NAMES[3:5])
-        + sum(terms[name] for name in TERM_NAMES[5:])
+        left_to_right(TERM_NAMES[:3])
+        + left_to_right(TERM_NAMES[3:5])
+        + left_to_right(TERM_NAMES[5:])
     )
     return terms
 
@@ -890,6 +947,65 @@ def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, see
         row = eval_V(hist, params, star, domain, ring=ring)  # caches the stepped state
         assert values(row) == reference_eval_V(hist, params, star, domain)
         step(hist, params, domain, 0.05)
+
+
+@st.composite
+def reference_windows(draw):
+    """Lag counts 0 .. 5 each, a small grid or one on the FFT path, and a random positive window."""
+    dt = 0.05
+    k_a, k_b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    params = ModelParams(**{
+        **WORKED,
+        "d_m": draw(st.floats(0.2, 2.0)),
+        "d_h": draw(st.floats(0.2, 2.0)),
+        "tau_a": k_a * dt,
+        "tau_b": k_b * dt,
+    })
+    n = draw(st.integers(8, 24) | st.sampled_from([FFT_MIN_N, FFT_MIN_N + 4]))
+    star = endemic_equilibrium(params)
+    amplitude = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = [
+        constant_state(star, n) * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (3, n)))
+        for _ in range(max(k_a, k_b) + 1)
+    ]
+    return History(window, dt), params, star, Domain(L=draw(st.floats(0.5, 3.0)), n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reference_windows(), st.integers(1, 3))
+def test_eval_V_matches_the_term_by_term_reference_on_random_windows(window, rounds):
+    # Both transform paths: n from 8 to 24 runs dense products, FFT_MIN_N
+    # and FFT_MIN_N + 4 (n - 1 = 259 = 7 * 37) run numpy.fft.
+    hist, params, star, domain = window
+    ring = LagIntegrals(hist, params, star, domain)
+    for k in range(rounds + 1):
+        if k:
+            step(hist, params, domain, hist.dt)
+        row = eval_V(hist, params, star, domain, ring=ring)  # caches the stepped state
+        expected = reference_eval_V(hist, params, star, domain)
+        assert {name: value.hex() for name, value in values(row).items()} == {
+            name: float(expected[name]).hex() for name in values(row)
+        }
+
+
+def test_W_adds_the_interior_left_to_right(worked_params):
+    # Compensated summation (the built-in sum from Python 3.12 on) would
+    # carry the two 1e-16 terms into 1 + 2.2e-16; left to right, each is
+    # below half an ulp of 1 and drops.
+    params = dataclasses.replace(worked_params, tau_a=0.2, tau_b=0.0)  # k_a = 4
+    domain = Domain(L=1.0, n=8)
+    star = endemic_equilibrium(params)
+    ring = LagIntegrals(History.constant(constant_state(star, 8), 4, 0.05), params, star, domain)
+    interior = [1.0, 1e-16, 1e-16]
+    assert math.fsum(interior) != 1.0
+    ring.a = deque([0.5, *interior, 0.25], maxlen=5)
+    bstar = params.beta_h * float(star[0]) * float(star[1])
+    assert ring.integrals() == (bstar * (0.05 * (0.5 * (0.5 + 0.25) + 1.0)), 0.0)
+    # The sums start from 0.0, so terms that are all -0.0 (the gradient
+    # terms of constant fields) add up to 0.0, as a term-by-term sum does.
+    assert lyapunov._add_left_to_right([-0.0, -0.0, -0.0]).hex() == (0.0).hex()
+    assert lyapunov._add_left_to_right([]).hex() == (0.0).hex()
 
 
 def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
