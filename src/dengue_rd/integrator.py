@@ -46,7 +46,7 @@ from .core import (
 )
 from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import RECORD_DTYPE, LagIntegrals, eval_V, prepare_kernels
-from .spectral import _heat_decay, _heat_rows, heat_apply
+from .spectral import _heat_decay, _heat_rows, _live_modes, heat_apply
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -122,38 +122,57 @@ class _StepPlan:
     delayed fields (u3 at lag k_a, u1 u2 at lag k_b) are smoothed by the
     kernels over tau_a and tau_b; lag_rows lists which of the two have a
     nonzero delay, with their decays in lag_decay, so a zero delay skips
-    its transform.
+    its transform.  modes and lag_modes count the live cosine modes of
+    each batch of flows (spectral._live_modes), so step never recounts
+    them.
     """
 
     k_a: int
     k_b: int
     decay: np.ndarray      # (3, n)
+    modes: int
     lag_rows: tuple[int, ...]
     lag_decay: np.ndarray  # (len(lag_rows), n)
+    lag_modes: int
 
 
 @lru_cache(maxsize=32)
 def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     kernels = ((params.d_m, params.tau_a), (params.d_h, params.tau_b))
     lag_rows = tuple(i for i, (_, tau) in enumerate(kernels) if tau > 0.0)
+    decay = np.array([_heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)])
+    lag_decay = np.array([_heat_decay(*kernels[i], domain) for i in lag_rows])
     plan = _StepPlan(
         k_a=lag_steps(params.tau_a, dt),
         k_b=lag_steps(params.tau_b, dt),
-        decay=np.array([_heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)]),
+        decay=decay,
+        modes=_live_modes(decay),
         lag_rows=lag_rows,
-        lag_decay=np.array([_heat_decay(*kernels[i], domain) for i in lag_rows]),
+        lag_decay=lag_decay,
+        lag_modes=_live_modes(lag_decay),
     )
     plan.decay.flags.writeable = plan.lag_decay.flags.writeable = False
     return plan
 
 
-def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np.ndarray:
+def step(
+    history: History,
+    params: ModelParams,
+    domain: Domain,
+    dt: float,
+    *,
+    plan: _StepPlan | None = None,
+) -> np.ndarray:
     """Advances the history by one split step and returns the new state.
 
     Equivalent to the reaction terms of infection_term_u1/u3 followed by
-    one heat_apply per component.  The decays come from a plan cached per
-    (params, domain, dt), and the two kernel averages, then the three heat
-    flows, each go to the shared transform as one batch.
+    one heat_apply per component.  The decays and their live mode counts
+    come from a plan cached per (params, domain, dt); run passes the one
+    it holds as plan, which must be _step_plan(params, domain, dt), and
+    other callers leave it out.  The two kernel averages, then the three
+    heat flows, each go to the shared transform as one batch: one pair of
+    stacked products on the dense and band paths, one rfft and one irfft
+    call on the FFT path.
 
     The new state is a (3, n) array, rows u1, u2, u3: a read-only view of
     the history's ring slot, valid until the slot is reused n_lags + 1
@@ -161,14 +180,16 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np
     """
     if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
         raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
-    plan = _step_plan(params, domain, dt)
+    if plan is None:
+        plan = _step_plan(params, domain, dt)
     state = history.lookup_arrays(0)
     u1, u2, u3 = state
     lag_b = history.lookup_arrays(plan.k_b)
     delayed = [history.lookup_arrays(plan.k_a)[2], lag_b[0] * lag_b[1]]
     rows = plan.lag_rows
     if rows:
-        for i, row in zip(rows, _heat_rows([delayed[i] for i in rows], plan.lag_decay, domain)):
+        smoothed = _heat_rows([delayed[i] for i in rows], plan.lag_decay, domain, plan.lag_modes)
+        for i, row in zip(rows, smoothed):
             delayed[i] = row
 
     # Euler substep u + dt r, formed as r * dt + u over the (3, n) array:
@@ -179,7 +200,7 @@ def step(history: History, params: ModelParams, domain: Domain, dt: float) -> np
     np.subtract(_human_infection(delayed[1], params), params.rho_h * u3, out=post[2])
     post *= dt
     post += state
-    return history.append(_heat_rows(post, plan.decay, domain))
+    return history.append(_heat_rows(post, plan.decay, domain, plan.modes))
 
 
 @dataclass
@@ -318,7 +339,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     record(0, initial.latest)
     for k in range(1, size):
-        state = step(initial, params, domain, dt)
+        state = step(initial, params, domain, dt, plan=plan)
         record(k, state)
 
     if not config.certify:

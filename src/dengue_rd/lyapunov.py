@@ -155,19 +155,34 @@ DEFAULT_TWO_PATH_TOL = 1e-8
 # V(0) exceeds this absolute level.
 EQUILIBRIUM_V_FLOOR = 1e-12
 
+# g takes w - 1 - ln w as it stands below this argument (see g).
+G_DIRECT_BELOW = 0.5
+
 
 def g(omega):
     """Volterra comparison function g(w) = w - 1 - ln w, zero only at w = 1.
 
     Accepts scalars or arrays; arguments must be strictly positive.
     Computed as e - log1p(e) with e = w - 1, which keeps the result
-    nonnegative down to roundoff near w = 1.
+    nonnegative down to roundoff near w = 1.  From G_DIRECT_BELOW = 0.5
+    up, w - 1 is exact.  Below it w - 1 rounds, and below 2**-53 it
+    rounds to -1, where log1p(-1) is -inf; there g is w - 1 - ln w as
+    written, which is finite and well-conditioned.  Those entries are
+    patched only when the minimum, which the positivity check reads
+    anyway, lies below the cutoff.  No shipped run reaches it: the
+    smallest argument of their certifying runs is 0.617.
     """
     w = np.asarray(omega, dtype=float)
-    if w.size and not _all_positive(w):
+    lo = w.min() if w.size else math.inf
+    if w.size and not (lo > 0.0 and w.max() < math.inf):  # lo is NaN if any value is
         raise ValueError("g is defined for strictly positive finite arguments only")
     e = w - 1.0
-    e -= np.log1p(e)
+    if lo < G_DIRECT_BELOW:
+        # The clamp keeps log1p finite on the entries the direct form replaces.
+        kept = e - np.log1p(np.maximum(e, G_DIRECT_BELOW - 1.0))
+        e = np.where(w < G_DIRECT_BELOW, w - 1.0 - np.log(w), kept)[()]
+    else:
+        e -= np.log1p(e)
     if isinstance(omega, np.ndarray) or not np.isscalar(omega):  # isscalar is slow on arrays
         return e
     return float(e)

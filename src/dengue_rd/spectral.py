@@ -24,13 +24,30 @@ assembled kernel matrix reproduces heat_apply to roundoff at every t.
 
 The heat flow is one transform pair, shared by heat_apply and the
 integrator's step: forward to the cosine basis, scale mode k by its
-decay, back to the grid.  That pair is exactly the DCT-I, so on grids of
-FFT_MIN_N points or more it runs as irfft(rfft(e) * decay) of the even
-extension e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral
-bins are the n cosine modes (Makhoul, IEEE Trans. ASSP 28, 1980).  That costs
-O(n log n) per row and never forms the n x n matrices.  Below FFT_MIN_N
-dense matrix-vector products are faster.  The two paths agree to about
-1e-14 of sup |f|.
+decay, back to the grid.  It runs on one of three paths, all of which
+agree to about 1e-14 of sup |f|:
+
+- dense: below FFT_MIN_N grid points, products with the n x n transform
+  matrices, which are the fastest there.
+- band: at and above FFT_MIN_N, when the flow keeps at most
+  BAND_MAX_MODES live modes.  A mode is live when its factor is at least
+  HEAT_DECAY_FLOOR (below), and the live modes are a prefix k < K,
+  because lam_k grows with k.  The flow is then the truncated cosine
+  series (Trefethen, Spectral Methods in MATLAB, 2000, ch. 8): two
+  products with one cached n x K basis cos(k pi x_j / L), forward with
+  its transpose and back with the basis itself, O(n K) per row.  The
+  modes from K on have factor 0 (below the floor, in a raw decay), so
+  leaving them out moves no bit.
+- FFT: any other flow at and above FFT_MIN_N.  The pair is exactly the
+  DCT-I, so it runs as irfft(rfft(e) * decay) of the even extension
+  e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral bins are
+  the n cosine modes (Makhoul, IEEE Trans. ASSP 28, 1980), at O(n log n)
+  per row.
+
+Neither wide path forms the n x n matrices.  On the sweep base at
+n = 1024 (d = 1) the step's flow over dt = 0.005 keeps 84 modes and the
+flow over tau_a = 0.5 keeps 9, so a plain wide step runs on the band
+path only.  The step plan and heat_apply's cache count K once per decay.
 
 Stacks keep the bits of single rows.  On small grids a product's cost is
 numpy's fixed cost per call, so a stack of r fields goes through one call
@@ -41,31 +58,50 @@ w[:, None]) the same dot product per row as float(w @ r).  Two forms do
 not: a matrix-matrix product (gemm) such as M.dot(X.T), and R @ w, a
 single gemv over the whole stack, both sum in another order, and they
 differed from the per-row values on nearly every draw.  Never batch the
-dense products that way: every output byte would move.  (numpy 2.4.6,
-one OpenBLAS thread, 50 random draws for each n from 8 to 255.)  On the
-FFT path a batched rfft or irfft equals per-row calls, so it keeps its
-stacks.
+dense or band products that way: every output byte would move.  (numpy
+2.4.6, one OpenBLAS thread, 50 random draws for each n from 8 to 255.)
+On the FFT path a batched rfft or irfft equals per-row calls, so it
+keeps its stacks.
 
 FFT_MIN_N comes from timing the fused (3, n) heat flow of one step over
-dt = 0.005 (d = 1, L = 1, decay floor applied) both ways at n = 64, 72,
-..., 448 (2-core x86-64, numpy 2.4, one OpenBLAS thread, best of 21
-repeats).  The FFT's cost depends on the factors of n - 1.  When n - 1
-has no prime factor above about 150 the FFT was level or faster from
-n = 176 on (level at 136 and 184, slower at 144 and 160), 1.35-2.3x
-faster from n = 208 to 304, and 1.6-5.4x faster above.  When n - 1 is prime,
-numpy.fft falls back to Bluestein's algorithm, and the FFT stayed slower
-up to n = 368 (2.1x slower at n = 264 and 272, level at 360 and 368).
-At n = 256 the FFT took 37 us against 72 us dense, and at n = 1024 it
-was 19x faster (122 against 2365 us).  Grids of 256 to about 370 points
-with a prime n - 1 are better served by a neighbouring n.  The constant
-stays at 256 although the smooth sizes from 208 on would gain too:
-moving it moves the bytes of every grid in between, and no shipped
-workload runs one.
+dt = 0.005 (d = 1, L = 1, decay floor applied) dense and through the FFT
+at n = 64, 72, ..., 448 (2-core x86-64, numpy 2.4, one OpenBLAS thread,
+best of 21 repeats).  The FFT's cost depends on the factors of n - 1.
+When n - 1 has no prime factor above about 150 the FFT was level or
+faster from n = 176 on (level at 136 and 184, slower at 144 and 160),
+1.35-2.3x faster from n = 208 to 304, and 1.6-5.4x faster above.  When
+n - 1 is prime, numpy.fft falls back to Bluestein's algorithm, and the
+FFT stayed slower than dense up to n = 368 (2.1x slower at n = 264 and
+272, level at 360 and 368).  At n = 256 the FFT took 37 us against
+72 us dense, and at n = 1024 it was 19x faster (122 against 2365 us).
+The constant stays at 256 although the smooth sizes from 208 on would
+gain too: moving it moves the bytes of every grid in between, and no
+shipped workload runs one.
+
+BAND_MAX_MODES comes from timing the same fused (3, n) flow on the band
+and the FFT path with K live modes, rounds interleaved, median of 9
+(same machine and settings).  Band time over FFT time:
+
+    n       K = 9    32    64    96   128   160   192
+    256        0.33  0.47  0.63  0.90  0.78  1.25  1.46
+    264        0.08  0.09  0.14  0.15  0.22  0.25  0.30
+    512        0.21  0.24  0.46  0.65  0.82  0.90  1.16
+    1024       0.22  0.26  0.48  0.68  0.88  1.12  1.58
+    2048       0.11  0.17  0.31  0.56  0.95  1.32  1.67
+
+The band was faster up to K = 128 on every grid and crossed over
+between K = 128 and 192 wherever n - 1 is smooth; one (1, n) row gave
+the same picture.  With a prime n - 1 (n = 264) the band stays well
+ahead, so Bluestein's slowdown now costs only flows of more than
+BAND_MAX_MODES live modes, where the FFT path still runs it.  Grids of
+256 to about 370 points with a prime n - 1 are better served by a
+neighbouring n only for such flows.
 
 Subnormal floor: exp(-d t lam_k) passes through the subnormal range
 (below 2.2e-308) on its way to zero, and so do its products with the
 spectrum.  Subnormal operands are slow on x86-64, and the FFT's
-butterflies carry a subnormal bin through every stage.  On the shipped
+butterflies carry a subnormal bin through every stage.  The floor also
+sets the band: K counts the factors at or above it.  On the shipped
 workloads the factor itself is subnormal for k = 120-122 of the step's
 flow over dt = 0.005 at n = 1024, k = 38 of the flow over dt = 0.05 at
 n = 64, and k = 12 of the flow over tau_a = 0.5 on every grid of more
@@ -80,10 +116,12 @@ than 100 orders of magnitude below anything the model holds (certifying
 runs keep states above 1e-10 of the box ceiling).  Every sum the term
 would have entered rounds to the same double, and the tests hold
 heat_apply, step and kernel_mass_defect bit for bit against unfloored
-factors.  On the sweep base at n = 1024
-(dt = 0.005, tau_a = 0.5) the subnormals cost about a third of a step:
-step took 285 us with the floor against 412 us without, median of 60
-interleaved repeats, faster in 58 of them, identical states.
+factors, on all three paths; _heat_rows picks the same band from a raw
+decay as from its floored form.  On the sweep base at n = 1024
+(dt = 0.005, tau_a = 0.5) the subnormals cost about a third of an
+FFT-path step: step took 285 us with the floor against 412 us without,
+median of 60 interleaved repeats, faster in 58 of them, identical
+states.
 
 Truncation caveat: the n-term kernel series is not pointwise positive
 at small times.  A unit spike at mid-grid diffused for min_resolvable_time
@@ -125,6 +163,11 @@ FFT_MIN_N = 256
 # Heat factors below this are set to exactly 0.0: far above the subnormal
 # range, and far below any half-ulp the flow can move (module docstring).
 HEAT_DECAY_FLOOR = 1e-150
+
+# On grids of FFT_MIN_N points or more, a flow with at most this many live
+# modes runs as two products against an n x K cosine basis rather than
+# through numpy.fft (module docstring).
+BAND_MAX_MODES = 128
 
 
 @dataclass(frozen=True)
@@ -200,24 +243,69 @@ def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:
     return decay
 
 
+def _live_modes(decay: np.ndarray) -> int:
+    """K, the number of leading cosine modes a flow keeps.
+
+    A mode is live when its factor is at least HEAT_DECAY_FLOOR.  The
+    factors fall with k, so the live modes are a prefix; an (r, n) decay
+    gives the longest prefix over its rows.  A raw, unfloored decay gives
+    the same K as its floored form.
+    """
+    return int(np.count_nonzero(decay >= HEAT_DECAY_FLOOR, axis=-1).max())
+
+
 @lru_cache(maxsize=64)
-def _cached_heat_decay(d: float, t: float, domain: Domain) -> np.ndarray:
-    """_heat_decay(d, t, domain) for one time, computed once and read-only."""
+def _cached_heat_flow(d: float, t: float, domain: Domain) -> tuple[np.ndarray, int]:
+    """_heat_decay(d, t, domain) for one time, read-only, and its live modes."""
     decay = _heat_decay(d, t, domain)
     decay.flags.writeable = False
-    return decay
+    return decay, _live_modes(decay)
+
+
+@dataclass(frozen=True)
+class _Band:
+    """The first K cosine modes of an n-point grid, for the band-limited flow."""
+
+    cos: np.ndarray     # cos(k pi x_j / L) for k < K, (n, K)
+    eps: np.ndarray     # end-point halving of the forward sum, (n,)
+    weight: np.ndarray  # c_k / (n - 1) for k < K, (K,)
+
+
+@lru_cache(maxsize=16)
+def _band(n: int, modes: int) -> _Band:
+    m = n - 1
+    k = np.arange(modes)
+    # cos(pi (j k mod 2m) / m): the reduced j k is exact, so the argument
+    # rounds once.  Built in place, so no temporary outgrows the basis.
+    cos = np.outer(np.arange(n, dtype=float), k)
+    np.fmod(cos, 2 * m, out=cos)
+    cos *= np.pi
+    cos /= m
+    np.cos(cos, out=cos)
+    eps = np.ones(n)
+    eps[0] = eps[-1] = 0.5
+    weight = np.where((k == 0) | (k == m), 1.0, 2.0) / m
+    for a in (cos, eps, weight):
+        a.flags.writeable = False
+    return _Band(cos=cos, eps=eps, weight=weight)
 
 
 def _heat_rows(
-    rows: Sequence[np.ndarray], decay: np.ndarray, domain: Domain
+    rows: Sequence[np.ndarray],
+    decay: np.ndarray,
+    domain: Domain,
+    modes: int | None = None,
 ) -> np.ndarray:
     """Scales the cosine modes of each grid field in rows by its decay, (r, n).
 
-    The transform pair behind every heat flow: dense products below
-    FFT_MIN_N grid points, the DCT-I through rfft at and above it.  rows
-    is a sequence of r fields of length n; decay is one (n,) vector for
-    every row or an (r, n) array with a vector per row.  The result is
-    an (r, n) array.
+    The transform pair behind every heat flow.  Below FFT_MIN_N grid
+    points it runs as dense products.  At and above it, a flow whose live
+    modes K (see _live_modes) number at most BAND_MAX_MODES runs against
+    the n x K cosine basis, and any other through rfft.  rows is a
+    sequence of r fields of length n; decay is one (n,) vector for every
+    row or an (r, n) array with a vector per row.  modes is K when the
+    caller has it cached, counted from decay otherwise.  The result is an
+    (r, n) array.
     """
     n = domain.n
     f = np.asarray(rows)
@@ -228,6 +316,13 @@ def _heat_rows(
         spec = np.matmul(ops.fwd, f[:, :, None])
         spec *= decay[..., None]
         return np.matmul(ops.cos, spec)[:, :, 0]
+    if modes is None:
+        modes = _live_modes(decay)
+    if modes <= BAND_MAX_MODES:
+        band = _band(n, modes)
+        spec = np.matmul(band.cos.T, (f * band.eps)[:, :, None])
+        spec *= (decay[..., :modes] * band.weight)[..., None]
+        return np.matmul(band.cos, spec)[:, :, 0]
     spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
     spec *= decay
     return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
@@ -262,8 +357,8 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return f.copy()
-    decay = _cached_heat_decay(float(d), float(t), domain)
-    out = _heat_rows(f if f.ndim == 2 else f[None, :], decay, domain)
+    decay, modes = _cached_heat_flow(float(d), float(t), domain)
+    out = _heat_rows(f if f.ndim == 2 else f[None, :], decay, domain, modes)
     return out if f.ndim == 2 else out[0]
 
 

@@ -1,11 +1,14 @@
-"""Property tests for the two heat-flow paths and the step plan.
+"""Property tests for the three heat-flow paths and the step plan.
 
-Grids below spectral.FFT_MIN_N run the heat flow as dense products, grids
-at or above it through numpy.fft.  Small grids are pushed onto the FFT
-path by lowering FFT_MIN_N, so both paths are exercised cheaply; the
-grids next to the real crossover are exercised as they stand.  Heat
-factors below spectral.HEAT_DECAY_FLOOR are zeroed, and the flows are
-held bit for bit against the same flows built from raw np.exp factors.
+Grids below spectral.FFT_MIN_N run the heat flow as dense products.  At
+or above it, a flow with at most spectral.BAND_MAX_MODES live modes runs
+against a cosine basis of those modes (the band path), and any other
+through numpy.fft.  Small grids are pushed onto the band or the FFT path
+by lowering FFT_MIN_N and setting BAND_MAX_MODES, so all three paths are
+exercised cheaply; the grids next to the real crossovers are exercised as
+they stand.  Heat factors below spectral.HEAT_DECAY_FLOOR are zeroed, and
+the flows are held bit for bit against the same flows built from raw
+np.exp factors.
 """
 
 import dataclasses
@@ -34,7 +37,7 @@ from dengue_rd import (
     to_grid,
     to_modal,
 )
-from dengue_rd.spectral import FFT_MIN_N
+from dengue_rd.spectral import BAND_MAX_MODES, FFT_MIN_N
 
 from conftest import WORKED, random_smooth_field
 
@@ -43,28 +46,44 @@ DT = 0.05
 grid_sizes = st.one_of(
     st.integers(8, 40), st.sampled_from([FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 65])
 )
-# None keeps the module's crossover; 8 sends every grid through the FFT.
-fft_from = st.sampled_from([None, 8])
+# None keeps the module's constants; "band" and "fft" send every flow on
+# every grid down that path.
+PATHS = (None, "band", "fft")
+heat_paths = st.sampled_from(PATHS)
+
+
+def fails(what: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the heat flow {what}")
+
+    return fail
 
 
 @contextmanager
-def heat_path(n: int, fft_min_n: int | None):
-    """Sets the crossover; on the FFT path, building dense operators fails."""
+def heat_path(n: int, path: str | None):
+    """Sets the crossovers for path; off a path, its transform fails.
+
+    Yields True when grids of n points take the dense path.  Off it,
+    building the dense matrices fails; a forced "band" path fails on
+    numpy.fft.rfft, a forced "fft" path on the band's cosine basis.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        if fft_min_n is not None:
-            mp.setattr(spectral, "FFT_MIN_N", fft_min_n)
-        use_fft = n >= spectral.FFT_MIN_N
-        if use_fft:
-            def no_dense(domain):
-                raise AssertionError("the FFT path built the dense transform matrices")
+        if path is not None:
+            mp.setattr(spectral, "FFT_MIN_N", 8)
+            mp.setattr(spectral, "BAND_MAX_MODES", n if path == "band" else 0)
+            if path == "band":
+                mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
+            else:
+                mp.setattr(spectral, "_band", fails("built a cosine band on the FFT path"))
+        dense = n < spectral.FFT_MIN_N
+        if not dense:
+            mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        yield dense
 
-            mp.setattr(spectral, "_operators", no_dense)
-        yield use_fft
 
-
-def dense_reference(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
-    """The cosine-basis heat flow, written out from the trapezoid-consistent DCT-I."""
-    n, L = domain.n, domain.L
+def cosine_flow(f: np.ndarray, decay: np.ndarray, domain: Domain) -> np.ndarray:
+    """The cosine-basis flow with per-mode factors decay, from the trapezoid-consistent DCT-I."""
+    n = domain.n
     m = n - 1
     k = np.arange(n)
     basis = np.cos(np.pi * (np.outer(k, k) % (2 * m)) / m)  # (mode, grid point)
@@ -72,7 +91,13 @@ def dense_reference(f: np.ndarray, d: float, t: float, domain: Domain) -> np.nda
     eps = np.ones(n)
     eps[0] = eps[-1] = 0.5
     a = c / m * (basis @ (eps * f))
-    return (a * np.exp(-d * t * (k * math.pi / L) ** 2)) @ basis
+    return (a * decay) @ basis
+
+
+def dense_reference(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
+    """The heat flow over d t, written out from the trapezoid-consistent DCT-I."""
+    k = np.arange(domain.n)
+    return cosine_flow(f, np.exp(-d * t * (k * math.pi / domain.L) ** 2), domain)
 
 
 @st.composite
@@ -83,14 +108,14 @@ def domains(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     domain=domains(),
-    fft_min_n=fft_from,
+    path=heat_paths,
     d=st.floats(0.01, 10.0),
     t=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_heat_apply_matches_dense_reference(domain, fft_min_n, d, t, seed):
+def test_heat_apply_matches_dense_reference(domain, path, d, t, seed):
     f = np.random.default_rng(seed).standard_normal(domain.n)
-    with heat_path(domain.n, fft_min_n):
+    with heat_path(domain.n, path):
         got = heat_apply(f, d, t, domain)
     if t == 0.0:
         assert np.array_equal(got, f) and got is not f
@@ -102,24 +127,24 @@ def test_heat_apply_matches_dense_reference(domain, fft_min_n, d, t, seed):
 @settings(max_examples=25, deadline=None)
 @given(
     domain=domains(),
-    fft_min_n=fft_from,
+    path=heat_paths,
     d=st.floats(0.01, 10.0),
     t=st.floats(0.0, 1.0),
     value=st.floats(1e-3, 1e3),
 )
-def test_constants_are_fixed_points_on_both_paths(domain, fft_min_n, d, t, value):
+def test_constants_are_fixed_points_on_both_paths(domain, path, d, t, value):
     f = np.full(domain.n, value)
-    with heat_path(domain.n, fft_min_n):
+    with heat_path(domain.n, path):
         got = heat_apply(f, d, t, domain)
     assert np.abs(got - value).max() <= 1e-13 * value
 
 
-@pytest.mark.parametrize("fft_min_n", [None, 8])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("t", [0.0, 0.1])
-def test_a_stack_of_fields_diffuses_row_by_row_bit_for_bit(fft_min_n, t):
+def test_a_stack_of_fields_diffuses_row_by_row_bit_for_bit(path, t):
     domain = Domain(L=1.0, n=24)
     rows = np.random.default_rng(5).standard_normal((3, domain.n))
-    with heat_path(domain.n, fft_min_n):
+    with heat_path(domain.n, path):
         got = heat_apply(rows, 0.8, t, domain)
         assert got.shape == rows.shape
         for row, out in zip(rows, got):
@@ -147,10 +172,59 @@ def test_a_stack_of_gradient_energies_equals_its_rows_bit_for_bit(domain, r, see
 
 
 def test_crossover_neighbours_take_the_expected_path():
-    for n, fft in ((FFT_MIN_N - 1, False), (FFT_MIN_N, True), (FFT_MIN_N + 1, True)):
-        with heat_path(n, None) as use_fft:
-            assert use_fft is fft
+    for n, dense in ((FFT_MIN_N - 1, True), (FFT_MIN_N, False), (FFT_MIN_N + 1, False)):
+        with heat_path(n, None) as on_dense:
+            assert on_dense is dense
             heat_apply(np.linspace(0.0, 1.0, n), 1.0, 0.1, Domain(L=1.0, n=n))
+
+
+@pytest.mark.parametrize("modes", [BAND_MAX_MODES, BAND_MAX_MODES + 1])
+def test_band_limit_neighbours_take_the_expected_path(modes):
+    domain = Domain(L=1.0, n=FFT_MIN_N)
+    rows = np.random.default_rng(modes).standard_normal((2, domain.n))
+    decay = np.zeros(domain.n)
+    decay[:modes] = np.linspace(1.0, spectral.HEAT_DECAY_FLOOR, modes)
+    assert spectral._live_modes(decay) == modes
+    on_band = modes <= BAND_MAX_MODES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        if on_band:
+            mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
+        else:
+            mp.setattr(spectral, "_band", fails("built a cosine band on the FFT path"))
+        counted = spectral._heat_rows(rows, decay, domain)
+        given_k = spectral._heat_rows(rows, decay, domain, modes)
+    assert np.array_equal(counted, given_k)
+    for row, got in zip(rows, counted):
+        expected = cosine_flow(row, decay, domain)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(row).max()
+
+
+@pytest.mark.parametrize("d, t", [(1.0, 0.005), (0.5, 0.005), (1.0, 0.5)])
+def test_prime_wide_grid_runs_the_band_path(d, t):
+    """n - 1 = 263 is prime, where numpy.fft would fall back to Bluestein."""
+    domain = Domain(L=1.0, n=264)
+    rows = np.random.default_rng(7).standard_normal((3, domain.n))
+    decay, modes = spectral._cached_heat_flow(d, t, domain)
+    assert modes <= BAND_MAX_MODES
+    with heat_path(domain.n, None) as dense:
+        assert not dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
+            got = heat_apply(rows, d, t, domain)
+            singles = [heat_apply(row, d, t, domain) for row in rows]
+    for row, out, single in zip(rows, got, singles):
+        assert np.array_equal(out, single)
+        assert np.abs(out - dense_reference(row, d, t, domain)).max() <= 1e-13 * np.abs(row).max()
+
+
+def test_band_basis_is_cached_and_read_only():
+    band = spectral._band(FFT_MIN_N, 9)
+    assert spectral._band(FFT_MIN_N, 9) is band
+    assert band.cos.shape == (FFT_MIN_N, 9) and band.weight.shape == (9,)
+    for array in (band.cos, band.eps, band.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,20 +290,20 @@ def model_params(draw):
 @given(
     params=model_params(),
     domain=domains(),
-    fft_min_n=fft_from,
+    path=heat_paths,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_matches_reference_step(params, domain, fft_min_n, seed):
+def test_step_matches_reference_step(params, domain, path, seed):
     rng = np.random.default_rng(seed)
     history = random_history(params, domain, rng)
-    with heat_path(domain.n, fft_min_n) as use_fft:
+    with heat_path(domain.n, path) as dense:
         for _ in range(3):
             expected = reference_step(history, params, domain)
             got = step(history, params, domain, DT)
-            if use_fft:
-                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-            else:
+            if dense:
                 assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.array_equal(history.lookup_arrays(0), got)
 
 
@@ -243,6 +317,9 @@ def test_parameter_sets_do_not_share_a_plan():
     assert (plan1.k_a, plan1.k_b, plan1.lag_rows) == (10, 2, (0, 1))
     assert (plan2.k_a, plan2.k_b, plan2.lag_rows) == (0, 2, (1,))
     assert not np.array_equal(plan1.decay[0], plan2.decay[0])
+    for plan in (plan1, plan2):
+        assert plan.modes == spectral._live_modes(plan.decay)
+        assert plan.lag_modes == spectral._live_modes(plan.lag_decay)
     assert integrator._step_plan(dataclasses.replace(p1), domain, DT) is plan1
 
     rng = np.random.default_rng(3)
@@ -267,14 +344,52 @@ def test_run_derives_lag_counts_once(monkeypatch):
     assert len(calls) == 2  # tau_a and tau_b, when the plan is built
 
 
+def test_run_looks_its_plan_up_once_and_steps_through_the_module(monkeypatch):
+    """run hands step the plan it holds, and still calls integrator.step once a step."""
+    plans, steps = [], []
+    real_plan, real_step = integrator._step_plan, integrator.step
+    monkeypatch.setattr(integrator, "_step_plan", lambda *a: plans.append(a) or real_plan(*a))
+    monkeypatch.setattr(integrator, "step", lambda *a, **kw: steps.append(kw) or real_step(*a, **kw))
+    params = ModelParams(**{**WORKED, "tau_b": 0.1})
+    domain = Domain(L=1.0, n=16)
+    config = SimConfig(params=params, domain=domain, dt=DT, t_end=0.5)
+    traj = run(config, random_history(params, domain, np.random.default_rng(0)))
+    plain = random_history(params, domain, np.random.default_rng(0))
+    assert len(plans) == 1 and len(steps) == 10
+    assert all(kw["plan"] is real_plan(params, domain, DT) for kw in steps)
+    for _ in range(10):  # the positional form looks the same plan up itself
+        real_step(plain, params, domain, DT)
+    assert np.array_equal(plain.latest, traj.final_state)
+
+
 def test_wide_run_builds_no_dense_operators():
     params = ModelParams(**{**WORKED, "tau_b": 0.1})
     domain = Domain(L=1.0, n=FFT_MIN_N)
-    with heat_path(domain.n, None) as use_fft:
-        assert use_fft
+    with heat_path(domain.n, None) as dense:
+        assert not dense
         config = SimConfig(params=params, domain=domain, dt=DT, t_end=0.25)
         traj = run(config, random_history(params, domain, np.random.default_rng(1)))
     assert np.isfinite(traj.final_state).all()
+
+
+def test_wide_simulate_runs_without_rfft_or_dense_operators():
+    """The benchmark's wide shape: every flow of a plain run at n = 1024 takes the band."""
+    params = ModelParams(**WORKED)
+    domain = Domain(L=1.0, n=1024)
+    dt = 0.005
+    plan = integrator._step_plan(params, domain, dt)
+    assert (plan.modes, plan.lag_modes) == (84, 9)
+    config = SimConfig(params=params, domain=domain, dt=dt, t_end=0.05)
+    window = np.array([smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
+        mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        traj = run(config, History(window, dt))
+    assert len(traj.times) == 11 and traj.bounds_ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "BAND_MAX_MODES", 0)
+        on_fft = run(config, History(window, dt))
+    assert np.abs(traj.final_state - on_fft.final_state).max() <= 1e-13 * 2.0
 
 
 # ------------------------------------------------------------ the decay floor
@@ -334,7 +449,9 @@ def test_heat_decay_is_the_raw_factor_or_zero_never_subnormal(case, extra):
 @given(case=decay_cases())
 def test_heat_apply_reads_a_cached_read_only_decay(case):
     domain, d, t = case
-    cached = spectral._cached_heat_decay(d, t, domain)
+    cached, modes = spectral._cached_heat_flow(d, t, domain)
+    assert spectral._cached_heat_flow(d, t, domain)[0] is cached
+    assert modes == spectral._live_modes(cached) == np.count_nonzero(cached)
     assert not cached.flags.writeable
     assert np.array_equal(cached, spectral._heat_decay(d, t, domain))
     with pytest.raises(ValueError, match="read-only"):
@@ -347,11 +464,11 @@ def test_heat_apply_reads_a_cached_read_only_decay(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=decay_cases(), fft_min_n=fft_from, seed=st.integers(0, 2**32 - 1))
-def test_floor_moves_no_bit_of_heat_apply(case, fft_min_n, seed):
+@given(case=decay_cases(), path=heat_paths, seed=st.integers(0, 2**32 - 1))
+def test_floor_moves_no_bit_of_heat_apply(case, path, seed):
     domain, d, t = case
     rows = smooth_box_rows(domain, np.random.default_rng(seed), 3)
-    with heat_path(domain.n, fft_min_n):
+    with heat_path(domain.n, path):
         got = heat_apply(rows, d, t, domain)
         raw = np.broadcast_to(raw_decay(d, t, domain), rows.shape)
         expected = np.asarray(spectral._heat_rows(rows, raw, domain))
@@ -362,16 +479,16 @@ def test_floor_moves_no_bit_of_heat_apply(case, fft_min_n, seed):
 @given(
     params=model_params(),
     domain=domains(),
-    fft_min_n=fft_from,
+    path=heat_paths,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_floor_moves_no_bit_of_step(params, domain, fft_min_n, seed):
+def test_floor_moves_no_bit_of_step(params, domain, path, seed):
     rng = np.random.default_rng(seed)
     n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
     window = np.array([smooth_box_rows(domain, rng, 3) for _ in range(n_lags + 1)])
     floored, unfloored = History(window, DT), History(window, DT)
     try:
-        with heat_path(domain.n, fft_min_n), pytest.MonkeyPatch.context() as mp:
+        with heat_path(domain.n, path), pytest.MonkeyPatch.context() as mp:
             integrator._step_plan.cache_clear()
             got = [step(floored, params, domain, DT).copy() for _ in range(3)]
             mp.setattr(integrator, "_heat_decay", raw_decay)

@@ -253,7 +253,7 @@ def run_through_states(states, strict_box=False):
         params=params, domain=domain, dt=0.05, t_end=len(states) * 0.05, strict_box=strict_box
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "step", lambda history, *_: history.append(next(pending)))
+        mp.setattr(integrator, "step", lambda history, *_, **__: history.append(next(pending)))
         return run(config, hist)
 
 

@@ -34,7 +34,13 @@ from dengue_rd import (
 )
 
 import dengue_rd.lyapunov as lyapunov
-from dengue_rd.lyapunov import CHECKED_TERMS, DEFAULT_V_TOL, FINITE_COLUMNS, RECORD_DTYPE
+from dengue_rd.lyapunov import (
+    CHECKED_TERMS,
+    DEFAULT_V_TOL,
+    FINITE_COLUMNS,
+    G_DIRECT_BELOW,
+    RECORD_DTYPE,
+)
 
 from dengue_rd.spectral import FFT_MIN_N
 
@@ -83,20 +89,23 @@ def test_g_rejects_nonpositive_or_nonfinite(bad):
 
 
 def elementwise_g(omega):
-    """g as first written: an elementwise sign and finiteness check, then e - log1p(e)."""
+    """g element by element: a sign and finiteness check, then e - log1p(e)
+    from G_DIRECT_BELOW up and w - 1 - ln w below it."""
     w = np.asarray(omega, dtype=float)
     if (w <= 0.0).any() or not np.isfinite(w).all():
         raise ValueError("g is defined for strictly positive finite arguments only")
-    e = w - 1.0
+    small = w < G_DIRECT_BELOW
+    e = np.where(small, 1.0, w) - 1.0
     e -= np.log1p(e)
-    return float(e) if np.isscalar(omega) else e
+    x = np.where(small, w, 1.0)
+    out = np.where(small, x - 1.0 - np.log(x), e)[()]
+    return float(out) if np.isscalar(omega) else out
 
 
 def g_outcome(fn, omega):
     """fn's result as (type, shape, bytes), or the error it raises.
 
-    Warnings are errors in the tests, so an argument below 2**-53, where
-    w - 1 rounds to -1 and log1p divides by zero, raises RuntimeWarning.
+    Warnings are errors in the tests, so a RuntimeWarning would fail too.
     """
     try:
         out = fn(omega)
@@ -124,6 +133,31 @@ def test_g_behaves_as_its_elementwise_definition_on_every_input(values, form):
     else:
         omega = values if form == "list" else np.array(values, dtype=float)
     assert g_outcome(g, omega) == g_outcome(elementwise_g, omega)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 5e-324, 2.0**-53, 1e-17, 0.5, 1e300]),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_g_is_finite_nonnegative_and_direct_where_that_is_well_conditioned(values):
+    w = np.array(values)
+    got = g(w)
+    assert np.isfinite(got).all() and (got >= 0.0).all()
+    for x, value in zip(values, got.tolist()):
+        assert g(x) == value
+        if x <= 0.25 or x >= 4.0:  # the direct form's terms cancel by at most 3.4x
+            direct = x - 1.0 - math.log(x)
+            assert abs(value - direct) <= 1e-14 * direct
+
+
+def test_g_near_zero_is_finite_without_warnings():
+    assert g(1e-17) == pytest.approx(1e-17 - 1.0 + 17.0 * math.log(10.0), rel=1e-15)
+    assert g(5e-324) == pytest.approx(743.4400719213812, rel=1e-15)
+    assert g(G_DIRECT_BELOW) == pytest.approx(math.log(2.0) - 0.5, rel=1e-15)
 
 
 def test_eval_V_vanishes_at_endemic(delayed_params, domain):
