@@ -49,14 +49,13 @@ from .integrator import (
     step,
 )
 from .lyapunov import (
-    Certificate,
     LagIntegrals,
     TERM_NAMES,
-    certify,
     eval_V,
     g,
     prepare_kernels,
 )
+from .certificate import Certificate, certify
 from .config import (
     ConfigError,
     SimConfig,

@@ -1,0 +1,221 @@
+"""Attractivity checks on a recorded Lyapunov trajectory, and their report.
+
+A certifying run keeps one lyapunov.RECORD_DTYPE row per step (see the
+lyapunov module).  certify checks whole columns of that record, never
+step by step, and returns a Certificate, which certificate.json holds.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import repeat
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .lyapunov import CHECKED_TERMS, RECORD_DTYPE
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .integrator import Trajectory
+
+__all__ = ["Certificate", "certify", "check_tolerances"]
+
+# The columns certify requires finite at every step, in violation order.
+FINITE_COLUMNS = ("V", *CHECKED_TERMS)
+
+# Default certification tolerances.  The per-step slack on monotonicity is
+# relative to V at the start; the dissipation sign slack is absolute.
+DEFAULT_V_TOL = 1e-8
+DEFAULT_D_TOL = 1e-12
+DEFAULT_TWO_PATH_TOL = 1e-8
+
+# A start counts as off-equilibrium, and must strictly decrease V, when
+# V(0) exceeds this absolute level.
+EQUILIBRIUM_V_FLOOR = 1e-12
+
+
+def check_tolerances(**tolerances: float) -> None:
+    """Raises ValueError unless every named tolerance is finite and >= 0.
+
+    A NaN slack would pass every comparison vacuously, and it could not
+    be written to the certificate's JSON.
+    """
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Outcome of the attractivity checks on one recorded trajectory.
+
+    two_path_max_rel_err is the worst checkpoint disagreement between the
+    cached and the recomputed W integrals; kernel_mass_max_rel_err is the
+    kernels' worst column-mass defect over the lags (None when the run
+    did not record it).
+    """
+
+    passed: bool
+    v_monotone: bool
+    dissipation_nonpositive: bool
+    v_decreased: bool | None
+    two_path_ok: bool | None
+    v_initial: float
+    v_final: float
+    two_path_max_rel_err: float | None
+    kernel_mass_max_rel_err: float | None
+    v_tol: float
+    d_tol: float
+    two_path_tol: float
+    violations: list[dict]
+    term_ranges: dict[str, tuple[float, float]]
+
+    def to_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "v_monotone": self.v_monotone,
+            "dissipation_nonpositive": self.dissipation_nonpositive,
+            "v_decreased": self.v_decreased,
+            "two_path_ok": self.two_path_ok,
+            "v_initial": self.v_initial,
+            "v_final": self.v_final,
+            "two_path_max_rel_err": self.two_path_max_rel_err,
+            "kernel_mass_max_rel_err": self.kernel_mass_max_rel_err,
+            "tolerances": {
+                "v_step_slack": self.v_tol,
+                "dissipation_sign": self.d_tol,
+                "two_path": self.two_path_tol,
+            },
+            "violations": self.violations,
+            "term_ranges": {k: list(v) for k, v in self.term_ranges.items()},
+        }
+
+
+def _violations(times: np.ndarray, kinds, steps, values, threshold: float) -> list[dict]:
+    """One violation dict per step, with its kind and value, from .tolist() values."""
+    steps = np.asarray(steps, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    rows = zip(kinds, steps.tolist(), times[steps].tolist(), values.tolist())
+    return [
+        {"kind": kind, "step": k, "time": t, "value": v, "threshold": float(threshold)}
+        for kind, k, t, v in rows
+    ]
+
+
+def certify(
+    trajectory: "Trajectory",
+    *,
+    v_tol: float = DEFAULT_V_TOL,
+    d_tol: float = DEFAULT_D_TOL,
+    two_path_tol: float = DEFAULT_TWO_PATH_TOL,
+) -> Certificate:
+    """Checks the recorded Lyapunov data for the attractivity conditions.
+
+    Asserts, with the given slacks, that (i) V never increases from one
+    step to the next by more than v_tol * max(V(0), the equilibrium
+    floor), (ii) the dissipation and
+    each of its eight terms stay below d_tol at every step, and (iii) V
+    strictly decreased over the run when the start was off equilibrium.
+    The worst checkpoint disagreement between the cached and the
+    recomputed W integrals, and the kernels' column-mass defect, must
+    each stay within two_path_tol when recorded.  A NaN or infinity in
+    a FINITE_COLUMNS column, or a NaN disagreement at a checkpoint,
+    fails its check.
+
+    Each check reads columns of trajectory.lyapunov, the record that
+    timeseries.csv prints V and dissipation from.  Violations come by
+    check, non-finite values, V increases and then positive terms, each
+    by step, the columns of one step in FINITE_COLUMNS order.
+
+    Args:
+        trajectory: A run recorded with Lyapunov evaluation enabled.
+        v_tol: Per-step monotonicity slack, relative to V(0).
+        d_tol: Absolute sign slack for dissipation terms.
+        two_path_tol: Relative agreement required of the cached W
+            integrals with the raw window, and of the kernels' column
+            mass with the quadrature weights.
+
+    Returns:
+        The certificate; passed is True only if every check holds.
+
+    Raises:
+        ValueError: on a negative or non-finite tolerance, or a trajectory
+            without Lyapunov data.
+    """
+    check_tolerances(v_tol=v_tol, d_tol=d_tol, two_path_tol=two_path_tol)
+    record = trajectory.lyapunov
+    v = record["V"]
+    if np.isnan(v).all():
+        raise ValueError("trajectory carries no Lyapunov data; rerun with certify")
+    times = trajectory.times
+
+    # One float column per field; np.nonzero runs by step, then by column.
+    table = record.view((np.float64, len(RECORD_DTYPE.names)))
+    columns = table[:, [RECORD_DTYPE.names.index(name) for name in FINITE_COLUMNS]]
+    finite = np.isfinite(columns)
+    steps, cols = np.nonzero(~finite)
+    kinds = [f"nonfinite_{FINITE_COLUMNS[c]}" for c in cols.tolist()]
+    violations = _violations(times, kinds, steps, columns[steps, cols], math.inf)
+
+    # Floor the slack so runs started at (numerical) equilibrium, where
+    # V(0) is pure roundoff, are not failed on jitter at that scale.
+    slack = v_tol * max(v[0], EQUILIBRIUM_V_FLOOR)
+    rises = np.flatnonzero(v[1:] > v[:-1] + slack)
+    violations += _violations(times, repeat("v_increase"), rises + 1, v[rises + 1] - v[rises], slack)
+
+    terms = columns[:, 1:]
+    steps, cols = np.nonzero(terms > d_tol)
+    kinds = [f"positive_{CHECKED_TERMS[c]}" for c in cols.tolist()]
+    violations += _violations(times, kinds, steps, terms[steps, cols], d_tol)
+
+    v_decreased: bool | None = None
+    if v[0] > EQUILIBRIUM_V_FLOOR:
+        v_decreased = bool(v[-1] < v[0])
+        if not v_decreased:
+            violations += _violations(times, ["v_not_decreased"], [v.size - 1], [v[-1] - v[0]], 0.0)
+
+    checkpoints = np.flatnonzero(trajectory.checkpoints)
+    two_path_ok: bool | None = None
+    max_rel = None
+    if checkpoints.size:
+        # argmax takes the first NaN, else the first of equal maxima.
+        worst_step = int(checkpoints[np.argmax(record["two_path_rel_err"][checkpoints])])
+        max_rel = float(record["two_path_rel_err"][worst_step])
+        two_path_ok = max_rel <= two_path_tol
+        if not two_path_ok:
+            violations += _violations(
+                times, ["two_path_disagreement"], [worst_step], [max_rel], two_path_tol
+            )
+
+    mass = trajectory.kernel_mass_defect
+    mass_ok = mass is None or mass <= two_path_tol
+    if not mass_ok:
+        violations += _violations(times, ["kernel_mass_defect"], [0], [mass], two_path_tol)
+
+    lows, highs = terms.min(axis=0).tolist(), terms.max(axis=0).tolist()
+    v_monotone = rises.size == 0 and bool(finite[:, 0].all())
+    dissipation_nonpositive = steps.size == 0 and bool(finite[:, 1:].all())
+    passed = (
+        v_monotone
+        and dissipation_nonpositive
+        and v_decreased is not False
+        and two_path_ok is not False
+        and mass_ok
+    )
+    return Certificate(
+        passed=passed,
+        v_monotone=v_monotone,
+        dissipation_nonpositive=dissipation_nonpositive,
+        v_decreased=v_decreased,
+        two_path_ok=two_path_ok,
+        v_initial=float(v[0]),
+        v_final=float(v[-1]),
+        two_path_max_rel_err=max_rel,
+        kernel_mass_max_rel_err=mass,
+        v_tol=v_tol,
+        d_tol=d_tol,
+        two_path_tol=two_path_tol,
+        violations=violations,
+        term_ranges=dict(zip(CHECKED_TERMS, zip(lows, highs))),
+    )

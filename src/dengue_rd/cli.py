@@ -23,7 +23,7 @@ from .config import (
 from .core import NONNEGATIVE_PARAMS, ModelParams
 from .equilibria import basic_reproduction_number, compute_equilibria, regime_classify
 from .integrator import SimulationError, run
-from .lyapunov import certify as certify_trajectory, check_tolerances
+from .certificate import certify as certify_trajectory, check_tolerances
 from .output import (
     equilibria_report,
     fmt_float,

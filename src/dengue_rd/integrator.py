@@ -45,7 +45,7 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import RECORD_DTYPE, LagIntegrals, eval_V, prepare_kernels
+from .lyapunov import RECORD_DTYPE, LagIntegrals, StateBlock, block_rows, eval_V, prepare_kernels
 from .spectral import _heat_decay, _heat_rows, _live_modes, heat_apply
 
 if TYPE_CHECKING:
@@ -247,9 +247,13 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
-    dissipation identity at every step and store the row eval_V returns.
-    eval_V reads the W integrals from a ring of per-lag values and adds
-    the new state's entry to it.  At checkpoint steps, every
+    dissipation identity at every step: each step's state goes into a
+    StateBlock, and one eval_V call evaluates the block and returns its
+    record rows when it is full, at a checkpoint of a run with a nonzero
+    delay, at the last step or at a state that is not strictly positive,
+    whose error then stops the run at its own step.  eval_V reads the W
+    integrals from a ring of per-lag values and adds the block's entries
+    to it.  At checkpoint steps, every
     min(k_a, k_b) steps (over the nonzero ones, and every step when both
     delays are zero) plus the first and the last, the row's
     two_path_rel_err compares the ring with W recomputed from the raw
@@ -281,7 +285,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
     checkpoints = np.zeros(size, dtype=bool)
-    kernels = ring = None
+    kernels = ring = block = flush_at = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
@@ -296,6 +300,10 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         # checks each cached value while it still counts in every W.
         checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
         checkpoints[-1] = True
+        block = StateBlock.empty(block_rows(domain.n), domain.n)
+        # A checkpoint reads the ring, which must then be level with the
+        # history, unless both delays are zero and it caches nothing.
+        flush_at = checkpoints if k_a or k_b else np.arange(size) == n_steps
 
     times = np.arange(size) * dt
     dist_endemic = np.full(size, np.nan)
@@ -304,11 +312,14 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     extremes = np.full((size, 3, 2), np.nan)
     comp_min, comp_max = extremes[..., 0], extremes[..., 1]
     lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
+    # Kept apart, since a block's rows can reach the record after a checkpoint in it.
+    two_path = np.full(size, np.nan)
     snapshots: list[tuple[float, np.ndarray]] = []
     bounds_ok = True
+    filled = 0
 
     def record(k: int, state: np.ndarray) -> None:
-        nonlocal bounds_ok
+        nonlocal bounds_ok, filled
         bounds = extremes[k]
         lo = state.min(axis=1, out=bounds[:, 0])
         hi = state.max(axis=1, out=bounds[:, 1])
@@ -329,9 +340,15 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 )
             bounds_ok = False
         if config.certify:
-            lyapunov[k] = eval_V(initial, params, eqs.endemic, domain, ring=ring)
+            block.put(filled, initial, k_a, k_b)
+            filled += 1
+            # A nonpositive state fails eval_V's check at its own step.
+            if filled == len(block) or flush_at[k] or not lo.min() > 0.0:
+                rows = eval_V(block[:filled], params, eqs.endemic, domain, ring=ring)
+                lyapunov[k + 1 - filled : k + 1] = rows
+                filled = 0
             if checkpoints[k]:
-                lyapunov["two_path_rel_err"][k] = ring.window_rel_err(initial)
+                two_path[k] = ring.window_rel_err(initial)
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):
@@ -342,7 +359,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         state = step(initial, params, domain, dt, plan=plan)
         record(k, state)
 
-    if not config.certify:
+    if config.certify:
+        lyapunov["two_path_rel_err"] = two_path
+    else:
         lyapunov = np.broadcast_to(lyapunov, (size,))
 
     return Trajectory(

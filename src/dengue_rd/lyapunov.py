@@ -1,4 +1,4 @@
-"""Lyapunov functional, dissipation identity and certification report.
+"""Lyapunov functional and dissipation identity, evaluated along a run.
 
 Global attractivity of the endemic state (u1*, u2*, u3*) is certified by
 the Volterra-type functional built from g(w) = w - 1 - ln w,
@@ -56,35 +56,35 @@ window and compared with the ring's values, so a stale, misaligned or
 corrupted cache fails certification.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
-call, not the arithmetic, sets the price of a step.  eval_V checks the
-(3, n) state once, and writes every integrand into one (r, n) buffer: the
-ratio rows of L1, L2, g_u2 and the two delay terms, and the newest
-state's lag values, go through one g call; each nonzero delay smooths
-its numerator and its log in one heat_apply call; the two quadratic
-integrands fill the buffer's last free rows.  Rows that share an
-operation share the call: u / u* for the three fields, N / D for both
-delays, both quadratic rows.  One stacked product then reduces every row
-against the quadrature weights, and one gradient_energy call takes the
-whole (3, n) state.  The stacked products are the forms that equal a
-row-by-row evaluation bit for bit (see the spectral module docstring),
-and each element sees the same operations in the same order, so every
-number is bit for bit that of a term-by-term evaluation.  Sums of
-scalars run left to right from 0.0, as Python 3.11's sum does, so the
-bits do not depend on the Python version.  Only a failed check goes back
-row by row, so its message still names the field or the lag.
-eval_V is also the ring's only writer after construction: the newest
-g(u3 / u3*) integral is L3's and the ring's newest a value, and with the
-newest g(u1 u2 / (u1* u2*)) integral it enters the ring once per step.
-LagIntegrals, when built or on a checkpoint recompute, writes the ratios
-of every lag it needs from views of the history's states into one
-buffer, which it checks once, passes to g once and reduces in one
-stacked product; that is code of its own, so the checkpoint compares
-two independent paths.
+call, not the arithmetic, sets the price of a step.  A certifying run
+copies what eval_V reads of each state (the (3, n) state, u3 at lag k_a,
+u1 u2 at lag k_b) into a StateBlock of B = BLOCK_CELLS // n rows, and
+evaluates it in one eval_V call when it is full, at a checkpoint that
+reads the ring, at the last step or at a state that is not strictly
+positive.  The call checks the (B, 3, n) states once and writes every
+integrand of every state into one (r, B, n) buffer: the ratio rows of
+L1, L2, g_u2 and the two delay terms, and the lag values, go through
+one g call, in place; each nonzero delay smooths its numerators and
+their logs in one heat_apply call on a (2B, n) stack; one
+gradient_energy call takes the (3B, n) stack; one stacked product
+reduces every row against the quadrature weights.  These stacked forms equal a row-by-row evaluation
+bit for bit (spectral module docstring), each element sees the same
+operations in the same order, and each state's scalar sums run left to
+right from 0.0, as Python 3.11's sum does.  So every number is that of
+a term-by-term evaluation of one state, bit for bit, whatever B and
+whatever the Python version.  Only a failed check goes back field by
+field, so its message still names the field.  eval_V is the ring's only
+writer after construction: a block's states that are newer than the
+ring enter it from the same g pass.  LagIntegrals, when built or on a
+checkpoint recompute, reads the history's states in code of its own, so
+the checkpoint compares two independent paths.  README gives the cost
+of B.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
 the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
 checkpoints).  timeseries.csv and certificate.json both read that
-buffer, and certify checks whole columns of it, never step by step.
+buffer, and certificate.certify checks whole columns of it, never step
+by step.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ import math
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import TYPE_CHECKING
+from itertools import islice
 
 import numpy as np
 
@@ -102,17 +101,13 @@ from .core import Domain, History, ModelParams, lag_steps
 from .spectral import gradient_energy, heat_apply, kernel_mass_defect
 from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .integrator import Trajectory
-
 __all__ = [
-    "Certificate",
     "LagIntegrals",
     "LyapunovKernels",
     "RECORD_DTYPE",
+    "StateBlock",
     "TERM_NAMES",
-    "certify",
-    "check_tolerances",
+    "block_rows",
     "eval_V",
     "g",
     "prepare_kernels",
@@ -129,10 +124,8 @@ TERM_NAMES = (
     "g_delay_a",
 )
 
-# The quantities certify checks for sign, and those it requires finite
-# at every step, in violation order.
+# The quantities certify checks for sign, in violation order.
 CHECKED_TERMS = (*TERM_NAMES, "dissipation")
-FINITE_COLUMNS = ("V", *CHECKED_TERMS)
 
 # One row per step of a certifying run: integrator.Trajectory.lyapunov.
 RECORD_DTYPE = np.dtype([
@@ -140,29 +133,26 @@ RECORD_DTYPE = np.dtype([
     for name in ("V", "L1", "L2", "L3", "W1", "W2", *CHECKED_TERMS, "two_path_rel_err")
 ])
 
-# The integrand rows eval_V reduces in one call: the a and b rows are the
-# current state's per-lag values; b's row exists only when tau_b has lag
-# steps.
-_ROWS = ("L1", "L2", "a", "g_delay_a", "g_delay_b", "g_u2", "quad_u1", "quad_u2", "b")
-
-# Default certification tolerances.  The per-step slack on monotonicity is
-# relative to V at the start; the dissipation sign slack is absolute.
-DEFAULT_V_TOL = 1e-8
-DEFAULT_D_TOL = 1e-12
-DEFAULT_TWO_PATH_TOL = 1e-8
-
-# A start counts as off-equilibrium, and must strictly decrease V, when
-# V(0) exceeds this absolute level.
-EQUILIBRIUM_V_FLOOR = 1e-12
+# The integrand rows eval_V reduces for each state: the a and b rows are
+# the state's per-lag values; b's row exists only when tau_b has lag
+# steps.  Every row but the last two goes through g.
+_ROWS = ("L1", "L2", "a", "g_delay_a", "g_delay_b", "g_u2", "b", "quad_u1", "quad_u2")
 
 # g takes w - 1 - ln w as it stands below this argument (see g).
 G_DIRECT_BELOW = 0.5
 
+# A certifying run evaluates its states in blocks of at most this many
+# grid values per field, B n, which bounds the memory of a block's
+# stacked pass (README gives the measurements).
+BLOCK_CELLS = 1200
 
-def g(omega):
+
+def g(omega, out=None):
     """Volterra comparison function g(w) = w - 1 - ln w, zero only at w = 1.
 
-    Accepts scalars or arrays; arguments must be strictly positive.
+    Accepts scalars or arrays; arguments must be strictly positive.  out,
+    an array of omega's shape, receives the result when given, and may be
+    omega itself.
     Computed as e - log1p(e) with e = w - 1, which keeps the result
     nonnegative down to roundoff near w = 1.  From G_DIRECT_BELOW = 0.5
     up, w - 1 is exact.  Below it w - 1 rounds, and below 2**-53 it
@@ -176,12 +166,16 @@ def g(omega):
     lo = w.min() if w.size else math.inf
     if w.size and not (lo > 0.0 and w.max() < math.inf):  # lo is NaN if any value is
         raise ValueError("g is defined for strictly positive finite arguments only")
-    e = w - 1.0
     if lo < G_DIRECT_BELOW:
+        e = w - 1.0
         # The clamp keeps log1p finite on the entries the direct form replaces.
         kept = e - np.log1p(np.maximum(e, G_DIRECT_BELOW - 1.0))
         e = np.where(w < G_DIRECT_BELOW, w - 1.0 - np.log(w), kept)[()]
+        if out is not None:
+            out[...] = e
+            e = out
     else:
+        e = np.subtract(w, 1.0, out=out)
         e -= np.log1p(e)
     if isinstance(omega, np.ndarray) or not np.isscalar(omega):  # isscalar is slow on arrays
         return e
@@ -234,9 +228,10 @@ def _require_positive(name: str, values: np.ndarray) -> None:
         )
 
 
-def _add_left_to_right(values: Iterable[float]) -> float:
+def _add_left_to_right(values: Iterable) -> float | np.ndarray:
     """0.0 plus each value in turn, one rounding per term.
 
+    The values are floats, or arrays of one shape that add elementwise.
     The built-in sum does this up to Python 3.11 and compensates its
     rounding from 3.12 on; this gives the same bits on every version,
     including 0.0 for values that are all -0.0.
@@ -254,6 +249,56 @@ def _theta_trapezoid(values: Sequence[float], k: int, dt: float) -> float:
     return dt * (0.5 * (values[0] + values[k]) + _add_left_to_right(islice(values, 1, k)))
 
 
+def _theta_trapezoids(windows: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """_theta_trapezoid of each row of a (B, k + 1) stack, bit for bit.
+
+    The interior of a row adds left to right from 0.0: np.add.accumulate
+    is sequential, where sum and np.add.reduce add pairwise.
+    """
+    interior = np.zeros((len(windows), k))
+    interior[:, 1:] = windows[:, 1:k]
+    interior_sum = np.add.accumulate(interior, axis=1)[:, -1]
+    return dt * (0.5 * (windows[:, 0] + windows[:, k]) + interior_sum)
+
+
+def block_rows(n: int) -> int:
+    """The rows B of the StateBlock a certifying run fills on an n-point grid."""
+    return max(1, BLOCK_CELLS // n)
+
+
+@dataclass(frozen=True)
+class StateBlock:
+    """Consecutive states of a certifying run, held for one eval_V pass.
+
+    Row i holds what eval_V reads of the history at its i-th state, copied
+    out because the history reuses its slots: the time t, the (3, n)
+    state, u3 at lag k_a and u1 u2 at lag k_b.  Slicing gives a block of
+    views of the rows.
+    """
+
+    t: np.ndarray      # (B,)
+    state: np.ndarray  # (B, 3, n)
+    lag_a: np.ndarray  # (B, n)
+    lag_b: np.ndarray  # (B, n)
+
+    @classmethod
+    def empty(cls, rows: int, n: int) -> StateBlock:
+        return cls(*(np.empty(shape) for shape in (rows, (rows, 3, n), (rows, n), (rows, n))))
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, rows: slice) -> StateBlock:
+        return StateBlock(self.t[rows], self.state[rows], self.lag_a[rows], self.lag_b[rows])
+
+    def put(self, i: int, history: History, k_a: int, k_b: int) -> None:
+        """Copies what eval_V reads of the history's newest state into row i."""
+        self.t[i] = history.t_now
+        self.state[i] = history.lookup_arrays(0)
+        self.lag_a[i] = history.lookup_arrays(k_a)[2]
+        np.multiply(*history.lookup_arrays(k_b)[:2], out=self.lag_b[i])
+
+
 class LagIntegrals:
     """Per-lag integrals of g over the delay window, in a ring aligned with History.
 
@@ -262,9 +307,9 @@ class LagIntegrals:
     ring has max(k_a, k_b) + 1 slots, newest first; a delay of zero
     steps caches nothing and its W is zero.  A state's values, and its
     positivity check, are computed once, when it enters the window:
-    built from the whole window here, then appended by the eval_V call
-    that follows each History.append.  t_now is the time of the newest
-    cached state.
+    built from the whole window here, then entered by the eval_V call
+    whose block holds the state.  t_now is the time of the newest cached
+    state.
 
     Raises:
         ValueError: if the history spans fewer lags than the longer
@@ -340,6 +385,34 @@ class LagIntegrals:
         w2 = self._bstar * _theta_trapezoid(b, self.k_b, self._dt)
         return w1, w2
 
+    def _enter(
+        self, t_last: float, level: int, a_new: np.ndarray, b_new: np.ndarray | None
+    ) -> list[np.ndarray]:
+        """W1 and W2 at each of B consecutive states, oldest first.
+
+        a_new and b_new hold the states' per-lag values.  The first state
+        is the ring's newest when level is 1; every other one enters the
+        ring, which then ends at t_last.
+        """
+        size = len(a_new)
+        per_delay = []
+        for cache, new, k in ((self.a, a_new, self.k_a), (self.b, b_new, self.k_b)):
+            if not k:
+                per_delay.append(np.zeros(size))
+                continue
+            fresh = new[level:]
+            chain = np.concatenate((fresh[::-1], np.fromiter(cache, float, len(cache))))
+            # Row i, newest first, starts at chain[size - 1 - i]: a
+            # read-only strided view of the new values and the ring.
+            stride = chain.itemsize
+            windows = np.lib.stride_tricks.as_strided(
+                chain[size - 1 :], (size, k + 1), (-stride, stride), writeable=False
+            )
+            per_delay.append(self._bstar * _theta_trapezoids(windows, k, self._dt))
+            cache.extendleft(fresh.tolist())
+        self.t_now = t_last
+        return per_delay
+
     def integrals(self) -> tuple[float, float]:
         """W1 and W2 from the cached per-lag values."""
         return self._w_values(self.a, self.b)
@@ -365,14 +438,14 @@ class LagIntegrals:
 
 
 def eval_V(
-    history: History,
+    history: History | StateBlock,
     params: ModelParams,
     ustar: np.ndarray,
     domain: Domain,
     *,
     ring: LagIntegrals | None = None,
-) -> np.void:
-    """Evaluates V and the dissipation identity on the current history.
+) -> np.ndarray:
+    """Evaluates V and the dissipation identity on a block of consecutive states.
 
     The delay terms use int int Gamma(x, y) g(N(y) / D(x)) dy dx =
     int [g(N / D) + (KN - N) / D + ln N - K ln N] dx, with K = Gamma(d tau)
@@ -382,93 +455,106 @@ def eval_V(
     the integrand is exactly g(N / D).  KN for g_delay_a is quad_u1's
     smoothed field.
 
-    Each call makes one g call, one gradient_energy call on the whole
-    (3, n) state and one heat_apply call per nonzero delay, through this
-    module's names, where the benchmark's tracing counts them.
+    Each call, whatever the block's length B, makes one positivity check,
+    one g call, one gradient_energy call on the (3B, n) stack of states
+    and one heat_apply call per nonzero delay, through this module's
+    names, where the benchmark's tracing counts them.  Each row is bit
+    for bit the row of its state evaluated alone (module docstring).  A
+    History is a block of one: its newest state.
 
-    The ring advances here: when it sits one step behind the history,
-    the current state's per-lag values, from this call's g pass, enter
-    it; when it is level, nothing does, so a repeated call leaves it as
-    it was.
+    The ring advances here: the states newer than the ring's newest enter
+    it, their per-lag values from this call's g pass.  The block's first
+    state must be the ring's newest or the one after it, so a repeated
+    call on a History leaves the ring as it was.
 
     Args:
-        history: Delay window whose newest entry is the current state;
-            every stored state must be strictly positive.
+        history: The states to evaluate: a StateBlock, or a History whose
+            newest entry is the current state.  Every stored state must
+            be strictly positive.
         params: Model parameters; R0 > 1 is assumed (ustar exists).
         ustar: The endemic triple (u1*, u2*, u3*).
         domain: Spatial discretisation.
-        ring: Cached per-lag integrals, at most one step behind the
-            history; built from the whole window if omitted.
+        ring: Cached per-lag integrals, level with the block's first
+            state or one step behind it; required with a StateBlock, and
+            built from the whole window of a History if omitted.
 
     Returns:
-        One RECORD_DTYPE row, with two_path_rel_err NaN; V equals
+        One RECORD_DTYPE row per state of a StateBlock, or the single row
+        of a History, with two_path_rel_err NaN; V equals
         L1 + L2 + L3 + W1 + W2 by construction.
 
     Raises:
         ValueError: on a nonpositive state or endemic triple, a history
             shorter than the delays, or a ring neither level with the
-            history nor one step behind it.
+            block's first state nor one step behind it.
     """
-    if ring is None:
-        ring = LagIntegrals(history, params, ustar, domain)
-    advance = ring.t_now + history.dt == history.t_now
-    if not advance and ring.t_now != history.t_now:
+    single = isinstance(history, History)
+    block = history
+    if single:
+        if ring is None:
+            ring = LagIntegrals(history, params, ustar, domain)
+        block = StateBlock.empty(1, history.n)
+        block.put(0, history, ring.k_a, ring.k_b)
+    t_first = float(block.t[0])
+    level = int(t_first == ring.t_now)
+    if not level and t_first != ring.t_now + ring._dt:
         raise ValueError(
-            f"lag ring is at t={ring.t_now!r}, history at t={history.t_now!r}; "
+            f"lag ring is at t={ring.t_now!r}, history at t={t_first!r}; "
             "evaluate V after every append"
         )
     k_a, k_b = ring.k_a, ring.k_b
-    star = np.asarray(ustar, dtype=float)[:, None]
-    u1s, u2s, u3s = star[:, 0].tolist()
+    star = np.asarray(ustar, dtype=float)[:, None, None]
+    u1s, u2s, u3s = star.ravel().tolist()
     w = domain.trapezoid_weights
     bstar = params.beta_h * u1s * u2s
     expb = math.exp(params.mu_h * params.tau_b)
 
-    cur = history.lookup_arrays(0)
-    if not _all_positive(cur):
+    # Arrays here run field (or integrand) first: (3, B, n) and the like.
+    cur = block.state.swapaxes(0, 1)
+    if not _all_positive(block.state):
         for name, values in zip(("u1", "u2", "u3"), cur):
             _require_positive(name, values)
+    size, n = len(block), domain.n
+    # The gradients first, while the block's other buffers do not exist yet.
+    grads = gradient_energy(block.state.reshape(-1, n), domain)
+    grad_u1, grad_u2, grad_u3 = grads.reshape(size, 3).T
     u1, u2, u3 = cur
-    u3_lag_a = history.lookup_arrays(k_a)[2]
-    lag_b = history.lookup_arrays(k_b)
     # The delay numerators N, over the denominators D = (u1, u3).
-    numer = np.empty((2, domain.n))
-    np.multiply(u1s, u3_lag_a, out=numer[0])
+    numer = np.empty((2, size, n))
+    np.multiply(u1s, block.lag_a, out=numer[0])
     numer[0] /= u3s
-    np.multiply(lag_b[0], lag_b[1], out=numer[1])
-    numer[1] *= u3s / (u1s * u2s)
+    np.multiply(block.lag_b, u3s / (u1s * u2s), out=numer[1])
 
-    # One row per integrand, in _ROWS order.  The two quadratic rows hold
-    # 1.0 through g and are written after it.
-    rows = np.empty((len(_ROWS) if k_b else len(_ROWS) - 1, domain.n))
+    # One row per integrand and state, in _ROWS order; g takes the ratio
+    # rows in place, and the two quadratic rows are written after it.
+    rows = np.empty((len(_ROWS) if k_b else len(_ROWS) - 1, size, n))
     np.divide(cur, star, out=rows[:3])
     np.divide(numer, cur[::2], out=rows[3:5])
     np.divide(u2s, u2, out=rows[5])
-    rows[6:8] = 1.0
     if k_b:
-        np.multiply(u1, u2, out=rows[8])
-        rows[8] /= u1s * u2s
-    rows = g(rows)
+        np.multiply(u1, u2, out=rows[6])
+        rows[6] /= u1s * u2s
+    g(rows[:-2], out=rows[:-2])
 
-    # Each nonzero delay smooths its numerator and the log of it in one
+    # Each nonzero delay smooths its numerators and their logs in one
     # heat_apply call, and adds the bracket (KN - N) / D + [ln N - K ln N]
-    # to its g(N / D) row; a zero delay has KN = N and a zero bracket.
-    smoothed = u3_lag_a
+    # to its g(N / D) rows; a zero delay has KN = N and a zero bracket.
+    smoothed = block.lag_a
     if k_a:
         log_a = np.log(numer[0] / u1s)
         smoothed, log_a_smoothed = heat_apply(
-            np.array((u3_lag_a, log_a)), params.d_m, params.tau_a, domain
-        )
+            np.concatenate((block.lag_a, log_a)), params.d_m, params.tau_a, domain
+        ).reshape(2, size, n)
         rows[3] += (u1s * smoothed / u3s - numer[0]) / u1
         rows[3] += log_a - log_a_smoothed
     if k_b:
         log_b = np.log(numer[1] / u3s)
         numer_b_smoothed, log_b_smoothed = heat_apply(
-            np.array((numer[1], log_b)), params.d_h, params.tau_b, domain
-        )
+            np.concatenate((numer[1], log_b)), params.d_h, params.tau_b, domain
+        ).reshape(2, size, n)
         rows[4] += (numer_b_smoothed - numer[1]) / u3
         rows[4] += log_b - log_b_smoothed
-    quad = rows[6:8]
+    quad = rows[-2:]
     np.subtract(cur[:2], star[:2], out=quad)
     quad *= quad
     quad /= cur[:2]
@@ -476,21 +562,13 @@ def eval_V(
 
     # Every integral in one stacked call: a row times the weights is the
     # same dot product as float(w @ row), bit for bit (spectral docstring).
-    l1_int, l2_int, a_now, delay_a, delay_b, g_u2, quad_u1, quad_u2, *b_now = (
-        np.matmul(rows[:, None, :], w[:, None]).ravel().tolist()
-    )
-    if advance:
-        if k_a:
-            ring.a.appendleft(a_now)
-        if k_b:
-            ring.b.appendleft(b_now[0])
-        ring.t_now = history.t_now
+    integrals = np.matmul(rows.reshape(-1, 1, n), w[:, None]).reshape(len(rows), size)
+    l1_int, l2_int, a_now, delay_a, delay_b, g_u2, *b_now, quad_u1, quad_u2 = integrals
+    w1, w2 = ring._enter(float(block.t[-1]), level, a_now, b_now[0] if k_b else None)
     l1 = bstar / params.mu_m * l1_int
     l2 = u2s * l2_int
     l3 = expb * u3s * a_now
-    w1, w2 = ring.integrals()
 
-    grad_u1, grad_u2, grad_u3 = gradient_energy(cur, domain).tolist()
     # Dissipation terms, in TERM_NAMES order.
     terms = (
         -(params.d_m * bstar / params.mu_m) * grad_u1,
@@ -509,193 +587,8 @@ def eval_V(
         + _add_left_to_right(terms[3:5])
         + _add_left_to_right(terms[5:])
     )
-    return np.void(
-        (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation, math.nan),
-        RECORD_DTYPE,
-    )
-
-
-def check_tolerances(**tolerances: float) -> None:
-    """Raises ValueError unless every named tolerance is finite and >= 0.
-
-    A NaN slack would pass every comparison vacuously, and it could not
-    be written to the certificate's JSON.
-    """
-    for name, value in tolerances.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of the attractivity checks on one recorded trajectory.
-
-    two_path_max_rel_err is the worst checkpoint disagreement between the
-    cached and the recomputed W integrals; kernel_mass_max_rel_err is the
-    kernels' worst column-mass defect over the lags (None when the run
-    did not record it).
-    """
-
-    passed: bool
-    v_monotone: bool
-    dissipation_nonpositive: bool
-    v_decreased: bool | None
-    two_path_ok: bool | None
-    v_initial: float
-    v_final: float
-    two_path_max_rel_err: float | None
-    kernel_mass_max_rel_err: float | None
-    v_tol: float
-    d_tol: float
-    two_path_tol: float
-    violations: list[dict]
-    term_ranges: dict[str, tuple[float, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "v_monotone": self.v_monotone,
-            "dissipation_nonpositive": self.dissipation_nonpositive,
-            "v_decreased": self.v_decreased,
-            "two_path_ok": self.two_path_ok,
-            "v_initial": self.v_initial,
-            "v_final": self.v_final,
-            "two_path_max_rel_err": self.two_path_max_rel_err,
-            "kernel_mass_max_rel_err": self.kernel_mass_max_rel_err,
-            "tolerances": {
-                "v_step_slack": self.v_tol,
-                "dissipation_sign": self.d_tol,
-                "two_path": self.two_path_tol,
-            },
-            "violations": self.violations,
-            "term_ranges": {k: list(v) for k, v in self.term_ranges.items()},
-        }
-
-
-def _violations(times: np.ndarray, kinds, steps, values, threshold: float) -> list[dict]:
-    """One violation dict per step, with its kind and value, from .tolist() values."""
-    steps = np.asarray(steps, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    rows = zip(kinds, steps.tolist(), times[steps].tolist(), values.tolist())
-    return [
-        {"kind": kind, "step": k, "time": t, "value": v, "threshold": float(threshold)}
-        for kind, k, t, v in rows
-    ]
-
-
-def certify(
-    trajectory: "Trajectory",
-    *,
-    v_tol: float = DEFAULT_V_TOL,
-    d_tol: float = DEFAULT_D_TOL,
-    two_path_tol: float = DEFAULT_TWO_PATH_TOL,
-) -> Certificate:
-    """Checks the recorded Lyapunov data for the attractivity conditions.
-
-    Asserts, with the given slacks, that (i) V never increases from one
-    step to the next by more than v_tol * max(V(0), the equilibrium
-    floor), (ii) the dissipation and
-    each of its eight terms stay below d_tol at every step, and (iii) V
-    strictly decreased over the run when the start was off equilibrium.
-    The worst checkpoint disagreement between the cached and the
-    recomputed W integrals, and the kernels' column-mass defect, must
-    each stay within two_path_tol when recorded.  A NaN or infinity in
-    a FINITE_COLUMNS column, or a NaN disagreement at a checkpoint,
-    fails its check.
-
-    Each check reads columns of trajectory.lyapunov, the record that
-    timeseries.csv prints V and dissipation from.  Violations come by
-    check, non-finite values, V increases and then positive terms, each
-    by step, the columns of one step in FINITE_COLUMNS order.
-
-    Args:
-        trajectory: A run recorded with Lyapunov evaluation enabled.
-        v_tol: Per-step monotonicity slack, relative to V(0).
-        d_tol: Absolute sign slack for dissipation terms.
-        two_path_tol: Relative agreement required of the cached W
-            integrals with the raw window, and of the kernels' column
-            mass with the quadrature weights.
-
-    Returns:
-        The certificate; passed is True only if every check holds.
-
-    Raises:
-        ValueError: on a negative or non-finite tolerance, or a trajectory
-            without Lyapunov data.
-    """
-    check_tolerances(v_tol=v_tol, d_tol=d_tol, two_path_tol=two_path_tol)
-    record = trajectory.lyapunov
-    v = record["V"]
-    if np.isnan(v).all():
-        raise ValueError("trajectory carries no Lyapunov data; rerun with certify")
-    times = trajectory.times
-
-    # One float column per field; np.nonzero runs by step, then by column.
-    table = record.view((np.float64, len(RECORD_DTYPE.names)))
-    columns = table[:, [RECORD_DTYPE.names.index(name) for name in FINITE_COLUMNS]]
-    finite = np.isfinite(columns)
-    steps, cols = np.nonzero(~finite)
-    kinds = [f"nonfinite_{FINITE_COLUMNS[c]}" for c in cols.tolist()]
-    violations = _violations(times, kinds, steps, columns[steps, cols], math.inf)
-
-    # Floor the slack so runs started at (numerical) equilibrium, where
-    # V(0) is pure roundoff, are not failed on jitter at that scale.
-    slack = v_tol * max(v[0], EQUILIBRIUM_V_FLOOR)
-    rises = np.flatnonzero(v[1:] > v[:-1] + slack)
-    violations += _violations(times, repeat("v_increase"), rises + 1, v[rises + 1] - v[rises], slack)
-
-    terms = columns[:, 1:]
-    steps, cols = np.nonzero(terms > d_tol)
-    kinds = [f"positive_{CHECKED_TERMS[c]}" for c in cols.tolist()]
-    violations += _violations(times, kinds, steps, terms[steps, cols], d_tol)
-
-    v_decreased: bool | None = None
-    if v[0] > EQUILIBRIUM_V_FLOOR:
-        v_decreased = bool(v[-1] < v[0])
-        if not v_decreased:
-            violations += _violations(times, ["v_not_decreased"], [v.size - 1], [v[-1] - v[0]], 0.0)
-
-    checkpoints = np.flatnonzero(trajectory.checkpoints)
-    two_path_ok: bool | None = None
-    max_rel = None
-    if checkpoints.size:
-        # argmax takes the first NaN, else the first of equal maxima.
-        worst_step = int(checkpoints[np.argmax(record["two_path_rel_err"][checkpoints])])
-        max_rel = float(record["two_path_rel_err"][worst_step])
-        two_path_ok = max_rel <= two_path_tol
-        if not two_path_ok:
-            violations += _violations(
-                times, ["two_path_disagreement"], [worst_step], [max_rel], two_path_tol
-            )
-
-    mass = trajectory.kernel_mass_defect
-    mass_ok = mass is None or mass <= two_path_tol
-    if not mass_ok:
-        violations += _violations(times, ["kernel_mass_defect"], [0], [mass], two_path_tol)
-
-    lows, highs = terms.min(axis=0).tolist(), terms.max(axis=0).tolist()
-    v_monotone = rises.size == 0 and bool(finite[:, 0].all())
-    dissipation_nonpositive = steps.size == 0 and bool(finite[:, 1:].all())
-    passed = (
-        v_monotone
-        and dissipation_nonpositive
-        and v_decreased is not False
-        and two_path_ok is not False
-        and mass_ok
-    )
-    return Certificate(
-        passed=passed,
-        v_monotone=v_monotone,
-        dissipation_nonpositive=dissipation_nonpositive,
-        v_decreased=v_decreased,
-        two_path_ok=two_path_ok,
-        v_initial=float(v[0]),
-        v_final=float(v[-1]),
-        two_path_max_rel_err=max_rel,
-        kernel_mass_max_rel_err=mass,
-        v_tol=v_tol,
-        d_tol=d_tol,
-        two_path_tol=two_path_tol,
-        violations=violations,
-        term_ranges=dict(zip(CHECKED_TERMS, zip(lows, highs))),
-    )
+    out = np.empty(size, RECORD_DTYPE)
+    columns = (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation, math.nan)
+    for name, column in zip(RECORD_DTYPE.names, columns):
+        out[name] = column
+    return out[0] if single else out

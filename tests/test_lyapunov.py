@@ -3,10 +3,11 @@ import json
 import math
 from collections import deque
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dengue_rd import (
@@ -34,13 +35,8 @@ from dengue_rd import (
 )
 
 import dengue_rd.lyapunov as lyapunov
-from dengue_rd.lyapunov import (
-    CHECKED_TERMS,
-    DEFAULT_V_TOL,
-    FINITE_COLUMNS,
-    G_DIRECT_BELOW,
-    RECORD_DTYPE,
-)
+from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS
+from dengue_rd.lyapunov import CHECKED_TERMS, G_DIRECT_BELOW, RECORD_DTYPE
 
 from dengue_rd.spectral import FFT_MIN_N
 
@@ -562,23 +558,30 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
+def corrupt_after_eval_V(monkeypatch, at_step, corrupt, dt=0.05):
     """Makes run's eval_V call corrupt(ring) right after it caches the state of step at_step.
 
-    The row of that step is already formed, so the corrupted value first
-    reaches V one step later; run's checkpoint comparison, which follows
-    eval_V, sees it at once.
+    The block that holds step at_step is evaluated in two calls, split
+    after that step, with corrupt(ring) between them.  The row of that
+    step is already formed, so the corrupted value first reaches V one
+    step later; run's checkpoint comparison, which follows eval_V, sees
+    it at once.
     """
     import dengue_rd.integrator as integrator
 
     real_eval_V = integrator.eval_V
 
-    def corrupting(history, *args, ring, **kwargs):
-        row = real_eval_V(history, *args, ring=ring, **kwargs)
-        if round(history.t_now / history.dt) == at_step:
-            assert ring.t_now == history.t_now
-            corrupt(ring)
-        return row
+    def corrupting(block, *args, ring, **kwargs):
+        steps = np.rint(block.t / dt).astype(int).tolist()
+        if at_step not in steps:
+            return real_eval_V(block, *args, ring=ring, **kwargs)
+        cut = steps.index(at_step) + 1
+        rows = [real_eval_V(block[:cut], *args, ring=ring, **kwargs)]
+        assert ring.t_now == block.t[cut - 1]
+        corrupt(ring)
+        if cut < len(block):
+            rows.append(real_eval_V(block[cut:], *args, ring=ring, **kwargs))
+        return np.concatenate(rows)
 
     monkeypatch.setattr(integrator, "eval_V", corrupting)
 
@@ -770,16 +773,28 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
         params=params, domain=domain, dt=dt, t_end=0.6, certify=True,
         history_mode="modulated",
     )
+    hist = build_initial_history(config, seed)
+    # Every state of the run, oldest first, from the history's first lag on.
+    states = [hist.lookup(j) for j in range(hist.n_lags, -1, -1)]
     pairs = []
-    real_eval_V = integrator.eval_V
+    real_eval_V, real_step = integrator.eval_V, integrator.step
 
-    def both(history, p, star, dom, *, ring):
-        row = real_eval_V(history, p, star, dom, ring=ring)
-        pairs.append((row, real_eval_V(history, p, star, dom)))
-        return row
+    def keep(*args, **kwargs):
+        state = real_step(*args, **kwargs)
+        states.append(state.copy())
+        return state
 
+    def both(block, p, star, dom, *, ring):
+        rows = real_eval_V(block, p, star, dom, ring=ring)
+        for row, t in zip(rows, block.t.tolist()):
+            s = round(t / dt)
+            window = History(states[s : s + hist.n_lags + 1], dt, t_now=t)
+            pairs.append((row, real_eval_V(window, p, star, dom)))
+        return rows
+
+    monkeypatch.setattr(integrator, "step", keep)
     monkeypatch.setattr(integrator, "eval_V", both)
-    traj = run(config, build_initial_history(config, seed))
+    traj = run(config, hist)
     assert len(pairs) == len(traj.times) == 13
     for cached, window in pairs:
         for name in ("V", "W1", "W2"):
@@ -1030,16 +1045,34 @@ def test_W_adds_the_interior_left_to_right(worked_params):
     params = dataclasses.replace(worked_params, tau_a=0.2, tau_b=0.0)  # k_a = 4
     domain = Domain(L=1.0, n=8)
     star = endemic_equilibrium(params)
-    ring = LagIntegrals(History.constant(constant_state(star, 8), 4, 0.05), params, star, domain)
+    hist = History.constant(constant_state(star, 8), 4, 0.05)
+    ring = LagIntegrals(hist, params, star, domain)
     interior = [1.0, 1e-16, 1e-16]
     assert math.fsum(interior) != 1.0
     ring.a = deque([0.5, *interior, 0.25], maxlen=5)
     bstar = params.beta_h * float(star[0]) * float(star[1])
-    assert ring.integrals() == (bstar * (0.05 * (0.5 * (0.5 + 0.25) + 1.0)), 0.0)
+    expected = bstar * (0.05 * (0.5 * (0.5 + 0.25) + 1.0))
+    assert ring.integrals() == (expected, 0.0)
+    # The block path: a state level with the ring reads its W1 from the
+    # same window, and each row of a stack of windows adds the same way.
+    block = lyapunov.StateBlock.empty(1, domain.n)
+    block.put(0, hist, ring.k_a, ring.k_b)
+    assert eval_V(block, params, star, domain, ring=ring)["W1"].tolist() == [expected]
+    windows = np.array([[0.5, *interior, 0.25], [0.25, 1e-16, 1.0, 1e-16, 0.5], [-0.0] * 5])
+    theta = lyapunov._theta_trapezoids(windows, 4, 0.05).tolist()
+    assert [v.hex() for v in theta] == [
+        (0.05 * (0.5 * 0.75 + 1.0)).hex(), (0.05 * (0.5 * 0.75 + 1.0)).hex(), (0.0).hex(),
+    ]
+    # Past eight values numpy's sum runs in eight lanes, which would keep them.
+    long_window = np.array([[0.5, 1.0, *[1e-16] * 18, 0.25]])
+    assert lyapunov._theta_trapezoids(long_window, 20, 0.05).tolist() == [0.05 * (0.5 * 0.75 + 1.0)]
     # The sums start from 0.0, so terms that are all -0.0 (the gradient
-    # terms of constant fields) add up to 0.0, as a term-by-term sum does.
+    # terms of constant fields) add up to 0.0, as a term-by-term sum does,
+    # alone or as the rows of a block.
     assert lyapunov._add_left_to_right([-0.0, -0.0, -0.0]).hex() == (0.0).hex()
     assert lyapunov._add_left_to_right([]).hex() == (0.0).hex()
+    column = lyapunov._add_left_to_right([np.array([-0.0, 1.0])] * 3)
+    assert [v.hex() for v in column.tolist()] == [(0.0).hex(), (3.0).hex()]
 
 
 def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
@@ -1190,3 +1223,72 @@ def test_certify_passes_at_random_supercritical_points(
     assert len(traj.times) == 31
     cert = certify(traj)
     assert cert.passed, cert.violations
+
+
+def certifying_record(config, seed, block_cells=None):
+    """The run's Lyapunov record, with lyapunov.BLOCK_CELLS patched when given."""
+    cells = lyapunov.BLOCK_CELLS if block_cells is None else block_cells
+    with mock.patch.object(lyapunov, "BLOCK_CELLS", cells):
+        return run(config, build_initial_history(config, seed)).lyapunov
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    k_a=st.integers(0, 6),
+    k_b=st.integers(0, 6),
+    n=st.integers(8, 24),
+    rows=st.integers(2, 5),
+    blocks=st.integers(0, 4),
+    rest=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(k_a=0, k_b=0, n=8, rows=3, blocks=2, rest=1, seed=1)
+@example(k_a=6, k_b=3, n=256, rows=4, blocks=2, rest=3, seed=2)
+@example(k_a=60, k_b=0, n=48, rows=2, blocks=65, rest=1, seed=3)  # default blocks fill
+def test_blocks_give_the_bytes_of_one_state_at_a_time(k_a, k_b, n, rows, blocks, rest, seed):
+    # The record, two_path_rel_err included, is the same with one state
+    # per eval_V call, with blocks of a few states and at the default
+    # bound.  Blocks end when full, at checkpoints (every min(k_a, k_b)
+    # steps over the nonzero ones) and at the last step, which the step
+    # count puts inside a block.
+    dt = 0.05 if k_a < 10 else 0.005
+    params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
+    steps = blocks * rows + min(rest, rows - 1)
+    config = SimConfig(
+        params=params, domain=Domain(L=1.0, n=n), dt=dt, t_end=steps * dt, certify=True,
+        history_mode="modulated",
+    )
+    one = certifying_record(config, seed, block_cells=1)
+    assert len(one) == steps + 1
+    assert certifying_record(config, seed).tobytes() == one.tobytes()
+    few = certifying_record(config, seed, block_cells=rows * n)
+    assert few.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("at_step", [1, 7, 30])
+def test_a_nonpositive_state_stops_the_run_at_its_step(worked_params, monkeypatch, at_step):
+    # Checkpoints every k_a = 40 steps, and at n = 48 full blocks end
+    # before them: the state of step at_step, with one zero of u1, is
+    # still evaluated before step runs again.
+    import dengue_rd.integrator as integrator
+
+    real_step = integrator.step
+    calls = 0
+
+    def zero_u1_at(history, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls < at_step:
+            return real_step(history, *args, **kwargs)
+        state = history.latest
+        state[0, 3] = 0.0
+        return history.append(state)
+
+    monkeypatch.setattr(integrator, "step", zero_u1_at)
+    domain = Domain(L=1.0, n=48)
+    assert 1 < lyapunov.block_rows(domain.n) < 40
+    params = dataclasses.replace(worked_params, tau_a=2.0)
+    config = SimConfig(params=params, domain=domain, dt=0.05, t_end=5.0, certify=True)
+    with pytest.raises(ValueError, match="strictly positive u1; min value is 0$"):
+        run(config, build_initial_history(config, 1))
+    assert calls == at_step
