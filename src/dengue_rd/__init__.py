@@ -49,7 +49,6 @@ from .integrator import (
     step,
 )
 from .lyapunov import (
-    LagIntegrals,
     TERM_NAMES,
     eval_V,
     g,
@@ -75,7 +74,6 @@ __all__ = [
     "EquilibriumSet",
     "History",
     "HistoryValidation",
-    "LagIntegrals",
     "ModelParams",
     "SimConfig",
     "SimulationError",

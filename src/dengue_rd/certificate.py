@@ -51,7 +51,7 @@ class Certificate:
     """Outcome of the attractivity checks on one recorded trajectory.
 
     two_path_max_rel_err is the worst checkpoint disagreement between the
-    cached and the recomputed W integrals; kernel_mass_max_rel_err is the
+    recorded and the recomputed W integrals; kernel_mass_max_rel_err is the
     kernels' worst column-mass defect over the lags (None when the run
     did not record it).
     """
@@ -117,7 +117,7 @@ def certify(
     floor), (ii) the dissipation and
     each of its eight terms stay below d_tol at every step, and (iii) V
     strictly decreased over the run when the start was off equilibrium.
-    The worst checkpoint disagreement between the cached and the
+    The worst checkpoint disagreement between the recorded and the
     recomputed W integrals, and the kernels' column-mass defect, must
     each stay within two_path_tol when recorded.  A NaN or infinity in
     a FINITE_COLUMNS column, or a NaN disagreement at a checkpoint,
@@ -132,7 +132,7 @@ def certify(
         trajectory: A run recorded with Lyapunov evaluation enabled.
         v_tol: Per-step monotonicity slack, relative to V(0).
         d_tol: Absolute sign slack for dissipation terms.
-        two_path_tol: Relative agreement required of the cached W
+        two_path_tol: Relative agreement required of the recorded W
             integrals with the raw window, and of the kernels' column
             mass with the quadrature weights.
 

@@ -45,7 +45,8 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import RECORD_DTYPE, LagIntegrals, StateBlock, block_rows, eval_V, prepare_kernels
+from .lyapunov import RECORD_DTYPE, StateBlock, block_rows, eval_V, lag_values, prepare_kernels
+from .lyapunov import two_path_rel_err, window_W
 from .spectral import _heat_decay, _heat_rows, _live_modes, heat_apply
 
 if TYPE_CHECKING:
@@ -249,15 +250,15 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     Certifying runs additionally evaluate the Lyapunov functional and the
     dissipation identity at every step: each step's state goes into a
     StateBlock, and one eval_V call evaluates the block and returns its
-    record rows when it is full, at a checkpoint of a run with a nonzero
-    delay, at the last step or at a state that is not strictly positive,
-    whose error then stops the run at its own step.  eval_V reads the W
-    integrals from a ring of per-lag values and adds the block's entries
-    to it.  At checkpoint steps, every
-    min(k_a, k_b) steps (over the nonzero ones, and every step when both
-    delays are zero) plus the first and the last, the row's
-    two_path_rel_err compares the ring with W recomputed from the raw
-    window by separate code.  Certifying runs require a strictly positive
+    record rows when it is full, at the last step or at a state that is
+    not strictly positive, whose error then stops the run at its own step.
+    eval_V reads the W integrals from lags, a column of per-lag values
+    indexed by step that the initial window fills and eval_V extends.  At
+    checkpoint steps, every min(k_a, k_b) steps (over the nonzero ones,
+    and every step when both delays are zero) plus the first and the
+    last, the run stores W1 and W2 recomputed from the raw window by
+    separate code; at the end each checkpoint's two_path_rel_err compares
+    them with the record.  Certifying runs require a strictly positive
     initial history; SimConfig checks R0.
 
     Raises:
@@ -285,7 +286,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
     checkpoints = np.zeros(size, dtype=bool)
-    kernels = ring = block = flush_at = None
+    kernels = block = lags = fresh_W = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
@@ -294,16 +295,17 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 + "; ".join(report.violations[:5])
             )
         kernels = prepare_kernels(params, domain, dt)
-        ring = LagIntegrals(initial, params, eqs.endemic, domain)
-        # A value cached at step s weighs in a delay's W through step
-        # s + k for that delay's k, so a stride of the shortest nonzero k
-        # checks each cached value while it still counts in every W.
+        # Column K + s holds step s's per-lag values, K = max(k_a, k_b).
+        window = lag_values(initial, eqs.endemic, domain, k_a, k_b)
+        lags = np.concatenate((window, np.full((2, n_steps), np.nan)), axis=1)
+        # A value of step s weighs in a delay's W through step s + k for
+        # that delay's k, so a stride of the shortest nonzero k reads each
+        # value in a recorded W before it leaves every window.
         checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
         checkpoints[-1] = True
-        block = StateBlock.empty(block_rows(domain.n), domain.n)
-        # A checkpoint reads the ring, which must then be level with the
-        # history, unless both delays are zero and it caches nothing.
-        flush_at = checkpoints if k_a or k_b else np.arange(size) == n_steps
+        block = StateBlock.empty(block_rows(domain.n), domain.n, dt, k_a, k_b)
+        # W1 and W2 from the raw window at each checkpoint.
+        fresh_W = np.full((size, 2), np.nan)
 
     times = np.arange(size) * dt
     dist_endemic = np.full(size, np.nan)
@@ -312,8 +314,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     extremes = np.full((size, 3, 2), np.nan)
     comp_min, comp_max = extremes[..., 0], extremes[..., 1]
     lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
-    # Kept apart, since a block's rows can reach the record after a checkpoint in it.
-    two_path = np.full(size, np.nan)
     snapshots: list[tuple[float, np.ndarray]] = []
     bounds_ok = True
     filled = 0
@@ -340,15 +340,15 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 )
             bounds_ok = False
         if config.certify:
-            block.put(filled, initial, k_a, k_b)
+            block.put(filled, k, initial)
             filled += 1
             # A nonpositive state fails eval_V's check at its own step.
-            if filled == len(block) or flush_at[k] or not lo.min() > 0.0:
-                rows = eval_V(block[:filled], params, eqs.endemic, domain, ring=ring)
+            if filled == len(block) or k == n_steps or not lo.min() > 0.0:
+                rows = eval_V(block[:filled], params, eqs.endemic, domain, lags=lags)
                 lyapunov[k + 1 - filled : k + 1] = rows
                 filled = 0
             if checkpoints[k]:
-                two_path[k] = ring.window_rel_err(initial)
+                fresh_W[k] = window_W(initial, params, eqs.endemic, domain, k_a, k_b)
         if k == 0 or k == n_steps or (
             config.snapshot_every and k % config.snapshot_every == 0
         ):
@@ -360,7 +360,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         record(k, state)
 
     if config.certify:
-        lyapunov["two_path_rel_err"] = two_path
+        lyapunov["two_path_rel_err"][checkpoints] = two_path_rel_err(
+            lyapunov[checkpoints], fresh_W[checkpoints], params, eqs.endemic, domain
+        )
     else:
         lyapunov = np.broadcast_to(lyapunov, (size,))
 

@@ -46,39 +46,39 @@ operator, which is exact.  The inner y-integrals collapse, by the
 kernel's unit column mass, to plain integrals of g over y, so W1 and W2
 need one scalar per lag: the integral of g(u3 / u3*) and of
 g(u1 u2 / (u1* u2*)) over the state that many steps ago.  Those scalars
-never change once a state enters the delay window, so LagIntegrals keeps
-them in a ring aligned with the history and computes each one once.
+never change once a state is computed, so a certifying run keeps them in
+lags, a (2, K + n_steps + 1) array with K = max(k_a, k_b) whose column
+K + s holds the values of step s.  lag_values fills the first K + 1
+columns from the initial window; after that eval_V is the only writer,
+and each state's values are computed once.
 
 Two checks stand behind the shortcut.  The column mass is checked once
 per run at every lag, in the cosine basis, and reported in the
-certificate.  At checkpoint steps W1 and W2 are recomputed from the raw
-window and compared with the ring's values, so a stale, misaligned or
-corrupted cache fails certification.
+certificate.  At checkpoint steps window_W recomputes W1 and W2 from the
+raw window, in code of its own (lag_values), and two_path_rel_err
+compares them with the recorded ones at the end of the run, so a value
+written into the wrong column, or corrupted there, fails certification.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  A certifying run
 copies what eval_V reads of each state (the (3, n) state, u3 at lag k_a,
 u1 u2 at lag k_b) into a StateBlock of B = BLOCK_CELLS // n rows, and
-evaluates it in one eval_V call when it is full, at a checkpoint that
-reads the ring, at the last step or at a state that is not strictly
-positive.  The call checks the (B, 3, n) states once and writes every
-integrand of every state into one (r, B, n) buffer: the ratio rows of
-L1, L2, g_u2 and the two delay terms, and the lag values, go through
-one g call, in place; each nonzero delay smooths its numerators and
-their logs in one heat_apply call on a (2B, n) stack; one
-gradient_energy call takes the (3B, n) stack; one stacked product
-reduces every row against the quadrature weights.  These stacked forms equal a row-by-row evaluation
-bit for bit (spectral module docstring), each element sees the same
-operations in the same order, and each state's scalar sums run left to
-right from 0.0, as Python 3.11's sum does.  So every number is that of
-a term-by-term evaluation of one state, bit for bit, whatever B and
+evaluates it in one eval_V call when it is full, at the last step or at
+a state that is not strictly positive.  The call checks the (3, B, n)
+states once and writes every integrand of every state into one
+(r, B, n) buffer: the ratio rows of L1, L2, g_u2 and the two delay
+terms, and the per-lag values, go through one g call, in place; each
+nonzero delay smooths its numerators and their logs in one heat_apply
+call on a (2B, n) stack; one gradient_energy call takes the (3B, n)
+stack; one stacked product reduces every row against the quadrature
+weights.  These stacked forms equal a row-by-row evaluation bit for bit
+(spectral module docstring), each element sees the same operations in
+the same order, and each state's scalar sums run left to right from
+0.0, as Python 3.11's sum does.  So every number is that of a
+term-by-term evaluation of one state, bit for bit, whatever B and
 whatever the Python version.  Only a failed check goes back field by
-field, so its message still names the field.  eval_V is the ring's only
-writer after construction: a block's states that are newer than the
-ring enter it from the same g pass.  LagIntegrals, when built or on a
-checkpoint recompute, reads the history's states in code of its own, so
-the checkpoint compares two independent paths.  README gives the cost
-of B.
+field, so its message still names the field.  README gives the cost of
+B.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
 the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
@@ -90,10 +90,8 @@ by step.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -102,7 +100,6 @@ from .spectral import gradient_energy, heat_apply, kernel_mass_defect
 from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
 
 __all__ = [
-    "LagIntegrals",
     "LyapunovKernels",
     "RECORD_DTYPE",
     "StateBlock",
@@ -110,7 +107,10 @@ __all__ = [
     "block_rows",
     "eval_V",
     "g",
+    "lag_values",
     "prepare_kernels",
+    "two_path_rel_err",
+    "window_W",
 ]
 
 TERM_NAMES = (
@@ -242,23 +242,41 @@ def _add_left_to_right(values: Iterable) -> float | np.ndarray:
     return total
 
 
-def _theta_trapezoid(values: Sequence[float], k: int, dt: float) -> float:
-    """Composite trapezoid of the per-lag values 0 .. k over [-k dt, 0]."""
-    if k == 0:
-        return 0.0
-    return dt * (0.5 * (values[0] + values[k]) + _add_left_to_right(islice(values, 1, k)))
-
-
 def _theta_trapezoids(windows: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """_theta_trapezoid of each row of a (B, k + 1) stack, bit for bit.
+    """Composite trapezoid over [-k dt, 0] of each row of a (B, k + 1) stack.
 
-    The interior of a row adds left to right from 0.0: np.add.accumulate
-    is sequential, where sum and np.add.reduce add pairwise.
+    A row holds the per-lag values 0 .. k, newest first.  Its interior
+    adds left to right from 0.0: np.add.accumulate is sequential, where
+    sum and np.add.reduce add pairwise.
     """
     interior = np.zeros((len(windows), k))
     interior[:, 1:] = windows[:, 1:k]
     interior_sum = np.add.accumulate(interior, axis=1)[:, -1]
     return dt * (0.5 * (windows[:, 0] + windows[:, k]) + interior_sum)
+
+
+def _delay_W(
+    lags: np.ndarray, size: int, k_a: int, k_b: int, dt: float, bstar: float
+) -> np.ndarray:
+    """W1 and W2, as a (2, size) array, of the states in lags' last size columns.
+
+    A state's window is its own column and the k before it, newest first:
+    row i of a read-only strided view that starts at the i-th of those
+    columns and steps back, so lags must hold size + k columns or more.
+    A delay of zero steps has W = 0.
+    """
+    out = np.zeros((2, size))
+    for r, k in enumerate((k_a, k_b)):
+        if k:
+            if lags.shape[1] < size + k:
+                raise ValueError(f"lags holds {lags.shape[1]} columns, need {size + k}")
+            newest = lags[r, -size:]
+            stride = newest.strides[0]
+            windows = np.lib.stride_tricks.as_strided(
+                newest, (size, k + 1), (stride, -stride), writeable=False
+            )
+            out[r] = bstar * _theta_trapezoids(windows, k, dt)
+    return out
 
 
 def block_rows(n: int) -> int:
@@ -271,170 +289,116 @@ class StateBlock:
     """Consecutive states of a certifying run, held for one eval_V pass.
 
     Row i holds what eval_V reads of the history at its i-th state, copied
-    out because the history reuses its slots: the time t, the (3, n)
-    state, u3 at lag k_a and u1 u2 at lag k_b.  Slicing gives a block of
-    views of the rows.
+    out because the history reuses its slots: the state's step index, the
+    state itself (field first: state[:, i] is the (3, n) state), u3 at lag
+    k_a and u1 u2 at lag k_b.  dt, k_a and k_b are the run's.  Slicing
+    gives a block of views of the rows.
     """
 
-    t: np.ndarray      # (B,)
-    state: np.ndarray  # (B, 3, n)
+    dt: float
+    k_a: int
+    k_b: int
+    step: np.ndarray   # (B,)
+    state: np.ndarray  # (3, B, n)
     lag_a: np.ndarray  # (B, n)
     lag_b: np.ndarray  # (B, n)
 
     @classmethod
-    def empty(cls, rows: int, n: int) -> StateBlock:
-        return cls(*(np.empty(shape) for shape in (rows, (rows, 3, n), (rows, n), (rows, n))))
+    def empty(cls, rows: int, n: int, dt: float, k_a: int, k_b: int) -> StateBlock:
+        step, state = np.empty(rows, dtype=int), np.empty((3, rows, n))
+        return cls(dt, k_a, k_b, step, state, np.empty((rows, n)), np.empty((rows, n)))
 
     def __len__(self) -> int:
-        return self.t.size
+        return self.step.size
 
     def __getitem__(self, rows: slice) -> StateBlock:
-        return StateBlock(self.t[rows], self.state[rows], self.lag_a[rows], self.lag_b[rows])
+        arrays = (self.step[rows], self.state[:, rows], self.lag_a[rows], self.lag_b[rows])
+        return StateBlock(self.dt, self.k_a, self.k_b, *arrays)
 
-    def put(self, i: int, history: History, k_a: int, k_b: int) -> None:
-        """Copies what eval_V reads of the history's newest state into row i."""
-        self.t[i] = history.t_now
-        self.state[i] = history.lookup_arrays(0)
-        self.lag_a[i] = history.lookup_arrays(k_a)[2]
-        np.multiply(*history.lookup_arrays(k_b)[:2], out=self.lag_b[i])
+    def put(self, i: int, step: int, history: History) -> None:
+        """Copies what eval_V reads of the history's newest state, that of step, into row i."""
+        self.step[i] = step
+        self.state[:, i] = history.lookup_arrays(0)
+        self.lag_a[i] = history.lookup_arrays(self.k_a)[2]
+        np.multiply(*history.lookup_arrays(self.k_b)[:2], out=self.lag_b[i])
 
 
-class LagIntegrals:
-    """Per-lag integrals of g over the delay window, in a ring aligned with History.
+def lag_values(
+    history: History, ustar: np.ndarray, domain: Domain, k_a: int, k_b: int
+) -> np.ndarray:
+    """The per-lag values of the history's window, oldest first: a (2, K + 1) array.
 
-    a[j] is the trapezoid integral of g(u3 / u3*) and b[j] that of
-    g(u1 u2 / (u1* u2*)), both over the state j steps before t_now.  The
-    ring has max(k_a, k_b) + 1 slots, newest first; a delay of zero
-    steps caches nothing and its W is zero.  A state's values, and its
-    positivity check, are computed once, when it enters the window:
-    built from the whole window here, then entered by the eval_V call
-    whose block holds the state.  t_now is the time of the newest cached
-    state.
+    K = max(k_a, k_b), and column i holds the values of the state at lag
+    K - i: row 0 the integral of g(u3 / u3*), row 1 that of
+    g(u1 u2 / (u1* u2*)).  The row of a delay of zero steps is NaN, as no
+    W reads it.  The ratios of the delays that have lag steps are written
+    from views of the history's states into one buffer, which takes one
+    check, one g pass and one stacked product, each value equal to its own
+    dot product.  On a failed check the states are checked again one by
+    one, oldest first, so the error names the lag.
 
     Raises:
-        ValueError: if the history spans fewer lags than the longer
-            delay, the endemic triple is not strictly positive, or a
-            cached state is not strictly positive.
+        ValueError: if the history spans fewer than K lags, the endemic
+            triple is not strictly positive, or a state the delays read
+            is not.
     """
-
-    def __init__(
-        self, history: History, params: ModelParams, ustar: np.ndarray, domain: Domain
-    ):
-        dt = history.dt
-        self.k_a = lag_steps(params.tau_a, dt)
-        self.k_b = lag_steps(params.tau_b, dt)
-        if history.n_lags < max(self.k_a, self.k_b):
-            raise ValueError(
-                f"history spans {history.n_lags} lags, need {max(self.k_a, self.k_b)}"
-            )
-        u1s, u2s, u3s = (float(v) for v in ustar)
-        if min(u1s, u2s, u3s) <= 0.0:
-            raise ValueError("endemic triple must be strictly positive")
-        self._dt = dt
-        self._w = domain.trapezoid_weights
-        self._u3s = u3s
-        self._u12s = u1s * u2s
-        self._bstar = params.beta_h * u1s * u2s
-        self._floors = tuple(
-            1e-12 * self._bstar * tau * domain.L + 1e-300
-            for tau in (params.tau_a, params.tau_b)
-        )
-        self.a, self.b = self._window(history)
-        self.t_now = history.t_now
-
-    def _window(self, history: History) -> tuple[deque, deque]:
-        """Per-lag values computed afresh from every state in the window."""
-        size = max(self.k_a, self.k_b) + 1
-        a, b = self._lag_values(history, size)
-        return deque(a, maxlen=size), deque(b, maxlen=size)
-
-    def _lag_values(self, history: History, size: int) -> tuple[list[float], list[float]]:
-        """The a and b values of the states at lags 0 .. size - 1, newest first.
-
-        The ratios of both delays are written from views of the history's
-        states into one buffer, which takes one check, one g pass and one
-        stacked product, each lag's integral equal to its own dot product.
-        On a failed check the states are checked again one by one, oldest
-        first, so the error names the lag.
-        """
-        delays = [k > 0 for k in (self.k_a, self.k_b)]
-        if not any(delays):
-            return [], []
-        ratio = np.empty((sum(delays), size, self._w.size))
-        a_ratio, b_ratio = ratio[0], ratio[-1]
-        for j in range(size):
+    size = max(k_a, k_b) + 1
+    if history.n_lags < size - 1:
+        raise ValueError(f"history spans {history.n_lags} lags, need {size - 1}")
+    u1s, u2s, u3s = (float(v) for v in ustar)
+    if min(u1s, u2s, u3s) <= 0.0:
+        raise ValueError("endemic triple must be strictly positive")
+    values = np.full((2, size), math.nan)
+    delays = [r for r, k in enumerate((k_a, k_b)) if k]
+    if not delays:
+        return values
+    w = domain.trapezoid_weights
+    ratio = np.empty((len(delays), size, w.size))
+    a_ratio, b_ratio = ratio[0], ratio[-1]
+    for j in range(size):
+        state = history.lookup_arrays(j)
+        if k_a:
+            np.divide(state[2], u3s, out=a_ratio[size - 1 - j])
+        if k_b:
+            np.multiply(state[0], state[1], out=b_ratio[size - 1 - j])
+    if k_b:
+        b_ratio /= u1s * u2s
+    if not _all_positive(ratio):
+        for j in range(size - 1, -1, -1):
             state = history.lookup_arrays(j)
-            if self.k_a:
-                np.divide(state[2], self._u3s, out=a_ratio[j])
-            if self.k_b:
-                np.multiply(state[0], state[1], out=b_ratio[j])
-        if self.k_b:
-            b_ratio /= self._u12s
-        if not _all_positive(ratio):
-            for j in range(size - 1, -1, -1):
-                state = history.lookup_arrays(j)
-                if self.k_a:
-                    _require_positive(f"u3 at lag {j}", state[2])
-                if self.k_b:
-                    _require_positive(f"u1*u2 at lag {j}", state[0] * state[1])
-        per_lag = np.matmul(g(ratio)[:, :, None, :], self._w[:, None]).reshape(-1, size).tolist()
-        return (per_lag[0] if self.k_a else [], per_lag[-1] if self.k_b else [])
+            if k_a:
+                _require_positive(f"u3 at lag {j}", state[2])
+            if k_b:
+                _require_positive(f"u1*u2 at lag {j}", state[0] * state[1])
+    values[delays] = np.matmul(g(ratio)[:, :, None, :], w[:, None]).reshape(-1, size)
+    return values
 
-    def _w_values(self, a: deque, b: deque) -> tuple[float, float]:
-        w1 = self._bstar * _theta_trapezoid(a, self.k_a, self._dt)
-        w2 = self._bstar * _theta_trapezoid(b, self.k_b, self._dt)
-        return w1, w2
 
-    def _enter(
-        self, t_last: float, level: int, a_new: np.ndarray, b_new: np.ndarray | None
-    ) -> list[np.ndarray]:
-        """W1 and W2 at each of B consecutive states, oldest first.
+def window_W(
+    history: History, params: ModelParams, ustar: np.ndarray, domain: Domain, k_a: int, k_b: int
+) -> np.ndarray:
+    """W1 and W2 of the history's newest state, from lag_values of its raw window."""
+    u1s, u2s = (float(v) for v in ustar[:2])
+    lags = lag_values(history, ustar, domain, k_a, k_b)
+    return _delay_W(lags, 1, k_a, k_b, history.dt, params.beta_h * u1s * u2s)[:, 0]
 
-        a_new and b_new hold the states' per-lag values.  The first state
-        is the ring's newest when level is 1; every other one enters the
-        ring, which then ends at t_last.
-        """
-        size = len(a_new)
-        per_delay = []
-        for cache, new, k in ((self.a, a_new, self.k_a), (self.b, b_new, self.k_b)):
-            if not k:
-                per_delay.append(np.zeros(size))
-                continue
-            fresh = new[level:]
-            chain = np.concatenate((fresh[::-1], np.fromiter(cache, float, len(cache))))
-            # Row i, newest first, starts at chain[size - 1 - i]: a
-            # read-only strided view of the new values and the ring.
-            stride = chain.itemsize
-            windows = np.lib.stride_tricks.as_strided(
-                chain[size - 1 :], (size, k + 1), (-stride, stride), writeable=False
-            )
-            per_delay.append(self._bstar * _theta_trapezoids(windows, k, self._dt))
-            cache.extendleft(fresh.tolist())
-        self.t_now = t_last
-        return per_delay
 
-    def integrals(self) -> tuple[float, float]:
-        """W1 and W2 from the cached per-lag values."""
-        return self._w_values(self.a, self.b)
+def two_path_rel_err(
+    record: np.ndarray, fresh: np.ndarray, params: ModelParams, ustar: np.ndarray, domain: Domain
+) -> np.ndarray:
+    """Relative disagreement of recorded W1, W2 with fresh ones, row by row.
 
-    def window_rel_err(self, history: History) -> float:
-        """Relative disagreement of the cached W1, W2 with the raw window's.
-
-        Recomputes every per-lag value from the states stored in history,
-        so this costs as much as building the ring; 0.0 when no delay
-        has lag steps.
-        """
-        errs = [
-            abs(cached - fresh) / max(abs(fresh), floor)
-            for cached, fresh, floor, k in zip(
-                self.integrals(),
-                self._w_values(*self._window(history)),
-                self._floors,
-                (self.k_a, self.k_b),
-            )
-            if k
-        ]
-        return float(np.max(errs, initial=0.0))  # NaN propagates
+    record holds RECORD_DTYPE rows and fresh the (W1, W2) pairs of
+    window_W at the same steps.  A row reads the larger of
+    |W - W_fresh| / max(|W_fresh|, floor) over the two delays, NaN if
+    either is.  A delay without lag steps has W = 0 on both paths, so it
+    gives 0.0.
+    """
+    u1s, u2s = (float(v) for v in ustar[:2])
+    taus = np.array([params.tau_a, params.tau_b])
+    floors = 1e-12 * (params.beta_h * u1s * u2s) * taus * domain.L + 1e-300
+    recorded = np.stack((record["W1"], record["W2"]), axis=1)
+    return np.max(np.abs(recorded - fresh) / np.maximum(np.abs(fresh), floors), axis=1)
 
 
 def eval_V(
@@ -443,7 +407,7 @@ def eval_V(
     ustar: np.ndarray,
     domain: Domain,
     *,
-    ring: LagIntegrals | None = None,
+    lags: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluates V and the dissipation identity on a block of consecutive states.
 
@@ -459,13 +423,12 @@ def eval_V(
     one g call, one gradient_energy call on the (3B, n) stack of states
     and one heat_apply call per nonzero delay, through this module's
     names, where the benchmark's tracing counts them.  Each row is bit
-    for bit the row of its state evaluated alone (module docstring).  A
-    History is a block of one: its newest state.
+    for bit the row of its state evaluated alone (module docstring).
 
-    The ring advances here: the states newer than the ring's newest enter
-    it, their per-lag values from this call's g pass.  The block's first
-    state must be the ring's newest or the one after it, so a repeated
-    call on a History leaves the ring as it was.
+    The call writes each state's per-lag values into column K + s of lags
+    for its step s, K = max(k_a, k_b), from its own g pass, and reads the
+    state's W1 and W2 from the k + 1 columns that end there.  A History is
+    a block of one, step 0, over lag_values of its own window.
 
     Args:
         history: The states to evaluate: a StateBlock, or a History whose
@@ -474,9 +437,9 @@ def eval_V(
         params: Model parameters; R0 > 1 is assumed (ustar exists).
         ustar: The endemic triple (u1*, u2*, u3*).
         domain: Spatial discretisation.
-        ring: Cached per-lag integrals, level with the block's first
-            state or one step behind it; required with a StateBlock, and
-            built from the whole window of a History if omitted.
+        lags: A (2, K + n_steps + 1) array whose columns up to the
+            block's first step hold the values of the steps before it;
+            required with a StateBlock, unused with a History.
 
     Returns:
         One RECORD_DTYPE row per state of a StateBlock, or the single row
@@ -484,40 +447,32 @@ def eval_V(
         L1 + L2 + L3 + W1 + W2 by construction.
 
     Raises:
-        ValueError: on a nonpositive state or endemic triple, a history
-            shorter than the delays, or a ring neither level with the
-            block's first state nor one step behind it.
+        ValueError: on a nonpositive state or endemic triple, or a
+            history shorter than the delays.
     """
     single = isinstance(history, History)
     block = history
     if single:
-        if ring is None:
-            ring = LagIntegrals(history, params, ustar, domain)
-        block = StateBlock.empty(1, history.n)
-        block.put(0, history, ring.k_a, ring.k_b)
-    t_first = float(block.t[0])
-    level = int(t_first == ring.t_now)
-    if not level and t_first != ring.t_now + ring._dt:
-        raise ValueError(
-            f"lag ring is at t={ring.t_now!r}, history at t={t_first!r}; "
-            "evaluate V after every append"
-        )
-    k_a, k_b = ring.k_a, ring.k_b
-    star = np.asarray(ustar, dtype=float)[:, None, None]
-    u1s, u2s, u3s = star.ravel().tolist()
+        dt = history.dt
+        k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+        lags = lag_values(history, ustar, domain, k_a, k_b)
+        block = StateBlock.empty(1, history.n, dt, k_a, k_b)
+        block.put(0, 0, history)
+    k_a, k_b = block.k_a, block.k_b
+    star = np.asarray(ustar, dtype=float).tolist()
+    u1s, u2s, u3s = star
     w = domain.trapezoid_weights
     bstar = params.beta_h * u1s * u2s
     expb = math.exp(params.mu_h * params.tau_b)
 
     # Arrays here run field (or integrand) first: (3, B, n) and the like.
-    cur = block.state.swapaxes(0, 1)
-    if not _all_positive(block.state):
+    cur = block.state
+    if not _all_positive(cur):
         for name, values in zip(("u1", "u2", "u3"), cur):
             _require_positive(name, values)
     size, n = len(block), domain.n
     # The gradients first, while the block's other buffers do not exist yet.
-    grads = gradient_energy(block.state.reshape(-1, n), domain)
-    grad_u1, grad_u2, grad_u3 = grads.reshape(size, 3).T
+    grad_u1, grad_u2, grad_u3 = gradient_energy(cur.reshape(-1, n), domain).reshape(3, size)
     u1, u2, u3 = cur
     # The delay numerators N, over the denominators D = (u1, u3).
     numer = np.empty((2, size, n))
@@ -527,8 +482,10 @@ def eval_V(
 
     # One row per integrand and state, in _ROWS order; g takes the ratio
     # rows in place, and the two quadratic rows are written after it.
+    # Fields are divided one at a time by scalars, which needs no temporaries.
     rows = np.empty((len(_ROWS) if k_b else len(_ROWS) - 1, size, n))
-    np.divide(cur, star, out=rows[:3])
+    for row, field_values, value in zip(rows, cur, star):
+        np.divide(field_values, value, out=row)
     np.divide(numer, cur[::2], out=rows[3:5])
     np.divide(u2s, u2, out=rows[5])
     if k_b:
@@ -555,7 +512,8 @@ def eval_V(
         rows[4] += (numer_b_smoothed - numer[1]) / u3
         rows[4] += log_b - log_b_smoothed
     quad = rows[-2:]
-    np.subtract(cur[:2], star[:2], out=quad)
+    for row, field_values, value in zip(quad, cur, star):
+        np.subtract(field_values, value, out=row)
     quad *= quad
     quad /= cur[:2]
     quad[0] *= smoothed
@@ -564,7 +522,11 @@ def eval_V(
     # same dot product as float(w @ row), bit for bit (spectral docstring).
     integrals = np.matmul(rows.reshape(-1, 1, n), w[:, None]).reshape(len(rows), size)
     l1_int, l2_int, a_now, delay_a, delay_b, g_u2, *b_now, quad_u1, quad_u2 = integrals
-    w1, w2 = ring._enter(float(block.t[-1]), level, a_now, b_now[0] if k_b else None)
+    end = max(k_a, k_b) + int(block.step[-1]) + 1
+    for row, k, now in zip(lags, (k_a, k_b), (a_now, *b_now)):
+        if k:
+            row[end - size : end] = now
+    w1, w2 = _delay_W(lags[:, :end], size, k_a, k_b, block.dt, bstar)
     l1 = bstar / params.mu_m * l1_int
     l2 = u2s * l2_int
     l3 = expb * u3s * a_now

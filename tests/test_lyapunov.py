@@ -1,20 +1,18 @@
 import dataclasses
 import json
 import math
-from collections import deque
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dengue_rd import (
     Certificate,
     Domain,
     History,
-    LagIntegrals,
     SimConfig,
     TERM_NAMES,
     basic_reproduction_number,
@@ -36,7 +34,16 @@ from dengue_rd import (
 
 import dengue_rd.lyapunov as lyapunov
 from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS
-from dengue_rd.lyapunov import CHECKED_TERMS, G_DIRECT_BELOW, RECORD_DTYPE
+from dengue_rd.lyapunov import (
+    CHECKED_TERMS,
+    G_DIRECT_BELOW,
+    RECORD_DTYPE,
+    StateBlock,
+    block_rows,
+    lag_values,
+    two_path_rel_err,
+    window_W,
+)
 
 from dengue_rd.spectral import FFT_MIN_N
 
@@ -54,6 +61,32 @@ def endemic_history(params, domain, dt, transform=lambda a: a):
 def values(row):
     """A record row's fields as a dict, without the run-filled two_path_rel_err."""
     return {name: row[name] for name in RECORD_DTYPE.names if name != "two_path_rel_err"}
+
+
+def lag_counts(params, dt):
+    return lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+
+
+def window_rel_err(row, hist, params, star, domain):
+    """The checkpoint comparison of a record row with W recomputed from the history's window."""
+    fresh = window_W(hist, params, star, domain, *lag_counts(params, hist.dt))
+    return float(two_path_rel_err(row[None], fresh[None], params, star, domain)[0])
+
+
+def start_column(hist, params, star, domain, n_steps):
+    """A run's lags column: the window's values, then room for n_steps more steps."""
+    window = lag_values(hist, star, domain, *lag_counts(params, hist.dt))
+    return np.concatenate((window, np.full((2, n_steps), np.nan)), axis=1)
+
+
+def column_eval_V(hist, params, star, domain, lags, step):
+    """eval_V of the history's newest state, that of step, as a run evaluates it.
+
+    A block of one over lags, which the call extends by that state's column.
+    """
+    block = StateBlock.empty(1, domain.n, hist.dt, *lag_counts(params, hist.dt))
+    block.put(0, step, hist)
+    return eval_V(block, params, star, domain, lags=lags)[0]
 
 
 def test_g_zero_only_at_one():
@@ -158,8 +191,7 @@ def test_g_near_zero_is_finite_without_warnings():
 
 def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     hist, star = endemic_history(delayed_params, domain, 0.05)
-    ring = LagIntegrals(hist, delayed_params, star, domain)
-    row = eval_V(hist, delayed_params, star, domain, ring=ring)
+    row = eval_V(hist, delayed_params, star, domain)
     assert row.dtype == RECORD_DTYPE
     assert row["V"] == 0.0
     assert tuple(row[k] for k in ("L1", "L2", "L3", "W1", "W2")) == (0.0, 0.0, 0.0, 0.0, 0.0)
@@ -167,7 +199,7 @@ def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     for name in TERM_NAMES:
         assert abs(row[name]) < 1e-15
     assert math.isnan(row["two_path_rel_err"])  # the run fills it at checkpoints
-    assert ring.window_rel_err(hist) < 1e-12
+    assert window_rel_err(row, hist, delayed_params, star, domain) < 1e-12
     assert prepare_kernels(delayed_params, domain, 0.05).mass_defect < 1e-12
 
 
@@ -261,10 +293,10 @@ def test_eval_V_two_path_agreement(delayed_params, domain):
         delayed_params, domain, 0.05,
         lambda arr: arr * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, arr.shape)),
     )
-    ring = LagIntegrals(hist, delayed_params, star, domain)
-    row = eval_V(hist, delayed_params, star, domain, ring=ring)
-    assert values(row) == values(eval_V(hist, delayed_params, star, domain))
-    assert ring.window_rel_err(hist) < 1e-12
+    row = eval_V(hist, delayed_params, star, domain)
+    lags = start_column(hist, delayed_params, star, domain, 0)
+    assert values(row) == values(column_eval_V(hist, delayed_params, star, domain, lags, 0))
+    assert window_rel_err(row, hist, delayed_params, star, domain) == 0.0
     w1, w2 = kernel_weighted_W(hist, delayed_params, star, domain, 0.05)
     assert row["W1"] > 0.0 and row["W2"] > 0.0
     assert abs(row["W1"] - w1) / row["W1"] < 1e-12
@@ -551,36 +583,36 @@ def test_certify_matches_a_loop_over_steps(traj, data):
     assert cert.term_ranges == ranges
 
 
-# ------------------------------------------------- cached lag integrals
+# ------------------------------------------------ the per-lag column
 
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def corrupt_after_eval_V(monkeypatch, at_step, corrupt, dt=0.05):
-    """Makes run's eval_V call corrupt(ring) right after it caches the state of step at_step.
+def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
+    """Makes run's eval_V call corrupt(column) right after it writes the column of step at_step.
 
+    column is the (2,) view of lags that holds that step's a and b values.
     The block that holds step at_step is evaluated in two calls, split
-    after that step, with corrupt(ring) between them.  The row of that
-    step is already formed, so the corrupted value first reaches V one
-    step later; run's checkpoint comparison, which follows eval_V, sees
-    it at once.
+    after that step, with corrupt(column) between them.  The row of that
+    step is already formed, so the corrupted value first reaches V and W
+    one step later, and the first checkpoint that sees it is the first
+    one after at_step.
     """
     import dengue_rd.integrator as integrator
 
     real_eval_V = integrator.eval_V
 
-    def corrupting(block, *args, ring, **kwargs):
-        steps = np.rint(block.t / dt).astype(int).tolist()
+    def corrupting(block, *args, lags, **kwargs):
+        steps = block.step.tolist()
         if at_step not in steps:
-            return real_eval_V(block, *args, ring=ring, **kwargs)
+            return real_eval_V(block, *args, lags=lags, **kwargs)
         cut = steps.index(at_step) + 1
-        rows = [real_eval_V(block[:cut], *args, ring=ring, **kwargs)]
-        assert ring.t_now == block.t[cut - 1]
-        corrupt(ring)
+        rows = [real_eval_V(block[:cut], *args, lags=lags, **kwargs)]
+        corrupt(lags[:, max(block.k_a, block.k_b) + at_step])
         if cut < len(block):
-            rows.append(real_eval_V(block[cut:], *args, ring=ring, **kwargs))
+            rows.append(real_eval_V(block[cut:], *args, lags=lags, **kwargs))
         return np.concatenate(rows)
 
     monkeypatch.setattr(integrator, "eval_V", corrupting)
@@ -592,8 +624,8 @@ def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
     from dengue_rd.output import write_json
 
     # k_a = 10, so checkpoints fall on 0, 10, 20, ...
-    def shift(ring):
-        ring.a[0] += 1.0
+    def shift(column):
+        column[0] += 1.0
 
     corrupt_after_eval_V(monkeypatch, 13, shift)
     traj = certifying_trajectory(worked_params, domain, t_end=2.0)
@@ -614,13 +646,13 @@ def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
 
 
 def test_certify_fails_closed_on_a_nan_lag_cache(worked_params, domain, monkeypatch, tmp_path):
-    # A NaN cached value makes V NaN until it leaves the window and the
+    # A NaN per-lag value makes V NaN until it leaves the window and the
     # next checkpoint's disagreement NaN: the run fails at both places,
     # and certificate.json stays strict JSON, with null for each NaN.
     from dengue_rd.output import write_json
 
-    def poison(ring):
-        ring.a[0] = math.nan
+    def poison(column):
+        column[0] = math.nan
 
     corrupt_after_eval_V(monkeypatch, 13, poison)
     traj = certifying_trajectory(worked_params, domain, t_end=2.0)
@@ -649,13 +681,13 @@ def checkpoint_steps(traj):
 
 
 def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
-    # k_a = 2, k_b = 5: a value of the shorter delay's cache weighs in W1
-    # for two steps only, so the stride must be 2, not 5.
+    # k_a = 2, k_b = 5: a value of the shorter delay weighs in W1 for two
+    # steps only, so the stride must be 2, not 5.
     params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)
     domain = Domain(L=1.0, n=12)
 
-    def shift(ring):
-        ring.a[0] += 1.0
+    def shift(column):
+        column[0] += 1.0
 
     corrupt_after_eval_V(monkeypatch, 6, shift)
     traj = certifying_trajectory(params, domain, t_end=0.75)  # 15 steps
@@ -663,12 +695,50 @@ def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
     cert = certify(traj)
     assert cert.two_path_ok is False
     [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
-    assert violation["step"] == 6
+    assert violation["step"] == 8
     errs = traj.lyapunov["two_path_rel_err"]
-    assert errs[6] > cert.two_path_tol
-    # it still sits at lag k_a = 2 at step 8 and has left W1's window by 10
+    # step 6's W1 was formed before the corruption; W1 reads the value at
+    # lags 1 and 2, steps 7 and 8, and has left it behind by step 10
+    assert errs[6] == 0.0
     assert errs[8] > cert.two_path_tol
     assert errs[10] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k_a=st.integers(0, 6),
+    k_b=st.integers(0, 6),
+    n_steps=st.integers(2, 20),
+    data=st.data(),
+)
+def test_a_corrupted_column_is_flagged_at_the_first_checkpoint_after_its_step(
+    k_a, k_b, n_steps, data
+):
+    # The stride argument in run: a value of step s weighs in W through
+    # step s + k, and the next checkpoint comes at most min(k) steps on.
+    # The certificate names the worst checkpoint, so the first one to
+    # disagree is read from the record.
+    assume(k_a or k_b)
+    at_step = data.draw(st.integers(0, n_steps - 1))
+    bad = data.draw(st.sampled_from([1.0, math.nan]))
+    params = ModelParams(**{**WORKED, "tau_a": k_a * 0.05, "tau_b": k_b * 0.05})
+    domain = Domain(L=1.0, n=data.draw(st.integers(8, 16)))
+
+    def corrupt(column):
+        column += bad
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        corrupt_after_eval_V(monkeypatch, at_step, corrupt)
+        traj = certifying_trajectory(params, domain, t_end=n_steps * 0.05)
+    steps = np.flatnonzero(traj.checkpoints).tolist()
+    first = min(s for s in steps if s > at_step)
+    errs = traj.lyapunov["two_path_rel_err"]
+    assert [errs[s] for s in steps if s < first] == [0.0] * steps.index(first)
+    cert = certify(traj)
+    assert not errs[first] <= cert.two_path_tol  # NaN included
+    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
+    if math.isnan(bad):
+        assert violation["step"] == first
 
 
 def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
@@ -676,10 +746,10 @@ def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     domain = Domain(L=1.0, n=12)
     star = endemic_equilibrium(params)
     hist = History.constant(constant_state(0.9 * star, domain.n), 0, 0.05)
-    ring = LagIntegrals(hist, params, star, domain)
-    assert (ring.k_a, ring.k_b) == (0, 0)
-    assert ring.a.maxlen == ring.b.maxlen == 1
-    assert ring.integrals() == (0.0, 0.0)
+    assert lag_counts(params, 0.05) == (0, 0)
+    window = lag_values(hist, star, domain, 0, 0)
+    assert window.shape == (2, 1) and np.isnan(window).all()  # no W reads it
+    assert window_W(hist, params, star, domain, 0, 0).tolist() == [0.0, 0.0]
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=0.3, certify=True)
     traj = run(config, hist)
     assert (traj.lyapunov["W1"] == 0.0).all() and (traj.lyapunov["W2"] == 0.0).all()
@@ -698,50 +768,18 @@ def test_ring_sized_for_the_longer_delay(worked_params):
         for _ in range(8)
     ]
     hist = History(window, 0.05)  # 7 lags, more than the 5 the delays need
-    ring = LagIntegrals(hist, params, star, domain)
-    assert (ring.k_a, ring.k_b) == (2, 5)
-    assert ring.a.maxlen == ring.b.maxlen == 6
-    assert len(ring.a) == len(ring.b) == 6
+    assert lag_counts(params, 0.05) == (2, 5)
+    values = lag_values(hist, star, domain, 2, 5)
+    assert values.shape == (2, 6)
     w = domain.trapezoid_weights
-    for j in range(6):
+    for j in range(6):  # oldest first: lag j sits in column 5 - j
         lag = hist.lookup_arrays(j)
-        assert ring.a[j] == float(w @ g(lag[2] / star[2]))
-        assert ring.b[j] == float(w @ g(lag[0] * lag[1] / (star[0] * star[1])))
-    row = eval_V(hist, params, star, domain, ring=ring)
+        assert values[0, 5 - j] == float(w @ g(lag[2] / star[2]))
+        assert values[1, 5 - j] == float(w @ g(lag[0] * lag[1] / (star[0] * star[1])))
+    row = eval_V(hist, params, star, domain)
     w1, w2 = kernel_weighted_W(hist, params, star, domain, 0.05)
     assert row["W1"] == pytest.approx(w1, rel=1e-12)
     assert row["W2"] == pytest.approx(w2, rel=1e-12)
-
-
-def test_ring_out_of_step_with_history_is_rejected(delayed_params, domain):
-    def ring_state(ring):
-        return ring.t_now, list(ring.a), list(ring.b)
-
-    # Two appends without an evaluation between them: the ring would miss
-    # a state, so eval_V refuses and leaves the ring as it was.
-    hist, star = endemic_history(delayed_params, domain, 0.05, lambda a: 0.9 * a)
-    ring = LagIntegrals(hist, delayed_params, star, domain)
-    before = ring_state(ring)
-    hist.append(hist.latest)
-    hist.append(hist.latest)
-    with pytest.raises(ValueError, match="after every append"):
-        eval_V(hist, delayed_params, star, domain, ring=ring)
-    assert ring_state(ring) == before
-
-    # A ring one step ahead of the history is out of step too.
-    earlier = History.constant(hist.latest, hist.n_lags, 0.05, t_now=ring.t_now - 0.05)
-    with pytest.raises(ValueError, match="after every append"):
-        eval_V(earlier, delayed_params, star, domain, ring=ring)
-    assert ring_state(ring) == before
-
-    # One append: eval_V caches the new state and advances the ring.
-    hist, star = endemic_history(delayed_params, domain, 0.05, lambda a: 0.9 * a)
-    ring = LagIntegrals(hist, delayed_params, star, domain)
-    hist.append(hist.latest)
-    assert eval_V(hist, delayed_params, star, domain, ring=ring)["V"] > 0.0
-    assert ring.t_now == hist.t_now
-    fresh = LagIntegrals(hist, delayed_params, star, domain)
-    assert ring_state(ring) == ring_state(fresh)
 
 
 def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
@@ -753,6 +791,28 @@ def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
     assert steps == [0, 10, 20, 27]
     assert len(steps) == 27 // stride + 2  # multiples of the stride, plus the last
     assert (traj.lyapunov["two_path_rel_err"][steps] == 0.0).all()
+
+
+def test_checkpoints_at_every_step_leave_the_blocks_full(worked_params, monkeypatch):
+    # A one-step delay puts a checkpoint on every step; the run still
+    # evaluates its states in full blocks, one eval_V call per block.
+    import dengue_rd.integrator as integrator
+
+    real_eval_V = integrator.eval_V
+    sizes = []
+
+    def counting(block, *args, **kwargs):
+        sizes.append(len(block))
+        return real_eval_V(block, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "eval_V", counting)
+    params = dataclasses.replace(worked_params, tau_a=0.05)  # k_a = 1
+    traj = certifying_trajectory(params, Domain(L=1.0, n=48), t_end=3.0)  # 60 steps
+    assert checkpoint_steps(traj) == list(range(61))
+    rows = block_rows(48)
+    assert len(sizes) == math.ceil(61 / rows)
+    assert sizes == [rows] * (61 // rows) + [61 % rows]
+    assert certify(traj).passed
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -784,11 +844,10 @@ def test_ring_V_matches_window_V_at_every_step(seed, monkeypatch):
         states.append(state.copy())
         return state
 
-    def both(block, p, star, dom, *, ring):
-        rows = real_eval_V(block, p, star, dom, ring=ring)
-        for row, t in zip(rows, block.t.tolist()):
-            s = round(t / dt)
-            window = History(states[s : s + hist.n_lags + 1], dt, t_now=t)
+    def both(block, p, star, dom, *, lags):
+        rows = real_eval_V(block, p, star, dom, lags=lags)
+        for row, s in zip(rows, block.step.tolist()):
+            window = History(states[s : s + hist.n_lags + 1], dt, t_now=s * dt)
             pairs.append((row, real_eval_V(window, p, star, dom)))
         return rows
 
@@ -991,9 +1050,9 @@ def test_eval_V_matches_the_term_by_term_reference_bit_for_bit(tau_a, tau_b, see
     )
     hist = build_initial_history(config, seed)
     star = endemic_equilibrium(params)
-    ring = LagIntegrals(hist, params, star, domain)
-    for _ in range(6):
-        row = eval_V(hist, params, star, domain, ring=ring)  # caches the stepped state
+    lags = start_column(hist, params, star, domain, 5)
+    for k in range(6):
+        row = column_eval_V(hist, params, star, domain, lags, k)  # extends the column
         assert values(row) == reference_eval_V(hist, params, star, domain)
         step(hist, params, domain, 0.05)
 
@@ -1027,11 +1086,11 @@ def test_eval_V_matches_the_term_by_term_reference_on_random_windows(window, rou
     # Both transform paths: n from 8 to 24 runs dense products, FFT_MIN_N
     # and FFT_MIN_N + 4 (n - 1 = 259 = 7 * 37) run numpy.fft.
     hist, params, star, domain = window
-    ring = LagIntegrals(hist, params, star, domain)
+    lags = start_column(hist, params, star, domain, rounds)
     for k in range(rounds + 1):
         if k:
             step(hist, params, domain, hist.dt)
-        row = eval_V(hist, params, star, domain, ring=ring)  # caches the stepped state
+        row = column_eval_V(hist, params, star, domain, lags, k)  # extends the column
         expected = reference_eval_V(hist, params, star, domain)
         assert {name: value.hex() for name, value in values(row).items()} == {
             name: float(expected[name]).hex() for name in values(row)
@@ -1046,18 +1105,20 @@ def test_W_adds_the_interior_left_to_right(worked_params):
     domain = Domain(L=1.0, n=8)
     star = endemic_equilibrium(params)
     hist = History.constant(constant_state(star, 8), 4, 0.05)
-    ring = LagIntegrals(hist, params, star, domain)
     interior = [1.0, 1e-16, 1e-16]
     assert math.fsum(interior) != 1.0
-    ring.a = deque([0.5, *interior, 0.25], maxlen=5)
+    # Column 4 + s holds step s.  The endemic state of step 1 writes
+    # a = g(1) = 0 into column 5 and reads W1 from columns 1 .. 5.
+    lags = np.full((2, 6), np.nan)
+    lags[0, 1:5] = [0.25, *interior[::-1]]
     bstar = params.beta_h * float(star[0]) * float(star[1])
-    expected = bstar * (0.05 * (0.5 * (0.5 + 0.25) + 1.0))
-    assert ring.integrals() == (expected, 0.0)
-    # The block path: a state level with the ring reads its W1 from the
-    # same window, and each row of a stack of windows adds the same way.
-    block = lyapunov.StateBlock.empty(1, domain.n)
-    block.put(0, hist, ring.k_a, ring.k_b)
-    assert eval_V(block, params, star, domain, ring=ring)["W1"].tolist() == [expected]
+    expected = bstar * (0.05 * (0.5 * (0.0 + 0.25) + 1.0))
+    assert column_eval_V(hist, params, star, domain, lags, 1)["W1"] == expected
+    assert lags[0, 5] == 0.0
+    # The read alone, and each row of a stack of windows, add the same way.
+    assert lyapunov._delay_W(lags, 1, 4, 0, 0.05, bstar).tolist() == [[expected], [0.0]]
+    with pytest.raises(ValueError, match="lags holds 4 columns, need 5"):
+        lyapunov._delay_W(lags[:, 2:], 1, 4, 0, 0.05, bstar)
     windows = np.array([[0.5, *interior, 0.25], [0.25, 1e-16, 1.0, 1e-16, 0.5], [-0.0] * 5])
     theta = lyapunov._theta_trapezoids(windows, 4, 0.05).tolist()
     assert [v.hex() for v in theta] == [
@@ -1084,25 +1145,25 @@ def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
     )
     hist = build_initial_history(config, 7)
     star = endemic_equilibrium(params)
-    ring = LagIntegrals(hist, params, star, domain)
-    for _ in range(40):  # the 6-slot ring wraps several times
+    lags = start_column(hist, params, star, domain, 40)
+    for k in range(1, 41):  # the 6-slot history wraps several times
         step(hist, params, domain, 0.05)
-        eval_V(hist, params, star, domain, ring=ring)
-    fresh = LagIntegrals(hist, params, star, domain)
-    assert (list(ring.a), list(ring.b)) == (list(fresh.a), list(fresh.b))
-    assert ring.window_rel_err(hist) == 0.0
-    # a NaN cached value of either delay reaches the disagreement, which
+        row = column_eval_V(hist, params, star, domain, lags, k)
+    assert lags[:, 40:].tobytes() == lag_values(hist, star, domain, 2, 5).tobytes()
+    assert window_rel_err(row, hist, params, star, domain) == 0.0
+    # a NaN per-lag value of either delay reaches the disagreement, which
     # a Python max over (W1 error, W2 error) drops when it comes second
-    for cache in (ring.a, ring.b):
-        kept, cache[0] = cache[0], math.nan
-        assert math.isnan(ring.window_rel_err(hist))
-        cache[0] = kept
+    for delay in (0, 1):
+        kept, lags[delay, 44] = lags[delay, 44], math.nan
+        row = column_eval_V(hist, params, star, domain, lags, 40)
+        assert math.isnan(window_rel_err(row, hist, params, star, domain))
+        lags[delay, 44] = kept
 
 
 @pytest.mark.parametrize("row", [0, 1, 2])
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
 def test_eval_V_names_the_nonpositive_state_row(worked_params, row, bad):
-    params = dataclasses.replace(worked_params, tau_a=0.0)  # the ring checks nothing
+    params = dataclasses.replace(worked_params, tau_a=0.0)  # lag_values checks nothing
     domain = Domain(L=1.0, n=12)
     star = endemic_equilibrium(params)
     state = constant_state(0.9 * star, domain.n)
@@ -1124,25 +1185,20 @@ def test_lag_ring_names_the_nonpositive_lag(worked_params, lag, row, name):
     window[5][1, 7] = 0.0  # a newer bad u1*u2 at lag 0; the oldest is named
     hist = History(window, 0.05)
     with pytest.raises(ValueError, match=rf"{name} at lag {lag};"):
-        LagIntegrals(hist, params, star, domain)
+        lag_values(hist, star, domain, 2, 5)
 
     # A bad new state is named by eval_V's check of the current state,
-    # and never enters the ring.
+    # and never enters the column.
     good = History([constant_state(0.9 * star, domain.n)] * 6, 0.05)
-    ring = LagIntegrals(good, params, star, domain)
-    cached = (ring.t_now, list(ring.a), list(ring.b))
+    lags = start_column(good, params, star, domain, 1)
+    cached = lags.tobytes()
     good.append(bad)
     with pytest.raises(ValueError, match=rf"strictly positive u{row + 1};"):
-        eval_V(good, params, star, domain, ring=ring)
-    assert (ring.t_now, list(ring.a), list(ring.b)) == cached
+        column_eval_V(good, params, star, domain, lags, 1)
+    assert lags.tobytes() == cached
 
 
 # ------------------------------------------------- boundary properties
-
-
-def ring_bits(ring):
-    """The ring's time and both deques, as bytes."""
-    return ring.t_now, np.array(ring.a, dtype=float).tobytes(), np.array(ring.b, dtype=float).tobytes()
 
 
 def row_bits(row):
@@ -1171,19 +1227,22 @@ def random_windows(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_windows(), st.integers(1, 4))
 def test_eval_V_keeps_the_ring_equal_to_a_fresh_one_at_any_lag_count(window, rounds):
-    # Zero delays included: a zero lag count caches nothing and its W is 0.
+    # Zero delays included: a zero lag count leaves its row NaN and its W is 0.
+    # eval_V's entries are a fresh lag_values of the window, bit for bit.
     hist, params, star, domain = window
-    ring = LagIntegrals(hist, params, star, domain)
+    k_max = max(lag_counts(params, hist.dt))
+    lags = start_column(hist, params, star, domain, rounds)
     for k in range(rounds + 1):
         if k:
             step(hist, params, domain, hist.dt)
-        row = eval_V(hist, params, star, domain, ring=ring)
-        assert ring_bits(ring) == ring_bits(LagIntegrals(hist, params, star, domain))
+        row = column_eval_V(hist, params, star, domain, lags, k)
+        fresh = lag_values(hist, star, domain, *lag_counts(params, hist.dt))
+        assert lags[:, k : k + k_max + 1].tobytes() == fresh.tobytes()
         assert row_bits(row) == row_bits(eval_V(hist, params, star, domain))
         assert math.isnan(row["two_path_rel_err"])
-        cached = ring_bits(ring)
-        assert row_bits(eval_V(hist, params, star, domain, ring=ring)) == row_bits(row)
-        assert ring_bits(ring) == cached
+        cached = lags.tobytes()
+        assert row_bits(column_eval_V(hist, params, star, domain, lags, k)) == row_bits(row)
+        assert lags.tobytes() == cached
 
 
 @settings(max_examples=100, deadline=None)
@@ -1248,8 +1307,7 @@ def certifying_record(config, seed, block_cells=None):
 def test_blocks_give_the_bytes_of_one_state_at_a_time(k_a, k_b, n, rows, blocks, rest, seed):
     # The record, two_path_rel_err included, is the same with one state
     # per eval_V call, with blocks of a few states and at the default
-    # bound.  Blocks end when full, at checkpoints (every min(k_a, k_b)
-    # steps over the nonzero ones) and at the last step, which the step
+    # bound.  Blocks end when full and at the last step, which the step
     # count puts inside a block.
     dt = 0.05 if k_a < 10 else 0.005
     params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
