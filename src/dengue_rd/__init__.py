@@ -41,8 +41,6 @@ from .integrator import (
     SimulationError,
     Trajectory,
     dde_oracle_step,
-    infection_term_u1,
-    infection_term_u3,
     run,
     run_homogeneous,
     stability_dt_bound,
@@ -92,8 +90,6 @@ __all__ = [
     "g",
     "gradient_energy",
     "heat_apply",
-    "infection_term_u1",
-    "infection_term_u3",
     "kernel_matrix",
     "lag_steps",
     "load_config",

@@ -178,9 +178,16 @@ class Domain:
         return w
 
 
-def sup_distance(state: np.ndarray, point: np.ndarray) -> float:
-    """Sup-norm distance max_i sup_x |u_i(x) - point_i| to a constant state."""
-    return float(np.abs(state - point[:, None]).max())
+def sup_distance(state: np.ndarray, point: np.ndarray) -> float | np.ndarray:
+    """Sup-norm distance max_i sup_x |u_i(x) - point_i| to a constant state.
+
+    point is one (3,) state, which gives a float, or a (P, 3) stack, which
+    gives the P distances in one pass, each bit for bit the float of its
+    row passed alone, NaN included.
+    """
+    if point.ndim == 1:
+        return float(np.abs(state - point[:, None]).max())
+    return np.abs(state - point[:, :, None]).reshape(len(point), -1).max(axis=1)
 
 
 def lag_steps(tau: float, dt: float, rtol: float = DT_DIVISIBILITY_RTOL) -> int:
@@ -279,6 +286,17 @@ class History:
         if not (0 <= k <= self.n_lags):
             raise ValueError(f"lag {k} outside stored window 0..{self.n_lags}")
         return self._buf[(self._head - k) % self._buf.shape[0]]
+
+    def lookup_block(self, k: int, count: int) -> np.ndarray:
+        """Copies of the count states from lag k down to lag k - count + 1, oldest first.
+
+        One gather, shaped (count, 3, n): row j is the state at time
+        t_now - (k - j) * dt.
+        """
+        if not (1 <= count <= k + 1 and k <= self.n_lags):
+            raise ValueError(f"lags {k - count + 1}..{k} outside stored window 0..{self.n_lags}")
+        size = self._buf.shape[0]
+        return self._buf[np.arange(self._head - k, self._head - k + count) % size]
 
     def append(self, state: Sequence[np.ndarray]) -> np.ndarray:
         """Writes the state at time t_now + dt over the oldest slot.

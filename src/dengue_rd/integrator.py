@@ -15,6 +15,15 @@ delayed product u1 u2 is formed pointwise on the grid before the kernel
 is applied.  Spatially constant equilibria are fixed points of the step
 to roundoff because constants are exact fixed points of the heat flow.
 
+The delayed fields of the next B steps already sit in the history: the
+step from state s + j reads the states s + j - k_a and s + j - k_b, which
+exist at step s while j is at most the smaller nonzero lag.  So run
+smooths them a block at a time, B = min(block_rows(n), 1 + that lag)
+steps in one transform call (25 steps on the sweep base at n = 48, one
+on grids of more than 600 points), and hands each step its rows.  The
+stacked transforms give each row the bytes of its own call (spectral
+module docstring), so the split of a run into blocks moves no bit.
+
 The explicit reaction substep keeps states in the invariant box when
 
     dt <= 0.2 / max(mu_m, mu_h + beta_h M1, rho_h, beta_m M3),
@@ -47,7 +56,8 @@ from .core import (
 from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import RECORD_DTYPE, StateBlock, block_rows, eval_V, lag_values, prepare_kernels
 from .lyapunov import two_path_rel_err, window_W
-from .spectral import _heat_decay, _heat_rows, _live_modes, heat_apply
+from .spectral import _heat_decay, _heat_rows, _live_modes
+from .spectral import heat_apply  # unused here; perfbench/tracing.py wraps this binding
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -56,8 +66,6 @@ __all__ = [
     "SimulationError",
     "Trajectory",
     "dde_oracle_step",
-    "infection_term_u1",
-    "infection_term_u3",
     "run",
     "run_homogeneous",
     "stability_dt_bound",
@@ -81,40 +89,6 @@ def stability_dt_bound(params: ModelParams) -> float:
     return float(0.2 / stiffest)
 
 
-def _mosquito_infection(
-    u1_now: np.ndarray, smoothed: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    return params.beta_m * (params.A - u1_now) * smoothed
-
-
-def _human_infection(smoothed: np.ndarray, params: ModelParams) -> np.ndarray:
-    return params.beta_h * params.survival_b * smoothed
-
-
-def infection_term_u1(
-    u1_now: np.ndarray, u3_lagged: np.ndarray, params: ModelParams, domain: Domain
-) -> np.ndarray:
-    """New mosquito infections beta_m (A - u1) [Gamma(d_m tau_a) u3(t - tau_a)].
-
-    u3_lagged is the infectious-human field one extrinsic delay ago; the
-    kernel average accounts for mosquito movement during incubation.
-    """
-    smoothed = heat_apply(u3_lagged, params.d_m, params.tau_a, domain)
-    return _mosquito_infection(u1_now, smoothed, params)
-
-
-def infection_term_u3(
-    u1_lagged: np.ndarray, u2_lagged: np.ndarray, params: ModelParams, domain: Domain
-) -> np.ndarray:
-    """New human cases surviving incubation, from the delayed force of infection.
-
-    The product u1 u2 is taken pointwise at time t - tau_b before the
-    kernel average, then scaled by beta_h exp(-mu_h tau_b).
-    """
-    smoothed = heat_apply(u1_lagged * u2_lagged, params.d_h, params.tau_b, domain)
-    return _human_infection(smoothed, params)
-
-
 @dataclass(frozen=True)
 class _StepPlan:
     """What step derives from (params, domain, dt) alone, built once per run.
@@ -125,7 +99,11 @@ class _StepPlan:
     nonzero delay, with their decays in lag_decay, so a zero delay skips
     its transform.  modes and lag_modes count the live cosine modes of
     each batch of flows (spectral._live_modes), so step never recounts
-    them.
+    them.  block is B, the steps whose delayed fields one smoothing call
+    covers; with both delays zero it only groups run's loop.  beta_m,
+    beta_h, gain_b = beta_h exp(-mu_h tau_b) and the loss column (mu_m,
+    mu_h, rho_h) are the reaction's coefficients, so step reads no
+    derived parameter.
     """
 
     k_a: int
@@ -135,6 +113,11 @@ class _StepPlan:
     lag_rows: tuple[int, ...]
     lag_decay: np.ndarray  # (len(lag_rows), n)
     lag_modes: int
+    block: int
+    beta_m: float
+    beta_h: float
+    gain_b: float
+    loss: np.ndarray       # (3, 1)
 
 
 @lru_cache(maxsize=32)
@@ -143,17 +126,47 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     lag_rows = tuple(i for i, (_, tau) in enumerate(kernels) if tau > 0.0)
     decay = np.array([_heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)])
     lag_decay = np.array([_heat_decay(*kernels[i], domain) for i in lag_rows])
+    k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+    # The step from state s + j reads states s + j - k, all in the history
+    # at step s while j <= k for every nonzero k.
+    reach = [1 + k for k in (k_a, k_b) if k]
     plan = _StepPlan(
-        k_a=lag_steps(params.tau_a, dt),
-        k_b=lag_steps(params.tau_b, dt),
+        k_a=k_a,
+        k_b=k_b,
         decay=decay,
         modes=_live_modes(decay),
         lag_rows=lag_rows,
         lag_decay=lag_decay,
         lag_modes=_live_modes(lag_decay),
+        block=min([block_rows(domain.n), *reach]),
+        beta_m=params.beta_m,
+        beta_h=params.beta_h,
+        gain_b=params.beta_h * params.survival_b,
+        loss=np.array([[params.mu_m], [params.mu_h], [params.rho_h]]),
     )
-    plan.decay.flags.writeable = plan.lag_decay.flags.writeable = False
+    for array in (plan.decay, plan.lag_decay, plan.loss):
+        array.flags.writeable = False
     return plan
+
+
+def _smooth_delayed(history: History, plan: _StepPlan, domain: Domain, count: int) -> np.ndarray:
+    """The smoothed delayed fields of the next count steps, (count, len(lag_rows), n).
+
+    Row j holds those of the step from the history's newest state plus j:
+    Gamma(d_m tau_a) u3 at lag k_a - j and Gamma(d_h tau_b) (u1 u2) at lag
+    k_b - j, for the delays in plan.lag_rows, so count is at most
+    plan.block.  All of them go through one transform call.
+    """
+    n, lags = domain.n, len(plan.lag_rows)
+    fields = np.empty((lags, count, n))
+    if plan.k_a:
+        fields[0] = history.lookup_block(plan.k_a, count)[:, 2]
+    if plan.k_b:
+        lag_b = history.lookup_block(plan.k_b, count)
+        np.multiply(lag_b[:, 0], lag_b[:, 1], out=fields[-1])
+    decay = np.repeat(plan.lag_decay, count, axis=0)
+    smoothed = _heat_rows(fields.reshape(lags * count, n), decay, domain, plan.lag_modes)
+    return smoothed.reshape(lags, count, n).transpose(1, 0, 2)
 
 
 def step(
@@ -163,42 +176,59 @@ def step(
     dt: float,
     *,
     plan: _StepPlan | None = None,
+    smoothed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advances the history by one split step and returns the new state.
 
-    Equivalent to the reaction terms of infection_term_u1/u3 followed by
-    one heat_apply per component.  The decays and their live mode counts
-    come from a plan cached per (params, domain, dt); run passes the one
-    it holds as plan, which must be _step_plan(params, domain, dt), and
-    other callers leave it out.  The two kernel averages, then the three
-    heat flows, each go to the shared transform as one batch: one pair of
-    stacked products on the dense and band paths, one rfft and one irfft
-    call on the FFT path.
+    An explicit Euler substep of the reaction, with the delayed infection
+    terms beta_m (A - u1) Gamma(d_m tau_a) u3(t - tau_a) and
+    beta_h exp(-mu_h tau_b) Gamma(d_h tau_b) (u1 u2)(t - tau_b), then the
+    heat flow over dt of each component.  The decays, their live mode
+    counts and the reaction's coefficients come from a plan cached per
+    (params, domain, dt); run passes the one it holds as plan, which must
+    be _step_plan(params, domain, dt), and other callers leave it out.
+    Without a plan, step first checks dt against the history's; run has
+    checked it already.
+
+    smoothed holds this step's smoothed delayed fields, one row per
+    nonzero delay (u3's first).  run smooths them for a block of
+    plan.block steps in one transform call and hands each step its rows;
+    a step called without them smooths its own, as a block of one, and
+    with both delays zero there is nothing to smooth.  The three heat
+    flows go to the transform as one batch: one pair of stacked products
+    on the dense and band paths, one rfft and one irfft call on the FFT
+    path.  The substep runs in one (3, n) buffer, each product in the
+    operand order of the terms above, so it keeps their bits.
 
     The new state is a (3, n) array, rows u1, u2, u3: a read-only view of
     the history's ring slot, valid until the slot is reused n_lags + 1
     steps later.  Copy it to keep it longer.
     """
-    if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
-        raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
     if plan is None:
+        if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
+            raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
         plan = _step_plan(params, domain, dt)
+    if smoothed is None and plan.lag_rows:
+        smoothed = _smooth_delayed(history, plan, domain, 1)[0]
     state = history.lookup_arrays(0)
     u1, u2, u3 = state
-    lag_b = history.lookup_arrays(plan.k_b)
-    delayed = [history.lookup_arrays(plan.k_a)[2], lag_b[0] * lag_b[1]]
-    rows = plan.lag_rows
-    if rows:
-        smoothed = _heat_rows([delayed[i] for i in rows], plan.lag_decay, domain, plan.lag_modes)
-        for i, row in zip(rows, smoothed):
-            delayed[i] = row
 
-    # Euler substep u + dt r, formed as r * dt + u over the (3, n) array:
-    # the same two roundings per element, so the same bits.
+    # Euler substep u + dt r, formed as r * dt + u: the same two roundings
+    # per element, so the same bits.  r is the gain less loss * state.
     post = np.empty_like(state)
-    np.subtract(_mosquito_infection(u1, delayed[0], params), params.mu_m * u1, out=post[0])
-    np.subtract(params.H - params.beta_h * u1 * u2, params.mu_h * u2, out=post[1])
-    np.subtract(_human_infection(delayed[1], params), params.rho_h * u3, out=post[2])
+    r1, r2, r3 = post
+    np.subtract(params.A, u1, out=r1)
+    r1 *= plan.beta_m
+    r1 *= smoothed[0] if plan.k_a else u3
+    np.multiply(u1, plan.beta_h, out=r2)
+    r2 *= u2
+    np.subtract(params.H, r2, out=r2)
+    if plan.k_b:
+        np.multiply(smoothed[-1], plan.gain_b, out=r3)
+    else:
+        np.multiply(u1, u2, out=r3)
+        r3 *= plan.gain_b
+    post -= plan.loss * state
     post *= dt
     post += state
     return history.append(_heat_rows(post, plan.decay, domain, plan.modes))
@@ -246,6 +276,11 @@ class Trajectory:
 
 def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
+
+    Steps go in blocks of B (the module docstring): before a block's first
+    step one call smooths the delayed fields of the whole block, and each
+    step gets its rows.  Each recorded state takes one sup_distance call
+    for its distances to the DFE and to u*.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
     dissipation identity at every step: each step's state goes into a
@@ -308,8 +343,10 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         fresh_W = np.full((size, 2), np.nan)
 
     times = np.arange(size) * dt
-    dist_endemic = np.full(size, np.nan)
-    dist_dfe = np.full(size, np.nan)
+    # Row k holds step k's distances to the DFE and to u* (NaN without u*).
+    points = np.array([eqs.dfe] if eqs.endemic is None else [eqs.dfe, eqs.endemic])
+    distances = np.full((size, 2), np.nan)
+    known = slice(0, len(points))
     # Row k holds the (3, 2) per-component minima and maxima of step k.
     extremes = np.full((size, 3, 2), np.nan)
     comp_min, comp_max = extremes[..., 0], extremes[..., 1]
@@ -325,11 +362,10 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         hi = state.max(axis=1, out=bounds[:, 1])
         # Rounding u - p is monotone in u, so a row's sup |u - p| sits at
         # its min or max: the distance of bounds is that of state, bit for bit.
-        if eqs.endemic is not None:
-            dist_endemic[k] = sup_distance(bounds, eqs.endemic)
-        dist_dfe[k] = sup_distance(bounds, eqs.dfe)
-        if not ((lo >= 0.0).all() and (hi <= ceiling).all()):
-            # min and max propagate NaN, so they see every non-finite value.
+        distances[k, known] = sup_distance(bounds, points)
+        # min and max propagate NaN, so a NaN anywhere fails the low test.
+        low = lo.min()
+        if not (low >= 0.0 and (hi <= ceiling).all()):
             if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
                 raise SimulationError(
                     f"non-finite state at step {k}, t={times[k]:.6g}"
@@ -343,7 +379,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             block.put(filled, k, initial)
             filled += 1
             # A nonpositive state fails eval_V's check at its own step.
-            if filled == len(block) or k == n_steps or not lo.min() > 0.0:
+            if filled == len(block) or k == n_steps or not low > 0.0:
                 rows = eval_V(block[:filled], params, eqs.endemic, domain, lags=lags)
                 lyapunov[k + 1 - filled : k + 1] = rows
                 filled = 0
@@ -355,9 +391,11 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             snapshots.append((float(times[k]), state.copy()))
 
     record(0, initial.latest)
-    for k in range(1, size):
-        state = step(initial, params, domain, dt, plan=plan)
-        record(k, state)
+    for first in range(1, size, plan.block):
+        count = min(plan.block, size - first)
+        delayed = _smooth_delayed(initial, plan, domain, count) if plan.lag_rows else [None] * count
+        for k, smoothed in enumerate(delayed, start=first):
+            record(k, step(initial, params, domain, dt, plan=plan, smoothed=smoothed))
 
     if config.certify:
         lyapunov["two_path_rel_err"][checkpoints] = two_path_rel_err(
@@ -368,8 +406,8 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     return Trajectory(
         times=times,
-        dist_endemic=dist_endemic,
-        dist_dfe=dist_dfe,
+        dist_endemic=distances[:, 1],
+        dist_dfe=distances[:, 0],
         comp_min=comp_min,
         comp_max=comp_max,
         lyapunov=lyapunov,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dengue_rd import Domain, ModelParams
+from dengue_rd import Domain, ModelParams, heat_apply
 
 
 # Worked parameter point: R0 = sqrt(2) exactly, endemic (1/2, 4/3, 1/3),
@@ -59,3 +59,19 @@ def random_smooth_field(domain: Domain, rng: np.random.Generator, offset: float 
     for k in range(domain.n // 3):
         f += rng.standard_normal() * np.exp(-0.5 * k) * np.cos(k * np.pi * x / domain.L)
     return f
+
+
+def infection_term_u1(u1_now, u3_lagged, params: ModelParams, domain: Domain) -> np.ndarray:
+    """New mosquito infections beta_m (A - u1) [Gamma(d_m tau_a) u3(t - tau_a)]."""
+    smoothed = heat_apply(u3_lagged, params.d_m, params.tau_a, domain)
+    return params.beta_m * (params.A - u1_now) * smoothed
+
+
+def infection_term_u3(u1_lagged, u2_lagged, params: ModelParams, domain: Domain) -> np.ndarray:
+    """New human cases beta_h exp(-mu_h tau_b) [Gamma(d_h tau_b) (u1 u2)(t - tau_b)].
+
+    The product u1 u2 is taken pointwise at time t - tau_b before the
+    kernel average.
+    """
+    smoothed = heat_apply(u1_lagged * u2_lagged, params.d_h, params.tau_b, domain)
+    return params.beta_h * params.survival_b * smoothed

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dengue_rd import (
     Domain,
@@ -169,6 +172,23 @@ def test_sup_distance(domain):
     assert sup_distance(s, np.array([1.0, 2.5, 3.0])) == 0.75
 
 
+VALUES = st.one_of(st.floats(-1e300, 1e300), st.just(math.nan))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    state=st.integers(1, 6).flatmap(lambda n: arrays(float, (3, n), elements=VALUES)),
+    points=st.integers(1, 4).flatmap(lambda p: arrays(float, (p, 3), elements=VALUES)),
+    nan_row=st.booleans(),
+)
+def test_stacked_sup_distance_equals_one_call_per_point(state, points, nan_row):
+    if nan_row:
+        points[-1] = math.nan
+    stacked = sup_distance(state, points)
+    assert stacked.shape == (len(points),)
+    assert [d.hex() for d in stacked.tolist()] == [sup_distance(state, p).hex() for p in points]
+
+
 def test_lag_steps_accepts_exact_multiples():
     assert lag_steps(0.5, 0.05) == 10
     assert lag_steps(0.0, 0.1) == 0
@@ -206,6 +226,16 @@ def test_history_lookup_round_trip(domain):
         h.lookup(5)
     with pytest.raises(ValueError):
         h.lookup(-1)
+    # a block of lags reads oldest first, across the ring's wrap
+    h.append(constant_state((10.0, 0.5, 1.0), domain.n))
+    for k in range(5):
+        for count in range(1, k + 2):
+            block = h.lookup_block(k, count)
+            assert block.shape == (count, 3, domain.n)
+            assert [s[0, 0] for s in block] == [h.lookup(k - j)[0, 0] for j in range(count)]
+    for k, count in ((5, 1), (2, 4), (2, 0)):
+        with pytest.raises(ValueError, match="outside stored window"):
+            h.lookup_block(k, count)
 
 
 def test_history_from_function_samples_lag_times(domain):

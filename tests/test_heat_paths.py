@@ -27,10 +27,9 @@ from dengue_rd import (
     History,
     ModelParams,
     SimConfig,
+    bound_vector,
     gradient_energy,
     heat_apply,
-    infection_term_u1,
-    infection_term_u3,
     lag_steps,
     run,
     step,
@@ -39,9 +38,11 @@ from dengue_rd import (
 )
 from dengue_rd.spectral import BAND_MAX_MODES, FFT_MIN_N
 
-from conftest import WORKED, random_smooth_field
+from conftest import WORKED, infection_term_u1, infection_term_u3, random_smooth_field
 
 DT = 0.05
+
+real_operators = spectral._operators
 
 grid_sizes = st.one_of(
     st.integers(8, 40), st.sampled_from([FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 65])
@@ -257,7 +258,7 @@ def random_history(params: ModelParams, domain: Domain, rng) -> History:
 
 
 def reference_step(history: History, params: ModelParams, domain: Domain) -> np.ndarray:
-    """The split step from the public infection terms and one heat_apply per row."""
+    """The split step from the infection terms and one heat_apply per row."""
     k_a = lag_steps(params.tau_a, DT)
     k_b = lag_steps(params.tau_b, DT)
     u1, u2, u3 = history.lookup_arrays(0)
@@ -360,6 +361,81 @@ def test_run_looks_its_plan_up_once_and_steps_through_the_module(monkeypatch):
     for _ in range(10):  # the positional form looks the same plan up itself
         real_step(plain, params, domain, DT)
     assert np.array_equal(plain.latest, traj.final_state)
+
+
+def box_window(params: ModelParams, domain: Domain, rng) -> list[np.ndarray]:
+    """A smooth window of states, oldest first, inside the box and off its walls."""
+    n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
+    ceilings = bound_vector(params)
+    return [
+        np.array([smooth_box_rows(domain, rng, 1, m)[0] for m in ceilings]) for _ in range(n_lags + 1)
+    ]
+
+
+def trajectory_bytes(traj) -> list[bytes]:
+    arrays = (traj.times, traj.dist_endemic, traj.dist_dfe, traj.comp_min, traj.comp_max,
+              traj.lyapunov, traj.checkpoints, traj.final_state)
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_a=st.integers(0, 6),
+    k_b=st.integers(0, 6),
+    n=st.integers(8, 40),
+    path=heat_paths,
+    certify=st.booleans(),
+    n_steps=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_hands_each_step_the_rows_it_would_smooth_alone(k_a, k_b, n, path, certify, n_steps, seed):
+    """Smoothing a block of steps at once moves no bit of the run."""
+    params = ModelParams(**{**WORKED, "tau_a": k_a * DT, "tau_b": k_b * DT})
+    domain = Domain(L=1.0, n=n)
+    block = integrator._step_plan(params, domain, DT).block
+    if n_steps % block == 0:
+        n_steps += 1  # a short last block
+    config = SimConfig(
+        params=params, domain=domain, dt=DT, t_end=n_steps * DT, snapshot_every=3, certify=certify
+    )
+    window = box_window(params, domain, np.random.default_rng(seed))
+    counts = []
+    real_smooth, real_step = integrator._smooth_delayed, integrator.step
+    with heat_path(n, path) as dense, pytest.MonkeyPatch.context() as mp:
+        if not dense:  # certification's gradients and mass defect run dense on every grid
+            mp.setattr(spectral, "_operators", real_operators)
+        mp.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real_smooth(*a))
+        blocked = run(config, History(window, DT))
+        block_counts = counts[:]
+        alone = History(window, DT)
+        states = [alone.latest] + [step(alone, params, domain, DT).copy() for _ in range(n_steps)]
+        mp.setattr(integrator, "step", lambda *a, smoothed, **kw: real_step(*a, **kw))
+        looped = run(config, History(window, DT))
+    assert trajectory_bytes(blocked) == trajectory_bytes(looped)
+    assert [t for t, _ in blocked.snapshots] == [t for t, _ in looped.snapshots]
+    for (t, got), (_, expected) in zip(blocked.snapshots, looped.snapshots):
+        assert got.tobytes() == expected.tobytes() == states[round(t / DT)].tobytes()
+    if k_a or k_b:
+        assert block_counts == [block] * (n_steps // block) + [n_steps % block]
+    else:
+        assert block_counts == []
+
+
+@pytest.mark.parametrize("tau_a, calls", [(0.5, math.ceil(60 / 25)), (0.0, 0)])
+def test_one_smoothing_call_per_block_of_steps(monkeypatch, tau_a, calls):
+    """At n = 48 with 100 lags a block holds 25 steps; with no delay nothing is smoothed."""
+    params = ModelParams(**{**WORKED, "tau_a": tau_a})
+    domain = Domain(L=1.0, n=48)
+    dt = 0.005
+    assert integrator._step_plan(params, domain, dt).block == 25
+    counts = []
+    real = integrator._smooth_delayed
+    monkeypatch.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real(*a))
+    config = SimConfig(params=params, domain=domain, dt=dt, t_end=60 * dt)
+    window = [smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)]
+    traj = run(config, History(window, dt))
+    assert len(traj.times) == 61
+    assert len(counts) == calls and sum(counts) == (60 if calls else 0)
 
 
 def test_wide_run_builds_no_dense_operators():

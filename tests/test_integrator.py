@@ -17,8 +17,6 @@ from dengue_rd import (
     dde_oracle_step,
     disease_free_equilibrium,
     endemic_equilibrium,
-    infection_term_u1,
-    infection_term_u3,
     run,
     run_homogeneous,
     stability_dt_bound,
@@ -26,7 +24,7 @@ from dengue_rd import (
     sup_distance,
 )
 
-from conftest import WORKED, constant_state
+from conftest import WORKED, constant_state, infection_term_u1, infection_term_u3
 
 
 def constant_history(values, params, domain, dt):
