@@ -182,12 +182,10 @@ def sup_distance(state: np.ndarray, point: np.ndarray) -> float | np.ndarray:
     """Sup-norm distance max_i sup_x |u_i(x) - point_i| to a constant state.
 
     point is one (3,) state, which gives a float, or a (P, 3) stack, which
-    gives the P distances in one pass, each bit for bit the float of its
-    row passed alone, NaN included.
+    gives the P distances in one pass.  max is exact and propagates NaN, so
+    each stacked distance is bit for bit that of its row passed alone.
     """
-    if point.ndim == 1:
-        return float(np.abs(state - point[:, None]).max())
-    return np.abs(state - point[:, :, None]).reshape(len(point), -1).max(axis=1)
+    return np.abs(state - point[..., None]).max(axis=(-2, -1))
 
 
 def lag_steps(tau: float, dt: float, rtol: float = DT_DIVISIBILITY_RTOL) -> int:

@@ -185,8 +185,10 @@ def test_stacked_sup_distance_equals_one_call_per_point(state, points, nan_row):
     if nan_row:
         points[-1] = math.nan
     stacked = sup_distance(state, points)
+    alone = [float(np.abs(state - p[:, None]).max()) for p in points]
     assert stacked.shape == (len(points),)
-    assert [d.hex() for d in stacked.tolist()] == [sup_distance(state, p).hex() for p in points]
+    assert [d.hex() for d in stacked.tolist()] == [d.hex() for d in alone]
+    assert [float(sup_distance(state, p)).hex() for p in points] == [d.hex() for d in alone]
 
 
 def test_lag_steps_accepts_exact_multiples():

@@ -421,21 +421,32 @@ def test_run_hands_each_step_the_rows_it_would_smooth_alone(k_a, k_b, n, path, c
         assert block_counts == []
 
 
+@pytest.mark.parametrize("certify", [False, True])
 @pytest.mark.parametrize("tau_a, calls", [(0.5, math.ceil(60 / 25)), (0.0, 0)])
-def test_one_smoothing_call_per_block_of_steps(monkeypatch, tau_a, calls):
-    """At n = 48 with 100 lags a block holds 25 steps; with no delay nothing is smoothed."""
+def test_one_smoothing_call_per_block_of_steps(monkeypatch, tau_a, calls, certify):
+    """At n = 48 with 100 lags a block holds 25 steps; with no delay nothing is smoothed.
+
+    The full 25-row blocks, smoothed in one dense product, move no bit of the
+    run against steps that each smooth their own rows.
+    """
     params = ModelParams(**{**WORKED, "tau_a": tau_a})
     domain = Domain(L=1.0, n=48)
     dt = 0.005
     assert integrator._step_plan(params, domain, dt).block == 25
     counts = []
-    real = integrator._smooth_delayed
-    monkeypatch.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real(*a))
-    config = SimConfig(params=params, domain=domain, dt=dt, t_end=60 * dt)
+    real_smooth, real_step = integrator._smooth_delayed, integrator.step
+    monkeypatch.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real_smooth(*a))
+    config = SimConfig(
+        params=params, domain=domain, dt=dt, t_end=60 * dt, snapshot_every=7, certify=certify
+    )
     window = [smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)]
     traj = run(config, History(window, dt))
     assert len(traj.times) == 61
     assert len(counts) == calls and sum(counts) == (60 if calls else 0)
+    monkeypatch.setattr(integrator, "step", lambda *a, smoothed, **kw: real_step(*a, **kw))
+    looped = run(config, History(window, dt))
+    assert trajectory_bytes(traj) == trajectory_bytes(looped)
+    assert [(t, s.tobytes()) for t, s in traj.snapshots] == [(t, s.tobytes()) for t, s in looped.snapshots]
 
 
 def test_wide_run_builds_no_dense_operators():
