@@ -34,7 +34,6 @@ from .spectral import (
     heat_apply,
     kernel_matrix,
     min_resolvable_time,
-    to_grid,
     to_modal,
 )
 from .integrator import (
@@ -104,7 +103,6 @@ __all__ = [
     "stability_dt_bound",
     "step",
     "sup_distance",
-    "to_grid",
     "to_modal",
     "validate_for_certification",
     "validate_initial_history",

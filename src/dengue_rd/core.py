@@ -182,8 +182,11 @@ def sup_distance(state: np.ndarray, point: np.ndarray) -> float | np.ndarray:
     """Sup-norm distance max_i sup_x |u_i(x) - point_i| to a constant state.
 
     point is one (3,) state, which gives a float, or a (P, 3) stack, which
-    gives the P distances in one pass.  max is exact and propagates NaN, so
-    each stacked distance is bit for bit that of its row passed alone.
+    gives the P distances in one pass.  state may be a stack too: a
+    (B, 1, 3, m) stack of B states against (P, 3) points gives (B, P), as
+    run passes a block's (3, 2) row bounds.  max is exact and propagates
+    NaN, so each stacked distance is bit for bit that of its state and
+    point passed alone.
     """
     return np.abs(state - point[..., None]).max(axis=(-2, -1))
 

@@ -24,6 +24,12 @@ on grids of more than 600 points), and hands each step its rows.  The
 stacked transforms give each row the bytes of its own call (spectral
 module docstring), so the split of a run into blocks moves no bit.
 
+Outside certification a step pays, besides step itself, only for an
+exact stop test of its new state (run's docstring) and a copy of it.
+What run records of the states, their per-component bounds, their
+distances to the equilibria and the snapshots, it derives once per block
+from those copies.
+
 The explicit reaction substep keeps states in the invariant box when
 
     dt <= 0.2 / max(mu_m, mu_h + beta_h M1, rho_h, beta_m M3),
@@ -279,14 +285,24 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     Steps go in blocks of B (the module docstring): before a block's first
     step one call smooths the delayed fields of the whole block, and each
-    step gets its rows.  Each recorded state takes one sup_distance call
-    for its distances to the DFE and to u*.
+    step gets its rows.  After every step an exact stop test reads the new
+    state: a non-finite value raises, and so does a value outside the
+    invariant box in strict mode; otherwise such a value clears bounds_ok.
+    So a failing run stops at the step of its first failing state, and
+    step is never called after it.  The state is also copied into a
+    (B, 3, n) buffer, and after the block's last step the bookkeeping reads
+    the buffer: one min and one max call give the block's per-component
+    bounds, one sup_distance call their distances to the DFE and to u*,
+    and the snapshots are copied from it.  State 0 is a block of one.
+    min and max are exact and each stacked distance is that of its state
+    alone, so the split of a run into blocks moves no recorded bit.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
-    dissipation identity at every step: each step's state goes into a
-    StateBlock, and one eval_V call evaluates the block and returns its
-    record rows when it is full, at the last step or at a state that is
-    not strictly positive, whose error then stops the run at its own step.
+    dissipation identity at every step, right after its stop test: each
+    step's state goes into a StateBlock, and one eval_V call evaluates the
+    block and returns its record rows when it is full, at the last step or
+    at a state that is not strictly positive, whose error then stops the
+    run at its own step.
     eval_V reads the W integrals from lags, a column of per-lag values
     indexed by step that the initial window fills and eval_V extends.  At
     checkpoint steps, every min(k_a, k_b) steps (over the nonzero ones,
@@ -316,7 +332,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
             f"history spans {initial.n_lags} lags, need {max(k_a, k_b)}"
         )
     eqs = compute_equilibria(params)
-    ceiling = bound_vector(params) * (1.0 + BOX_SLACK)
+    # The box ceiling of every grid value: a full (3, n) operand compares
+    # faster than a broadcast column.
+    ceiling = np.repeat((bound_vector(params) * (1.0 + BOX_SLACK))[:, None], domain.n, axis=1)
 
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
@@ -352,21 +370,19 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     comp_min, comp_max = extremes[..., 0], extremes[..., 1]
     lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
     snapshots: list[tuple[float, np.ndarray]] = []
+    # The states of the current block, for its bookkeeping.
+    states = np.empty((plan.block, 3, domain.n))
     bounds_ok = True
     filled = 0
 
-    def record(k: int, state: np.ndarray) -> None:
+    def check(k: int, state: np.ndarray) -> None:
+        """Step k's stop test, then its certifying work."""
         nonlocal bounds_ok, filled
-        bounds = extremes[k]
-        lo = state.min(axis=1, out=bounds[:, 0])
-        hi = state.max(axis=1, out=bounds[:, 1])
-        # Rounding u - p is monotone in u, so a row's sup |u - p| sits at
-        # its min or max: the distance of bounds is that of state, bit for bit.
-        distances[k, known] = sup_distance(bounds, points)
-        # min and max propagate NaN, so a NaN anywhere fails the low test.
-        low = lo.min()
-        if not (low >= 0.0 and (hi <= ceiling).all()):
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        # min propagates NaN and -inf fails the low test; +inf fails the
+        # ceiling test.  Only a failing state takes the slow path.
+        low = state.min()
+        if not (low >= 0.0 and (state <= ceiling).all()):
+            if not np.isfinite(state).all():
                 raise SimulationError(
                     f"non-finite state at step {k}, t={times[k]:.6g}"
                 )
@@ -385,17 +401,32 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 filled = 0
             if checkpoints[k]:
                 fresh_W[k] = window_W(initial, params, eqs.endemic, domain, k_a, k_b)
-        if k == 0 or k == n_steps or (
-            config.snapshot_every and k % config.snapshot_every == 0
-        ):
-            snapshots.append((float(times[k]), state.copy()))
 
-    record(0, initial.latest)
+    def keep_books(first: int, count: int) -> None:
+        """Records steps first to first + count - 1 from states[:count]."""
+        steps = slice(first, first + count)
+        states[:count].min(axis=2, out=comp_min[steps])
+        states[:count].max(axis=2, out=comp_max[steps])
+        # Rounding u - p is monotone in u, so a row's sup |u - p| sits at
+        # its min or max: the distance of bounds is that of state, bit for bit.
+        distances[steps, known] = sup_distance(extremes[steps, None], points)
+        for k in range(first, first + count):
+            if k == 0 or k == n_steps or (
+                config.snapshot_every and k % config.snapshot_every == 0
+            ):
+                snapshots.append((float(times[k]), states[k - first].copy()))
+
+    states[0] = initial.latest
+    check(0, states[0])
+    keep_books(0, 1)
     for first in range(1, size, plan.block):
         count = min(plan.block, size - first)
         delayed = _smooth_delayed(initial, plan, domain, count) if plan.lag_rows else [None] * count
-        for k, smoothed in enumerate(delayed, start=first):
-            record(k, step(initial, params, domain, dt, plan=plan, smoothed=smoothed))
+        for j, smoothed in enumerate(delayed):
+            state = step(initial, params, domain, dt, plan=plan, smoothed=smoothed)
+            states[j] = state
+            check(first + j, state)
+        keep_books(first, count)
 
     if config.certify:
         lyapunov["two_path_rel_err"][checkpoints] = two_path_rel_err(

@@ -148,7 +148,6 @@ __all__ = [
     "kernel_mass_defect",
     "kernel_matrix",
     "min_resolvable_time",
-    "to_grid",
     "to_modal",
 ]
 
@@ -219,15 +218,11 @@ def _check_field(f: np.ndarray, domain: Domain) -> np.ndarray:
 def to_modal(f: np.ndarray, domain: Domain) -> np.ndarray:
     """Cosine coefficients a_k of a grid field, k = 0 .. n - 1.
 
-    Coefficient 0 is exactly the trapezoid spatial mean of f, and to_grid
-    inverts this transform to roundoff.
+    Coefficient 0 is exactly the trapezoid spatial mean of f, and the
+    cosine series sum_k a_k cos(k pi x / L) gives f back on the grid to
+    roundoff.
     """
     return _operators(domain).fwd.dot(_check_field(f, domain))
-
-
-def to_grid(a: np.ndarray, domain: Domain) -> np.ndarray:
-    """Evaluates sum_k a_k cos(k pi x / L) on the grid, k = 0 .. n - 1."""
-    return _operators(domain).cos.dot(_check_field(a, domain))
 
 
 def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:

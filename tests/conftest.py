@@ -52,6 +52,18 @@ def constant_state(values, n: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float)[:, None], n, axis=1)
 
 
+def to_grid(a: np.ndarray, domain: Domain) -> np.ndarray:
+    """The cosine series sum_k a_k cos(k pi x / L) on the grid, k = 0 .. n - 1.
+
+    A plain sum over the modes, independent of the package's transform
+    matrices, against which to_modal and the heat flow are checked.
+    """
+    f = np.zeros(domain.n)
+    for k, a_k in enumerate(a):
+        f += a_k * np.cos(k * np.pi * domain.grid / domain.L)
+    return f
+
+
 def random_smooth_field(domain: Domain, rng: np.random.Generator, offset: float = 0.0) -> np.ndarray:
     """Random field in the lowest third of the grid's cosine modes."""
     x = domain.grid

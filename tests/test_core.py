@@ -179,16 +179,24 @@ VALUES = st.one_of(st.floats(-1e300, 1e300), st.just(math.nan))
 @given(
     state=st.integers(1, 6).flatmap(lambda n: arrays(float, (3, n), elements=VALUES)),
     points=st.integers(1, 4).flatmap(lambda p: arrays(float, (p, 3), elements=VALUES)),
+    bounds=st.integers(1, 4).flatmap(lambda b: arrays(float, (b, 3, 2), elements=VALUES)),
     nan_row=st.booleans(),
 )
-def test_stacked_sup_distance_equals_one_call_per_point(state, points, nan_row):
+def test_stacked_sup_distance_equals_one_call_per_point(state, points, bounds, nan_row):
     if nan_row:
         points[-1] = math.nan
+        bounds[-1] = math.nan
     stacked = sup_distance(state, points)
     alone = [float(np.abs(state - p[:, None]).max()) for p in points]
     assert stacked.shape == (len(points),)
     assert [d.hex() for d in stacked.tolist()] == [d.hex() for d in alone]
     assert [float(sup_distance(state, p)).hex() for p in points] == [d.hex() for d in alone]
+    # A (B, 1, 3, 2) stack of row bounds, as run passes a block's, gives (B, P).
+    per_block = sup_distance(bounds[:, None], points)
+    assert per_block.shape == (len(bounds), len(points))
+    assert [[d.hex() for d in row] for row in per_block.tolist()] == [
+        [float(np.abs(b - p[:, None]).max()).hex() for p in points] for b in bounds
+    ]
 
 
 def test_lag_steps_accepts_exact_multiples():

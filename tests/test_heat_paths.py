@@ -33,7 +33,6 @@ from dengue_rd import (
     lag_steps,
     run,
     step,
-    to_grid,
     to_modal,
 )
 from dengue_rd.spectral import BAND_MAX_MODES, FFT_MIN_N
@@ -246,7 +245,6 @@ def test_dense_products_equal_their_matmul_form_bit_for_bit(n, d, t, seed):
     for row, scale, got in zip(rows, decay, flows):
         assert np.array_equal(got, ops.cos @ (scale * (ops.fwd @ row)))
     assert np.array_equal(to_modal(rows[0], domain), ops.fwd @ rows[0])
-    assert np.array_equal(to_grid(rows[1], domain), ops.cos @ rows[1])
     positive = np.exp(rows[2] / np.abs(rows[2]).max())
     ratio = (ops.dcos @ (ops.fwd @ positive)) / positive
     assert gradient_energy(positive, domain) == float(ops.w @ (ratio * ratio))

