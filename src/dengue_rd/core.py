@@ -288,16 +288,18 @@ class History:
             raise ValueError(f"lag {k} outside stored window 0..{self.n_lags}")
         return self._buf[(self._head - k) % self._buf.shape[0]]
 
-    def lookup_block(self, k: int, count: int) -> np.ndarray:
+    def lookup_block(self, k: int, count: int, rows: int | slice = slice(None)) -> np.ndarray:
         """Copies of the count states from lag k down to lag k - count + 1, oldest first.
 
         One gather, shaped (count, 3, n): row j is the state at time
-        t_now - (k - j) * dt.
+        t_now - (k - j) * dt.  rows indexes the components and gathers
+        only those: rows=2 gives u3 alone, (count, n), and
+        rows=slice(0, 2) gives u1 and u2, (count, 2, n).
         """
         if not (1 <= count <= k + 1 and k <= self.n_lags):
             raise ValueError(f"lags {k - count + 1}..{k} outside stored window 0..{self.n_lags}")
         size = self._buf.shape[0]
-        return self._buf[np.arange(self._head - k, self._head - k + count) % size]
+        return self._buf[np.arange(self._head - k, self._head - k + count) % size, rows]
 
     def append(self, state: Sequence[np.ndarray]) -> np.ndarray:
         """Writes the state at time t_now + dt over the oldest slot.

@@ -18,11 +18,14 @@ to roundoff because constants are exact fixed points of the heat flow.
 The delayed fields of the next B steps already sit in the history: the
 step from state s + j reads the states s + j - k_a and s + j - k_b, which
 exist at step s while j is at most the smaller nonzero lag.  So run
-smooths them a block at a time, B = min(block_rows(n), 1 + that lag)
-steps in one transform call (25 steps on the sweep base at n = 48, one
-on grids of more than 600 points), and hands each step its rows.  The
-stacked transforms give each row the bytes of its own call (spectral
-module docstring), so the split of a run into blocks moves no bit.
+smooths them a block at a time, B steps in one transform call, and hands
+each step its rows.  B is run's own, min(1 + that lag, RUN_BLOCK_STEPS,
+RUN_BLOCK_CELLS // n) and at least 1 (the constants say how they were
+measured).  A lag of 24 steps or more gives 25 on grids of up to 327
+points, so 25 on the sweep base at n = 48, 8 at n = 1024 and 4 at
+n = 2048.  The stacked transforms give each row the bytes of its own
+call (spectral module docstring), so the split of a run into blocks
+moves no bit.
 
 Outside certification a step pays, besides step itself, only for an
 exact stop test of its new state (run's docstring) and a copy of it.
@@ -78,6 +81,20 @@ __all__ = [
     "step",
 ]
 
+# run's block B holds at most RUN_BLOCK_STEPS steps, and at most
+# RUN_BLOCK_CELLS // n of them on an n-point grid (module docstring).  In
+# process, plain runs of the sweep base (2-core x86-64, one BLAS thread,
+# fastest of 7) gained nothing past 25 steps at n = 48 (B = 25, 50 and 101
+# within 2%); at n = 1024 B = 8 took 156 against 191 us per step at B = 1,
+# and B = 16 and 25 were within 5% of it.  Each step of a block holds
+# about 6n doubles: its state copy for the books, its delayed row and two
+# transform rows.  Over B = 1 the run's traced peak rose 0.35 MB at B = 8
+# and 1.16 MB at B = 25, at n = 1024.  The cell budget keeps that rise
+# flat on wider grids: at n = 2048, B = 4 took 287 against 316 us, and
+# its peak rose 0.24 MB.
+RUN_BLOCK_STEPS = 25
+RUN_BLOCK_CELLS = 8192
+
 
 class SimulationError(RuntimeError):
     """A run left the admissible region or produced non-finite values."""
@@ -106,7 +123,11 @@ class _StepPlan:
     its transform.  modes and lag_modes count the live cosine modes of
     each batch of flows (spectral._live_modes), so step never recounts
     them.  block is B, the steps whose delayed fields one smoothing call
-    covers; with both delays zero it only groups run's loop.  beta_m,
+    covers: min(1 + the shortest nonzero lag, RUN_BLOCK_STEPS,
+    RUN_BLOCK_CELLS // n), at least 1.  With both delays zero it only
+    groups run's loop.  B sizes run's memory, about 6 B n doubles (0.35 MB
+    at n = 1024, where B = 8), not eval_V's: a plain run builds no
+    StateBlock, so B does not follow block_rows.  beta_m,
     beta_h, gain_b = beta_h exp(-mu_h tau_b) and the loss column (mu_m,
     mu_h, rho_h) are the reaction's coefficients, so step reads no
     derived parameter.
@@ -136,6 +157,7 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     # The step from state s + j reads states s + j - k, all in the history
     # at step s while j <= k for every nonzero k.
     reach = [1 + k for k in (k_a, k_b) if k]
+    budget = max(1, RUN_BLOCK_CELLS // domain.n)
     plan = _StepPlan(
         k_a=k_a,
         k_b=k_b,
@@ -144,7 +166,7 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
         lag_rows=lag_rows,
         lag_decay=lag_decay,
         lag_modes=_live_modes(lag_decay),
-        block=min([block_rows(domain.n), *reach]),
+        block=min(RUN_BLOCK_STEPS, budget, *reach),
         beta_m=params.beta_m,
         beta_h=params.beta_h,
         gain_b=params.beta_h * params.survival_b,
@@ -161,18 +183,21 @@ def _smooth_delayed(history: History, plan: _StepPlan, domain: Domain, count: in
     Row j holds those of the step from the history's newest state plus j:
     Gamma(d_m tau_a) u3 at lag k_a - j and Gamma(d_h tau_b) (u1 u2) at lag
     k_b - j, for the delays in plan.lag_rows, so count is at most
-    plan.block.  All of them go through one transform call.
+    plan.block.  All of them go through one transform call.  The history
+    gathers only the rows a delay reads: u3 at lag k_a, u1 and u2 at k_b.
     """
-    n, lags = domain.n, len(plan.lag_rows)
-    fields = np.empty((lags, count, n))
+    fields = []
     if plan.k_a:
-        fields[0] = history.lookup_block(plan.k_a, count)[:, 2]
+        fields.append(history.lookup_block(plan.k_a, count, 2))
     if plan.k_b:
-        lag_b = history.lookup_block(plan.k_b, count)
-        np.multiply(lag_b[:, 0], lag_b[:, 1], out=fields[-1])
-    decay = np.repeat(plan.lag_decay, count, axis=0)
-    smoothed = _heat_rows(fields.reshape(lags * count, n), decay, domain, plan.lag_modes)
-    return smoothed.reshape(lags, count, n).transpose(1, 0, 2)
+        lag_b = history.lookup_block(plan.k_b, count, slice(0, 2))
+        fields.append(lag_b[:, 0] * lag_b[:, 1])
+    if len(fields) == 1:
+        rows, decay = fields[0], plan.lag_decay[0]
+    else:
+        rows, decay = np.concatenate(fields), np.repeat(plan.lag_decay, count, axis=0)
+    smoothed = _heat_rows(rows, decay, domain, plan.lag_modes)
+    return smoothed.reshape(len(fields), count, domain.n).transpose(1, 0, 2)
 
 
 def step(
@@ -283,9 +308,12 @@ class Trajectory:
 def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
 
-    Steps go in blocks of B (the module docstring): before a block's first
-    step one call smooths the delayed fields of the whole block, and each
-    step gets its rows.  After every step an exact stop test reads the new
+    Steps go in blocks of B = min(1 + the shortest nonzero lag,
+    RUN_BLOCK_STEPS, RUN_BLOCK_CELLS // n), at least 1 (the module
+    docstring): before a block's first step one call smooths the delayed
+    fields of the whole block, and each step gets its rows.  A block holds
+    about 6 B n doubles: 0.35 MB of traced peak over B = 1 at n = 1024,
+    where B = 8.  After every step an exact stop test reads the new
     state: a non-finite value raises, and so does a value outside the
     invariant box in strict mode; otherwise such a value clears bounds_ok.
     So a failing run stops at the step of its first failing state, and

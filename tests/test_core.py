@@ -220,7 +220,7 @@ def test_lag_steps_rejects_and_suggests():
 
 def test_history_lookup_round_trip(domain):
     dt = 0.1
-    states = [constant_state((float(j), 0.5, 1.0), domain.n) for j in range(5)]
+    states = [constant_state((float(j), 0.5 + j, 1.0 + 2 * j), domain.n) for j in range(5)]
     h = History(states, dt)
     assert h.n_lags == 4 and h.n == domain.n
     # lag 0 is the newest entry, bit-exact
@@ -229,7 +229,7 @@ def test_history_lookup_round_trip(domain):
         assert h.lookup(k)[0, 0] == float(4 - k)
     # push a full window of fresh states and read them all back
     for j in range(5, 10):
-        h.append(constant_state((float(j), 0.5, 1.0), domain.n))
+        h.append(constant_state((float(j), 0.5 + j, 1.0 + 2 * j), domain.n))
     for k in range(5):
         assert h.lookup(k)[0, 0] == float(9 - k)
     with pytest.raises(ValueError):
@@ -237,12 +237,18 @@ def test_history_lookup_round_trip(domain):
     with pytest.raises(ValueError):
         h.lookup(-1)
     # a block of lags reads oldest first, across the ring's wrap
-    h.append(constant_state((10.0, 0.5, 1.0), domain.n))
+    h.append(constant_state((10.0, 10.5, 21.0), domain.n))
     for k in range(5):
         for count in range(1, k + 2):
             block = h.lookup_block(k, count)
             assert block.shape == (count, 3, domain.n)
             assert [s[0, 0] for s in block] == [h.lookup(k - j)[0, 0] for j in range(count)]
+            # the row form gathers only the components it names, as copies
+            u3 = h.lookup_block(k, count, 2)
+            u12 = h.lookup_block(k, count, slice(0, 2))
+            assert u3.shape == (count, domain.n) and u12.shape == (count, 2, domain.n)
+            assert np.array_equal(u3, block[:, 2]) and np.array_equal(u12, block[:, :2])
+            assert u3.flags.owndata and u12.flags.owndata
     for k, count in ((5, 1), (2, 4), (2, 0)):
         with pytest.raises(ValueError, match="outside stored window"):
             h.lookup_block(k, count)

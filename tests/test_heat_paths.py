@@ -227,6 +227,34 @@ def test_band_basis_is_cached_and_read_only():
             array[0] = 2.0
 
 
+def band_in_place(n: int, modes: int) -> np.ndarray:
+    """The n x K basis cos(pi (j k mod 2m) / m), built entry by entry in one buffer."""
+    m = n - 1
+    cos = np.outer(np.arange(n, dtype=float), np.arange(modes))
+    np.fmod(cos, 2 * m, out=cos)
+    cos *= np.pi
+    cos /= m
+    np.cos(cos, out=cos)
+    return cos
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(2, 600),
+        st.sampled_from([FFT_MIN_N, 511, 512, 513, 1024, 1025, 2048, 4097]),
+    ),
+    modes=st.one_of(st.integers(1, BAND_MAX_MODES), st.sampled_from([1, 2, 9, 37, 84, 128])),
+)
+def test_band_basis_gathered_from_its_distinct_values_equals_the_entrywise_build(n, modes):
+    """The table of 2(n - 1) values, gathered in pieces, gives the basis bit for bit."""
+    modes = min(modes, n)
+    band = spectral._band.__wrapped__(n, modes)
+    expected = band_in_place(n, modes)
+    assert band.cos.shape == (n, modes) and band.cos.flags.c_contiguous
+    assert band.cos.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(8, FFT_MIN_N - 1),
@@ -458,19 +486,38 @@ def test_wide_run_builds_no_dense_operators():
 
 
 def test_wide_simulate_runs_without_rfft_or_dense_operators():
-    """The benchmark's wide shape: every flow of a plain run at n = 1024 takes the band."""
+    """The benchmark's wide shape: every flow of a plain run at n = 1024 takes the band.
+
+    Blocks hold 8 steps there, so the 10 steps run as 8 + 2, and the run
+    equals a loop of standalone steps byte for byte.
+    """
     params = ModelParams(**WORKED)
     domain = Domain(L=1.0, n=1024)
     dt = 0.005
     plan = integrator._step_plan(params, domain, dt)
     assert (plan.modes, plan.lag_modes) == (84, 9)
-    config = SimConfig(params=params, domain=domain, dt=dt, t_end=0.05)
+    assert plan.block == integrator.RUN_BLOCK_CELLS // domain.n == 8
+    config = SimConfig(params=params, domain=domain, dt=dt, t_end=0.05, snapshot_every=3)
     window = np.array([smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)])
+    counts = []
+    real_smooth, real_step = integrator._smooth_delayed, integrator.step
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
         mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        mp.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real_smooth(*a))
         traj = run(config, History(window, dt))
+        block_counts = counts[:]
+        alone = History(window, dt)
+        states = [alone.latest] + [step(alone, params, domain, dt).copy() for _ in range(10)]
+        mp.setattr(integrator, "step", lambda *a, smoothed, **kw: real_step(*a, **kw))
+        looped = run(config, History(window, dt))
     assert len(traj.times) == 11 and traj.bounds_ok
+    assert block_counts == [8, 2]
+    assert trajectory_bytes(traj) == trajectory_bytes(looped)
+    assert traj.final_state.tobytes() == states[-1].tobytes()
+    assert [t for t, _ in traj.snapshots] == [t for t, _ in looped.snapshots]
+    for (t, got), (_, expected) in zip(traj.snapshots, looped.snapshots):
+        assert got.tobytes() == expected.tobytes() == states[round(t / dt)].tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "BAND_MAX_MODES", 0)
         on_fft = run(config, History(window, dt))
