@@ -91,7 +91,9 @@ __all__ = [
 # transform rows.  Over B = 1 the run's traced peak rose 0.35 MB at B = 8
 # and 1.16 MB at B = 25, at n = 1024.  The cell budget keeps that rise
 # flat on wider grids: at n = 2048, B = 4 took 287 against 316 us, and
-# its peak rose 0.24 MB.
+# its peak rose 0.24 MB.  These figures were taken when the band kept every
+# mode above HEAT_DECAY_FLOOR (84 at n = 1024), not the modes its tail
+# bound needs (28).
 RUN_BLOCK_STEPS = 25
 RUN_BLOCK_CELLS = 8192
 
@@ -120,10 +122,11 @@ class _StepPlan:
     delayed fields (u3 at lag k_a, u1 u2 at lag k_b) are smoothed by the
     kernels over tau_a and tau_b; lag_rows lists which of the two have a
     nonzero delay, with their decays in lag_decay, so a zero delay skips
-    its transform.  modes and lag_modes count the live cosine modes of
-    each batch of flows (spectral._live_modes), so step never recounts
-    them.  block is B, the steps whose delayed fields one smoothing call
-    covers: min(1 + the shortest nonzero lag, RUN_BLOCK_STEPS,
+    its transform.  modes and lag_modes are the K of each batch of flows,
+    the live cosine modes the band path keeps (spectral._live_modes), so
+    step never recounts them; the dense path never reads them.  block is
+    B, the steps whose delayed fields one smoothing call covers:
+    min(1 + the shortest nonzero lag, RUN_BLOCK_STEPS,
     RUN_BLOCK_CELLS // n), at least 1.  With both delays zero it only
     groups run's loop.  B sizes run's memory, about 6 B n doubles (0.35 MB
     at n = 1024, where B = 8), not eval_V's: a plain run builds no

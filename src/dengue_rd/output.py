@@ -45,9 +45,13 @@ def fmt_float(value: float) -> str:
 
 
 def _write_table(handle, table: np.ndarray) -> None:
-    """Writes a 2-D float table as CSV rows, each value as fmt_float would."""
-    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
-    handle.writelines(row % tuple(values) for values in table.tolist())
+    """Writes a 2-D float table as CSV rows, each value as fmt_float would.
+
+    The whole table is one format call over one template of its rows.
+    """
+    rows, cols = table.shape
+    row = ",".join([FLOAT_FMT] * cols) + "\n"
+    handle.write((row * rows) % tuple(table.ravel().tolist()))
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:
@@ -66,15 +70,16 @@ def write_snapshots(path: Path, traj: Trajectory) -> None:
     """Rows t, x, u1, u2, u3 per snapshot, each value as fmt_float would write it.
 
     Each grid coordinate is formatted once per file and each snapshot time
-    once per snapshot; a row formats only its u1, u2 and u3.
+    once per snapshot.  A snapshot is one format call: a template of its
+    rows holds those literals and a field for each u1, u2 and u3.
     """
-    xs = [fmt_float(x) + "," for x in traj.config.domain.grid.tolist()]
-    row = ",".join([FLOAT_FMT] * 3) + "\n"
+    fields = ",".join([FLOAT_FMT] * 3) + "\n"
+    rows = [fmt_float(x) + "," + fields for x in traj.config.domain.grid.tolist()]
     with open(path, "w") as handle:
         handle.write("t,x,u1,u2,u3\n")
         for t, state in traj.snapshots:
             head = fmt_float(t) + ","
-            handle.writelines(head + x + row % tuple(u) for x, u in zip(xs, state.T.tolist()))
+            handle.write((head + head.join(rows)) % tuple(state.T.ravel().tolist()))
 
 
 def write_sweep(path: Path, rows: list[dict]) -> None:

@@ -30,14 +30,18 @@ agree to about 1e-14 of sup |f|:
 - dense: below FFT_MIN_N grid points, products with the n x n transform
   matrices, which are the fastest there.
 - band: at and above FFT_MIN_N, when the flow keeps at most
-  BAND_MAX_MODES live modes.  A mode is live when its factor is at least
-  HEAT_DECAY_FLOOR (below), and the live modes are a prefix k < K,
-  because lam_k grows with k.  The flow is then the truncated cosine
-  series (Trefethen, Spectral Methods in MATLAB, 2000, ch. 8): two
-  products with one cached n x K basis cos(k pi x_j / L), forward with
-  its transpose and back with the basis itself, O(n K) per row.  The
-  modes from K on have factor 0 (below the floor, in a raw decay), so
-  leaving them out moves no bit.
+  BAND_MAX_MODES live modes.  The live modes are the first K, K the
+  smallest count with 2 sum_{k >= K} decay_k <= BAND_TAIL_BOUND = 2^-53
+  (the factors fall with k, because lam_k grows with k).  The flow is
+  then the truncated cosine series (Trefethen, Spectral Methods in
+  MATLAB, 2000, ch. 8): two products with one cached n x K basis
+  cos(k pi x_j / L), forward with its transpose and back with the basis
+  itself, O(n K) per row.  Leaving the modes from K on out moves each
+  grid value by at most 2^-53 sup |f|, half an ulp of the field's scale:
+  each coefficient a_k = (c_k / m) sum_j eps_j cos(k pi x_j / L) f_j is
+  at most c_k sup |f| <= 2 sup |f| in size, because c_k <= 2 and the
+  trapezoid end-point halving eps sums to m = n - 1.  So the band agrees
+  with the all-mode flow to roundoff, not bit for bit.
 - FFT: any other flow at and above FFT_MIN_N.  The pair is exactly the
   DCT-I, so it runs as irfft(rfft(e) * decay) of the even extension
   e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral bins are
@@ -45,9 +49,12 @@ agree to about 1e-14 of sup |f|:
   per row.
 
 Neither wide path forms the n x n matrices.  On the sweep base at
-n = 1024 (d = 1) the step's flow over dt = 0.005 keeps 84 modes and the
-flow over tau_a = 0.5 keeps 9, so a plain wide step runs on the band
-path only.  The step plan and heat_apply's cache count K once per decay.
+n = 1024 (d = 1) the step's flow over dt = 0.005 keeps 28 modes and the
+flow over tau_a = 0.5 keeps 3 (84 and 9 of their factors are at least
+HEAT_DECAY_FLOOR), so a plain wide step runs on the band path only.  The
+step plan and heat_apply's cache count K once per decay.  Only the band
+path reads K: the dense and FFT paths keep every mode, so no grid below
+FFT_MIN_N points moves a bit with the rule for K.
 
 Stacks keep the bits of single rows.  On small grids a product's cost is
 numpy's fixed cost per call, so a stack of r fields goes through one call
@@ -100,8 +107,7 @@ neighbouring n only for such flows.
 Subnormal floor: exp(-d t lam_k) passes through the subnormal range
 (below 2.2e-308) on its way to zero, and so do its products with the
 spectrum.  Subnormal operands are slow on x86-64, and the FFT's
-butterflies carry a subnormal bin through every stage.  The floor also
-sets the band: K counts the factors at or above it.  On the shipped
+butterflies carry a subnormal bin through every stage.  On the shipped
 workloads the factor itself is subnormal for k = 120-122 of the step's
 flow over dt = 0.005 at n = 1024, k = 38 of the flow over dt = 0.05 at
 n = 64, and k = 12 of the flow over tau_a = 0.5 on every grid of more
@@ -116,12 +122,13 @@ than 100 orders of magnitude below anything the model holds (certifying
 runs keep states above 1e-10 of the box ceiling).  Every sum the term
 would have entered rounds to the same double, and the tests hold
 heat_apply, step and kernel_mass_defect bit for bit against unfloored
-factors, on all three paths; _heat_rows picks the same band from a raw
-decay as from its floored form.  On the sweep base at n = 1024
-(dt = 0.005, tau_a = 0.5) the subnormals cost about a third of an
-FFT-path step: step took 285 us with the floor against 412 us without,
-median of 60 interleaved repeats, faster in 58 of them, identical
-states.
+factors, on all three paths.  The floor does not set the band, and the
+factors below it are far too small to move K, so _heat_rows picks the
+same band from a raw decay as from its floored form.  On the sweep base
+at n = 1024 (dt = 0.005, tau_a = 0.5) the subnormals cost about a third
+of an FFT-path step: step took 285 us with the floor against 412 us
+without, median of 60 interleaved repeats, faster in 58 of them,
+identical states.
 
 Truncation caveat: the n-term kernel series is not pointwise positive
 at small times.  A unit spike at mid-grid diffused for min_resolvable_time
@@ -163,6 +170,11 @@ FFT_MIN_N = 256
 # range, and far below any half-ulp the flow can move (module docstring).
 HEAT_DECAY_FLOOR = 1e-150
 
+# The band path leaves out the modes whose factors, doubled, sum to at most
+# this, half an ulp of 1: together they move no grid value by more than
+# this fraction of sup |f| (module docstring).
+BAND_TAIL_BOUND = 2.0**-53
+
 # On grids of FFT_MIN_N points or more, a flow with at most this many live
 # modes runs as two products against an n x K cosine basis rather than
 # through numpy.fft (module docstring).
@@ -170,9 +182,8 @@ BAND_MAX_MODES = 128
 
 # _band gathers its basis from a table through an index of at most this
 # many entries at a time, not one index as large as the basis.  Building
-# the (1024, 84) basis of simulate-wide's step flow, the peak above the
-# basis's 0.69 MB was 0.04, 0.14 and 0.27 MB at 1024, 4096 and 8192
-# entries, in 1.4, 0.9 and 0.8 ms.
+# a (1024, 84) basis, the peak above the basis's 0.69 MB was 0.04, 0.14
+# and 0.27 MB at 1024, 4096 and 8192 entries, in 1.4, 0.9 and 0.8 ms.
 BAND_INDEX_CELLS = 4096
 
 
@@ -246,19 +257,24 @@ def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:
 
 
 def _live_modes(decay: np.ndarray) -> int:
-    """K, the number of leading cosine modes a flow keeps.
+    """K, the number of leading cosine modes the band path keeps.
 
-    A mode is live when its factor is at least HEAT_DECAY_FLOOR.  The
-    factors fall with k, so the live modes are a prefix; an (r, n) decay
-    gives the longest prefix over its rows.  A raw, unfloored decay gives
-    the same K as its floored form.
+    K is the smallest count with 2 sum_{k >= K} decay_k <= BAND_TAIL_BOUND:
+    every cosine coefficient is at most 2 sup |f|, so the modes from K on
+    move no grid value by more than BAND_TAIL_BOUND sup |f| (module
+    docstring).  An (r, n) decay gives the largest K over its rows.  The
+    factors below HEAT_DECAY_FLOOR sum to far less than an ulp of the
+    bound, so a raw, unfloored decay gives the K of its floored form.
+    Only the band path reads K; the dense and FFT paths keep every mode.
     """
-    return int(np.count_nonzero(decay >= HEAT_DECAY_FLOOR, axis=-1).max())
+    # Summed from the top mode down, so the tails fall with k exactly.
+    tail = np.cumsum(decay[..., ::-1], axis=-1)[..., ::-1]
+    return int(np.count_nonzero(2.0 * tail > BAND_TAIL_BOUND, axis=-1).max())
 
 
 @lru_cache(maxsize=64)
 def _cached_heat_flow(d: float, t: float, domain: Domain) -> tuple[np.ndarray, int]:
-    """_heat_decay(d, t, domain) for one time, read-only, and its live modes."""
+    """_heat_decay(d, t, domain) for one time, read-only, and its band's K."""
     decay = _heat_decay(d, t, domain)
     decay.flags.writeable = False
     return decay, _live_modes(decay)
@@ -308,8 +324,8 @@ def _heat_rows(
     """Scales the cosine modes of each grid field in rows by its decay, (r, n).
 
     The transform pair behind every heat flow.  Below FFT_MIN_N grid
-    points it runs as dense products.  At and above it, a flow whose live
-    modes K (see _live_modes) number at most BAND_MAX_MODES runs against
+    points it runs as dense products.  At and above it, a flow whose band
+    keeps K (see _live_modes) at most BAND_MAX_MODES modes runs against
     the n x K cosine basis, and any other through rfft.  rows is a
     sequence of r fields of length n; decay is one (n,) vector for every
     row or an (r, n) array with a vector per row.  modes is K when the

@@ -30,6 +30,7 @@ from dengue_rd.output import (
     equilibria_report,
     fmt_float,
     write_snapshots,
+    write_timeseries,
 )
 
 from conftest import config_doc
@@ -227,13 +228,59 @@ def test_fmt_float_round_trips():
 SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300)
 
 
+def csv_row(values) -> str:
+    return ",".join(fmt_float(v) for v in values) + "\n"
+
+
 def reference_snapshots(x: np.ndarray, snapshots) -> str:
-    """snapshots.csv written as one _write_table call per snapshot."""
-    handle = io.StringIO()
-    handle.write("t,x,u1,u2,u3\n")
+    """snapshots.csv written row by row with fmt_float."""
+    lines = ["t,x,u1,u2,u3\n"]
     for t, state in snapshots:
-        _write_table(handle, np.column_stack((np.full(x.size, t), x, state.T)))
-    return handle.getvalue()
+        lines += [csv_row((t, xj, *u)) for xj, u in zip(x.tolist(), state.T.tolist())]
+    return "".join(lines)
+
+
+def reference_timeseries(traj) -> str:
+    """timeseries.csv written row by row with fmt_float."""
+    lines = [TIMESERIES_HEADER + "\n"]
+    V = traj.V.tolist()
+    for k in range(len(V)):
+        dvdt = math.nan if k == 0 else (V[k] - V[k - 1]) / traj.config.dt
+        bounds = [b for pair in zip(traj.comp_min[k], traj.comp_max[k]) for b in pair]
+        values = (traj.times[k], traj.dist_endemic[k], traj.dist_dfe[k], V[k], dvdt)
+        lines.append(csv_row((*values, traj.dissipation[k], *bounds)))
+    return "".join(lines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.integers(0, 40),
+    dt=st.sampled_from([0.05, 0.005, 1.0 / 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_timeseries_matches_a_row_by_row_reference(tmp_path_factory, steps, dt, seed):
+    rng = np.random.default_rng(seed)
+    size = steps + 1
+    # Columns t, dist_endemic, dist_dfe, dissipation, then min and max of each component.
+    table = rng.standard_normal((size, 10)) * 10.0 ** rng.integers(-320, 300, (size, 10))
+    table.flat[rng.choice(table.size, len(SPECIALS), replace=False)] = SPECIALS
+    # V's differences stay finite, so dVdt_fd is nan only next to a nan V.
+    V = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+    V[rng.integers(size)] = -0.0
+    V[rng.integers(size)] = math.nan
+    traj = SimpleNamespace(
+        times=table[:, 0],
+        dist_endemic=table[:, 1],
+        dist_dfe=table[:, 2],
+        dissipation=table[:, 3],
+        comp_min=table[:, 4:7],
+        comp_max=table[:, 7:10],
+        V=V,
+        config=SimpleNamespace(dt=dt),
+    )
+    path = tmp_path_factory.mktemp("timeseries") / "timeseries.csv"
+    write_timeseries(path, traj)
+    assert path.read_bytes() == reference_timeseries(traj).encode()
 
 
 @settings(max_examples=30, deadline=None)

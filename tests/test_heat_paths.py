@@ -8,7 +8,9 @@ by lowering FFT_MIN_N and setting BAND_MAX_MODES, so all three paths are
 exercised cheaply; the grids next to the real crossovers are exercised as
 they stand.  Heat factors below spectral.HEAT_DECAY_FLOOR are zeroed, and
 the flows are held bit for bit against the same flows built from raw
-np.exp factors.
+np.exp factors.  The band keeps the fewest modes its tail bound allows,
+is held to the all-mode series within that bound, and no grid below
+FFT_MIN_N reads its mode count.
 """
 
 import dataclasses
@@ -178,12 +180,23 @@ def test_crossover_neighbours_take_the_expected_path():
             heat_apply(np.linspace(0.0, 1.0, n), 1.0, 0.1, Domain(L=1.0, n=n))
 
 
+def band_tail(decay: np.ndarray, modes: int) -> float:
+    """2 sum_{k >= modes} decay_k, summed exactly: the band's bound on what it leaves out."""
+    return 2.0 * math.fsum(decay[modes:])
+
+
 @pytest.mark.parametrize("modes", [BAND_MAX_MODES, BAND_MAX_MODES + 1])
 def test_band_limit_neighbours_take_the_expected_path(modes):
+    """Decays whose tail rule keeps exactly BAND_MAX_MODES modes, and one more.
+
+    Each mode from K on has a nonzero factor, but together they stay under
+    the tail bound, so the band leaves them out.
+    """
     domain = Domain(L=1.0, n=FFT_MIN_N)
     rows = np.random.default_rng(modes).standard_normal((2, domain.n))
-    decay = np.zeros(domain.n)
-    decay[:modes] = np.linspace(1.0, spectral.HEAT_DECAY_FLOOR, modes)
+    decay = np.full(domain.n, 1e-20)
+    decay[:modes] = np.geomspace(1.0, 2.0**-50, modes)
+    assert band_tail(decay, modes) <= 2.0**-53 < band_tail(decay, modes - 1)
     assert spectral._live_modes(decay) == modes
     on_band = modes <= BAND_MAX_MODES
     with pytest.MonkeyPatch.context() as mp:
@@ -495,7 +508,8 @@ def test_wide_simulate_runs_without_rfft_or_dense_operators():
     domain = Domain(L=1.0, n=1024)
     dt = 0.005
     plan = integrator._step_plan(params, domain, dt)
-    assert (plan.modes, plan.lag_modes) == (84, 9)
+    # 84 and 9 modes lie above HEAT_DECAY_FLOOR; the tail rule keeps 28 and 3.
+    assert (plan.modes, plan.lag_modes) == (28, 3)
     assert plan.block == integrator.RUN_BLOCK_CELLS // domain.n == 8
     config = SimConfig(params=params, domain=domain, dt=dt, t_end=0.05, snapshot_every=3)
     window = np.array([smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)])
@@ -583,7 +597,8 @@ def test_heat_apply_reads_a_cached_read_only_decay(case):
     domain, d, t = case
     cached, modes = spectral._cached_heat_flow(d, t, domain)
     assert spectral._cached_heat_flow(d, t, domain)[0] is cached
-    assert modes == spectral._live_modes(cached) == np.count_nonzero(cached)
+    assert modes == spectral._live_modes(cached)
+    assert band_tail(cached, modes) <= 2.0**-53 < band_tail(cached, modes - 1)
     assert not cached.flags.writeable
     assert np.array_equal(cached, spectral._heat_decay(d, t, domain))
     with pytest.raises(ValueError, match="read-only"):
@@ -593,6 +608,75 @@ def test_heat_apply_reads_a_cached_read_only_decay(case):
         mp.setattr(spectral, "_heat_decay", None)  # a recomputation would fail
         got = heat_apply(f, d, t, domain)
     assert np.array_equal(got, spectral._heat_rows(f[None, :], cached, domain)[0])
+
+
+# Against the all-mode cosine_flow, the band's error is its tail, at most
+# 2^-53 sup |f|, plus the roundoff of both sides, BAND_ROUNDOFF
+# ulps of sup |f|.  Over 1200 draws of wide_decay_cases (3600 rows, n from
+# 256 to 1100) the roundoff reached 1.8 ulps.
+BAND_ROUNDOFF = 16
+
+
+@st.composite
+def wide_decay_cases(draw):
+    domain = Domain(L=draw(st.sampled_from([1.0, 2.5])), n=draw(st.integers(FFT_MIN_N, 1100)))
+    d = draw(st.floats(0.01, 10.0))
+    return domain, d, draw(kernel_times(d, domain))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=wide_decay_cases(), seed=st.integers(0, 2**32 - 1))
+def test_band_keeps_the_fewest_modes_its_tail_bound_allows(case, seed):
+    """The band is within its tail bound of the full series; one mode fewer breaks the bound."""
+    domain, d, t = case
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, domain.n)) * 10.0 ** rng.integers(-8, 9, size=(3, 1))
+    decay, modes = spectral._cached_heat_flow(d, t, domain)
+    assert band_tail(decay, modes) <= 2.0**-53 < band_tail(decay, modes - 1)
+    try:
+        with heat_path(domain.n, "band"):
+            got = heat_apply(rows, d, t, domain)
+    finally:
+        spectral._band.cache_clear()  # the forced band caches bases no run uses
+    allowed = 2.0**-53 + BAND_ROUNDOFF * np.finfo(float).eps
+    for row, out in zip(rows, got):
+        expected = cosine_flow(row, raw_decay(d, t, domain), domain)
+        assert np.abs(out - expected).max() <= allowed * np.abs(row).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    params=model_params(),
+    n=st.integers(8, FFT_MIN_N - 1),
+    d=st.floats(0.01, 10.0),
+    t=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_grids_never_read_the_band_cut(params, n, d, t, seed):
+    """Below FFT_MIN_N the bytes of heat_apply and step are those of any K."""
+    domain = Domain(L=1.0, n=n)
+    rng = np.random.default_rng(seed)
+    n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
+    window = np.array([smooth_box_rows(domain, rng, 3) for _ in range(n_lags + 1)])
+    rows = rng.standard_normal((3, n))
+
+    def flows() -> list[bytes]:
+        spectral._cached_heat_flow.cache_clear()
+        integrator._step_plan.cache_clear()
+        history = History(window, DT)
+        states = [step(history, params, domain, DT).tobytes() for _ in range(3)]
+        return [heat_apply(rows, d, t, domain).tobytes(), *states]
+
+    expected = flows()
+    for live in (lambda decay: decay.shape[-1], lambda decay: 1):
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_live_modes", live)
+                mp.setattr(integrator, "_live_modes", live)
+                assert flows() == expected
+        finally:  # no cached K of the stand-in outlives the test
+            spectral._cached_heat_flow.cache_clear()
+            integrator._step_plan.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)
