@@ -123,8 +123,9 @@ class _StepPlan:
     kernels over tau_a and tau_b; lag_rows lists which of the two have a
     nonzero delay, with their decays in lag_decay, so a zero delay skips
     its transform.  modes and lag_modes are the K of each batch of flows,
-    the live cosine modes the band path keeps (spectral._live_modes), so
-    step never recounts them; the dense path never reads them.  block is
+    the leading cosine modes the band keeps (spectral._live_modes), so
+    step never recounts them; grids below spectral.FFT_MIN_N points never
+    read them, since their products keep all n modes.  block is
     B, the steps whose delayed fields one smoothing call covers:
     min(1 + the shortest nonzero lag, RUN_BLOCK_STEPS,
     RUN_BLOCK_CELLS // n), at least 1.  With both delays zero it only
@@ -230,9 +231,9 @@ def step(
     a step called without them smooths its own, as a block of one, and
     with both delays zero there is nothing to smooth.  The three heat
     flows go to the transform as one batch: one pair of stacked products
-    on the dense and band paths, one rfft and one irfft call on the FFT
-    path.  The substep runs in one (3, n) buffer, each product in the
-    operand order of the terms above, so it keeps their bits.
+    on the matrix path, one rfft and one irfft call on the FFT path.  The
+    substep runs in one (3, n) buffer, each product in the operand order
+    of the terms above, so it keeps their bits.
 
     The new state is a (3, n) array, rows u1, u2, u3: a read-only view of
     the history's ring slot, valid until the slot is reused n_lags + 1

@@ -24,37 +24,47 @@ assembled kernel matrix reproduces heat_apply to roundoff at every t.
 
 The heat flow is one transform pair, shared by heat_apply and the
 integrator's step: forward to the cosine basis, scale mode k by its
-decay, back to the grid.  It runs on one of three paths, all of which
-agree to about 1e-14 of sup |f|:
+decay, back to the grid.  It runs on one of two paths, which agree to
+about 1e-14 of sup |f|:
 
-- dense: below FFT_MIN_N grid points, products with the n x n transform
-  matrices, which are the fastest there.
-- band: at and above FFT_MIN_N, when the flow keeps at most
-  BAND_MAX_MODES live modes.  The live modes are the first K, K the
-  smallest count with 2 sum_{k >= K} decay_k <= BAND_TAIL_BOUND = 2^-53
-  (the factors fall with k, because lam_k grows with k).  The flow is
-  then the truncated cosine series (Trefethen, Spectral Methods in
-  MATLAB, 2000, ch. 8): two products with one cached n x K basis
-  cos(k pi x_j / L), forward with its transpose and back with the basis
-  itself, O(n K) per row.  Leaving the modes from K on out moves each
-  grid value by at most 2^-53 sup |f|, half an ulp of the field's scale:
-  each coefficient a_k = (c_k / m) sum_j eps_j cos(k pi x_j / L) f_j is
-  at most c_k sup |f| <= 2 sup |f| in size, because c_k <= 2 and the
-  trapezoid end-point halving eps sums to m = n - 1.  So the band agrees
-  with the all-mode flow to roundoff, not bit for bit.
+- matrix products: two stacked products with the pair of the first K
+  cosine modes from _basis, the forward (K, n) matrix
+  (c_k / m) eps_j cos(k pi x_j / L) and the inverse (n, K) basis
+  cos(k pi x_j / L), O(n K) per row.  Below FFT_MIN_N grid points K = n,
+  the dense pair, which is the fastest there.  At and above it the path
+  takes a flow whose band keeps at most BAND_MAX_MODES modes: the band
+  is the first K, K the smallest count with
+  2 sum_{k >= K} decay_k <= BAND_TAIL_BOUND = 2^-53 (the factors fall
+  with k, because lam_k grows with k).  The flow is then the truncated
+  cosine series (Trefethen, Spectral Methods in MATLAB, 2000, ch. 8).
+  Leaving the modes from K on out moves each grid value by at most
+  2^-53 sup |f|, half an ulp of the field's scale: each coefficient
+  a_k = (c_k / m) sum_j eps_j cos(k pi x_j / L) f_j is at most
+  c_k sup |f| <= 2 sup |f| in size, because c_k <= 2 and the trapezoid
+  end-point halving eps sums to m = n - 1.  So the band agrees with the
+  all-mode flow to roundoff, not bit for bit.
 - FFT: any other flow at and above FFT_MIN_N.  The pair is exactly the
   DCT-I, so it runs as irfft(rfft(e) * decay) of the even extension
   e = (f_0, ..., f_{n-1}, f_{n-2}, ..., f_1), whose n spectral bins are
   the n cosine modes (Makhoul, IEEE Trans. ASSP 28, 1980), at O(n log n)
   per row.
 
-Neither wide path forms the n x n matrices.  On the sweep base at
-n = 1024 (d = 1) the step's flow over dt = 0.005 keeps 28 modes and the
-flow over tau_a = 0.5 keeps 3 (84 and 9 of their factors are at least
-HEAT_DECAY_FLOOR), so a plain wide step runs on the band path only.  The
-step plan and heat_apply's cache count K once per decay.  Only the band
-path reads K: the dense and FFT paths keep every mode, so no grid below
-FFT_MIN_N points moves a bit with the rule for K.
+_basis builds every pair from the same elementwise expressions, so the
+K-mode pair is bit for bit the first K columns of the dense basis and
+the first K rows of the dense forward matrix.  The forward matrix keeps
+the Fortran order its expression leaves: the order decides how BLAS sums
+a product, and a C-ordered copy changed the dense spectrum on every
+draw.  Small grids keep all n modes: cutting their pair to the modes
+whose factors are nonzero moved bytes in 235 of 238 draws that kept 1
+to 3 modes (in none of 2762 that kept more; n from 8 to 255).
+
+No wide flow forms the n x n matrices.  On the sweep base at n = 1024
+(d = 1) the step's flow over dt = 0.005 keeps 28 modes and the flow over
+tau_a = 0.5 keeps 3 (84 and 9 of their factors are at least
+HEAT_DECAY_FLOOR), so a plain wide step runs on K-mode products only.
+The step plan and heat_apply's cache count K once per decay.  Only wide
+grids read K: smaller ones and the FFT path keep every mode, so no grid
+below FFT_MIN_N points moves a bit with the rule for K.
 
 Stacks keep the bits of single rows.  On small grids a product's cost is
 numpy's fixed cost per call, so a stack of r fields goes through one call
@@ -65,7 +75,7 @@ w[:, None]) the same dot product per row as float(w @ r).  Two forms do
 not: a matrix-matrix product (gemm) such as M.dot(X.T), and R @ w, a
 single gemv over the whole stack, both sum in another order, and they
 differed from the per-row values on nearly every draw.  Never batch the
-dense or band products that way: every output byte would move.  (numpy
+matrix products that way: every output byte would move.  (numpy
 2.4.6, one OpenBLAS thread, 50 random draws for each n from 8 to 255.)
 On the FFT path a batched rfft or irfft equals per-row calls, so it
 keeps its stacks.
@@ -87,7 +97,12 @@ shipped workload runs one.
 
 BAND_MAX_MODES comes from timing the same fused (3, n) flow on the band
 and the FFT path with K live modes, rounds interleaved, median of 9
-(same machine and settings).  Band time over FFT time:
+(same machine and settings).  The band then ran an older form of the
+same products, the n x K basis and its transpose with the weights
+applied to the spectrum.  The K-mode pair is a little faster: at
+n = 1024, 30.5 against 33.7 us for the step's (3, n) flow (K = 28) and
+18.1 against 27.2 us for a block of 8 rows over tau_a (K = 3), best of
+15.  Band time over FFT time, old form:
 
     n       K = 9    32    64    96   128   160   192
     256        0.33  0.47  0.63  0.90  0.78  1.25  1.46
@@ -122,7 +137,7 @@ than 100 orders of magnitude below anything the model holds (certifying
 runs keep states above 1e-10 of the box ceiling).  Every sum the term
 would have entered rounds to the same double, and the tests hold
 heat_apply, step and kernel_mass_defect bit for bit against unfloored
-factors, on all three paths.  The floor does not set the band, and the
+factors, on both paths.  The floor does not set the band, and the
 factors below it are far too small to move K, so _heat_rows picks the
 same band from a raw decay as from its floored form.  On the sweep base
 at n = 1024 (dt = 0.005, tau_a = 0.5) the subnormals cost about a third
@@ -170,28 +185,21 @@ FFT_MIN_N = 256
 # range, and far below any half-ulp the flow can move (module docstring).
 HEAT_DECAY_FLOOR = 1e-150
 
-# The band path leaves out the modes whose factors, doubled, sum to at most
+# The band leaves out the modes whose factors, doubled, sum to at most
 # this, half an ulp of 1: together they move no grid value by more than
 # this fraction of sup |f| (module docstring).
 BAND_TAIL_BOUND = 2.0**-53
 
 # On grids of FFT_MIN_N points or more, a flow with at most this many live
-# modes runs as two products against an n x K cosine basis rather than
-# through numpy.fft (module docstring).
+# modes runs as two products with the pair of its first K cosine modes
+# rather than through numpy.fft (module docstring).
 BAND_MAX_MODES = 128
-
-# _band gathers its basis from a table through an index of at most this
-# many entries at a time, not one index as large as the basis.  Building
-# a (1024, 84) basis, the peak above the basis's 0.69 MB was 0.04, 0.14
-# and 0.27 MB at 1024, 4096 and 8192 entries, in 1.4, 0.9 and 0.8 ms.
-BAND_INDEX_CELLS = 4096
 
 
 @dataclass(frozen=True)
 class _Operators:
-    """Precomputed grid and transform matrices for one domain."""
+    """Precomputed transform matrices for one domain."""
 
-    w: np.ndarray        # trapezoid weights, (n,)
     cos: np.ndarray      # cos(k pi x_j / L), (n, n)
     fwd: np.ndarray      # forward transform matrix, (n, n)
     dcos: np.ndarray     # d/dx of the basis columns, (n, n)
@@ -207,23 +215,40 @@ def _eigenvalues(domain: Domain) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _operators(domain: Domain) -> _Operators:
-    n, L = domain.n, domain.L
-    m = n - 1
-    x = domain.grid
-    w = domain.trapezoid_weights
-    freq = np.arange(n) * math.pi / L
-    cos = np.cos(np.outer(x, freq))
-    # Discrete orthogonality weight: 2 everywhere except mode 0 and the
+def _basis(domain: Domain, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transform pair of the first K = modes cosine modes, read-only.
+
+    Returns the forward (K, n) matrix, which maps a grid field to its
+    first K cosine coefficients, and the inverse (n, K) basis
+    cos(k pi x_j / L).  Any K gives bit for bit the first K rows and
+    columns of the dense pair, and the forward matrix stays in the
+    Fortran order its expression leaves (module docstring).
+    """
+    n = domain.n
+    freq = np.arange(n) * math.pi / domain.L
+    cos = np.cos(np.outer(domain.grid, freq[:modes]))
+    # Discrete orthogonality weight c_k: 2 everywhere except mode 0 and the
     # top mode, where the closed grid sums cos^2 to the full mass rather
     # than half of it.
     c = np.full(n, 2.0)
     c[0] = c[-1] = 1.0
     eps = np.full(n, 1.0)
     eps[0] = eps[-1] = 0.5
-    fwd = (c / m)[:, None] * (cos.T * eps[None, :])
-    dcos = -np.sin(np.outer(x, freq)) * freq[None, :]
-    return _Operators(w=w, cos=cos, fwd=fwd, dcos=dcos, weight=c / L)
+    fwd = (c / (n - 1))[:modes, None] * (cos.T * eps[None, :])
+    for a in (fwd, cos):
+        a.flags.writeable = False
+    return fwd, cos
+
+
+@lru_cache(maxsize=32)
+def _operators(domain: Domain) -> _Operators:
+    n, L = domain.n, domain.L
+    fwd, cos = _basis(domain, n)
+    freq = np.arange(n) * math.pi / L
+    dcos = -np.sin(np.outer(domain.grid, freq)) * freq[None, :]
+    weight = np.full(n, 2.0 / L)  # c_k / L, with the c_k of _basis
+    weight[0] = weight[-1] = 1.0 / L
+    return _Operators(cos=cos, fwd=fwd, dcos=dcos, weight=weight)
 
 
 def _check_field(f: np.ndarray, domain: Domain) -> np.ndarray:
@@ -257,7 +282,7 @@ def _heat_decay(d: float, t: float | np.ndarray, domain: Domain) -> np.ndarray:
 
 
 def _live_modes(decay: np.ndarray) -> int:
-    """K, the number of leading cosine modes the band path keeps.
+    """K, the number of leading cosine modes the band keeps.
 
     K is the smallest count with 2 sum_{k >= K} decay_k <= BAND_TAIL_BOUND:
     every cosine coefficient is at most 2 sup |f|, so the modes from K on
@@ -265,7 +290,8 @@ def _live_modes(decay: np.ndarray) -> int:
     docstring).  An (r, n) decay gives the largest K over its rows.  The
     factors below HEAT_DECAY_FLOOR sum to far less than an ulp of the
     bound, so a raw, unfloored decay gives the K of its floored form.
-    Only the band path reads K; the dense and FFT paths keep every mode.
+    Only grids of FFT_MIN_N points or more read K; smaller grids and the
+    FFT path keep every mode.
     """
     # Summed from the top mode down, so the tails fall with k exactly.
     tail = np.cumsum(decay[..., ::-1], axis=-1)[..., ::-1]
@@ -280,41 +306,6 @@ def _cached_heat_flow(d: float, t: float, domain: Domain) -> tuple[np.ndarray, i
     return decay, _live_modes(decay)
 
 
-@dataclass(frozen=True)
-class _Band:
-    """The first K cosine modes of an n-point grid, for the band-limited flow."""
-
-    cos: np.ndarray     # cos(k pi x_j / L) for k < K, (n, K)
-    eps: np.ndarray     # end-point halving of the forward sum, (n,)
-    weight: np.ndarray  # c_k / (n - 1) for k < K, (K,)
-
-
-@lru_cache(maxsize=16)
-def _band(n: int, modes: int) -> _Band:
-    m = n - 1
-    k = np.arange(modes)
-    # Entry (j, k) is cos(pi r / m) with r = j k mod 2m, which is exact, so
-    # the basis holds only the 2m values of a table built with the same
-    # roundings (r pi, then / m, then cos) and is gathered from it; the
-    # gather's wrap mode reduces j k.  The index goes BAND_INDEX_CELLS
-    # entries at a time, so the build's peak stays near the basis's size.
-    table = np.arange(2 * m, dtype=float)
-    table *= np.pi
-    table /= m
-    np.cos(table, out=table)
-    cos = np.empty((n, modes))
-    rows = max(1, BAND_INDEX_CELLS // modes)
-    for j in range(0, n, rows):
-        index = np.outer(np.arange(j, min(j + rows, n)), k)
-        np.take(table, index, out=cos[j : j + rows], mode="wrap")
-    eps = np.ones(n)
-    eps[0] = eps[-1] = 0.5
-    weight = np.where((k == 0) | (k == m), 1.0, 2.0) / m
-    for a in (cos, eps, weight):
-        a.flags.writeable = False
-    return _Band(cos=cos, eps=eps, weight=weight)
-
-
 def _heat_rows(
     rows: Sequence[np.ndarray],
     decay: np.ndarray,
@@ -323,31 +314,28 @@ def _heat_rows(
 ) -> np.ndarray:
     """Scales the cosine modes of each grid field in rows by its decay, (r, n).
 
-    The transform pair behind every heat flow.  Below FFT_MIN_N grid
-    points it runs as dense products.  At and above it, a flow whose band
-    keeps K (see _live_modes) at most BAND_MAX_MODES modes runs against
-    the n x K cosine basis, and any other through rfft.  rows is a
-    sequence of r fields of length n; decay is one (n,) vector for every
-    row or an (r, n) array with a vector per row.  modes is K when the
-    caller has it cached, counted from decay otherwise.  The result is an
-    (r, n) array.
+    The transform pair behind every heat flow, on one of two paths.  A
+    grid below FFT_MIN_N points, or a wider one whose band keeps K (see
+    _live_modes) at most BAND_MAX_MODES modes, runs as two products with
+    the pair of its first K modes, K = n on the small grid.  Any other
+    flow runs through rfft.  rows is a sequence of r fields of length n;
+    decay is one (n,) vector for every row or an (r, n) array with a
+    vector per row.  modes is K when the caller has it cached, counted
+    from decay otherwise.  The result is an (r, n) array.
     """
     n = domain.n
     f = np.asarray(rows)
     if n < FFT_MIN_N:
-        ops = _operators(domain)
+        modes = n
+    elif modes is None:
+        modes = _live_modes(decay)
+    if n < FFT_MIN_N or modes <= BAND_MAX_MODES:
+        fwd, cos = _basis(domain, modes)
         # A stacked matrix-vector product equals the per-row ndarray.dot,
         # bit for bit (module docstring), in one call for all r rows.
-        spec = np.matmul(ops.fwd, f[:, :, None])
-        spec *= decay[..., None]
-        return np.matmul(ops.cos, spec)[:, :, 0]
-    if modes is None:
-        modes = _live_modes(decay)
-    if modes <= BAND_MAX_MODES:
-        band = _band(n, modes)
-        spec = np.matmul(band.cos.T, (f * band.eps)[:, :, None])
-        spec *= (decay[..., :modes] * band.weight)[..., None]
-        return np.matmul(band.cos, spec)[:, :, 0]
+        spec = np.matmul(fwd, f[:, :, None])
+        spec *= decay[..., :modes, None]
+        return np.matmul(cos, spec)[:, :, 0]
     spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
     spec *= decay
     return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
@@ -417,7 +405,7 @@ def kernel_matrix(d: float, t: float, domain: Domain) -> np.ndarray:
     ops = _operators(domain)
     decay = ops.weight * _heat_decay(d, t, domain)
     gamma = (ops.cos * decay[None, :]) @ ops.cos.T
-    return gamma * ops.w[None, :]
+    return gamma * domain.trapezoid_weights[None, :]
 
 
 def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
@@ -433,10 +421,10 @@ def kernel_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         return 0.0
-    ops = _operators(domain)
+    ops, w = _operators(domain), domain.trapezoid_weights
     decay = ops.weight * _heat_decay(d, times[:, None], domain)
-    col = ops.w * ((decay * (ops.cos.T @ ops.w)) @ ops.cos.T)
-    return float(np.abs(col - ops.w).max() / ops.w.max())
+    col = w * ((decay * (ops.cos.T @ w)) @ ops.cos.T)
+    return float(np.abs(col - w).max() / w.max())
 
 
 def gradient_energy(f: np.ndarray, domain: Domain) -> float | np.ndarray:
@@ -456,7 +444,7 @@ def gradient_energy(f: np.ndarray, domain: Domain) -> float | np.ndarray:
         raise ValueError(
             f"field has shape {f.shape}, expected ({domain.n},) or (r, {domain.n})"
         )
-    if f.min() <= 0.0:
+    if not f.min() > 0.0:  # a NaN fails too
         raise ValueError(
             f"gradient_energy requires a strictly positive field, min is {f.min():.6g}"
         )
@@ -465,5 +453,5 @@ def gradient_energy(f: np.ndarray, domain: Domain) -> float | np.ndarray:
     ratio = np.matmul(ops.dcos, np.matmul(ops.fwd, rows[:, :, None]))[:, :, 0]
     ratio /= rows
     ratio *= ratio
-    energy = np.matmul(ratio[:, None, :], ops.w[:, None]).ravel()
+    energy = np.matmul(ratio[:, None, :], domain.trapezoid_weights[:, None]).ravel()
     return energy if f.ndim == 2 else float(energy[0])

@@ -135,16 +135,16 @@ def test_domain_cache_leaves_equality_and_hash_alone():
 
 def test_domain_keyed_caches_still_hit(worked_params):
     from dengue_rd.integrator import _step_plan
-    from dengue_rd.spectral import _operators
+    from dengue_rd.spectral import _basis
 
     first = Domain(L=1.5, n=20)
-    ops, plan = _operators(first), _step_plan(worked_params, first, 0.05)
+    pair, plan = _basis(first, 20), _step_plan(worked_params, first, 0.05)
     twin = Domain(L=1.5, n=20)
     twin.trapezoid_weights  # its own cached arrays, same fields
-    ops_hits, plan_hits = _operators.cache_info().hits, _step_plan.cache_info().hits
-    assert _operators(twin) is ops
+    pair_hits, plan_hits = _basis.cache_info().hits, _step_plan.cache_info().hits
+    assert _basis(twin, 20) is pair
     assert _step_plan(worked_params, twin, 0.05) is plan
-    assert _operators.cache_info().hits == ops_hits + 1
+    assert _basis.cache_info().hits == pair_hits + 1
     assert _step_plan.cache_info().hits == plan_hits + 1
 
 

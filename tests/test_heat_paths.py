@@ -1,16 +1,17 @@
-"""Property tests for the three heat-flow paths and the step plan.
+"""Property tests for the two heat-flow paths and the step plan.
 
-Grids below spectral.FFT_MIN_N run the heat flow as dense products.  At
-or above it, a flow with at most spectral.BAND_MAX_MODES live modes runs
-against a cosine basis of those modes (the band path), and any other
-through numpy.fft.  Small grids are pushed onto the band or the FFT path
-by lowering FFT_MIN_N and setting BAND_MAX_MODES, so all three paths are
-exercised cheaply; the grids next to the real crossovers are exercised as
-they stand.  Heat factors below spectral.HEAT_DECAY_FLOOR are zeroed, and
-the flows are held bit for bit against the same flows built from raw
-np.exp factors.  The band keeps the fewest modes its tail bound allows,
-is held to the all-mode series within that bound, and no grid below
-FFT_MIN_N reads its mode count.
+The heat flow runs as products with the transform pair of the first K
+cosine modes, spectral._basis: K = n on grids below spectral.FFT_MIN_N,
+and on wider grids the band, a flow's K live modes, when K is at most
+spectral.BAND_MAX_MODES.  Any other flow runs through numpy.fft.  Small
+grids are pushed onto the band or the FFT path by lowering FFT_MIN_N and
+setting BAND_MAX_MODES, so every path is exercised cheaply; the grids
+next to the real crossovers are exercised as they stand.  Heat factors
+below spectral.HEAT_DECAY_FLOOR are zeroed, and the flows are held bit
+for bit against the same flows built from raw np.exp factors.  The band
+keeps the fewest modes its tail bound allows, is held to the all-mode
+series within that bound, and no grid below FFT_MIN_N reads its mode
+count.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ from conftest import WORKED, infection_term_u1, infection_term_u3, random_smooth
 
 DT = 0.05
 
-real_operators = spectral._operators
+real_basis = spectral._basis
 
 grid_sizes = st.one_of(
     st.integers(8, 40), st.sampled_from([FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 65])
@@ -61,13 +62,20 @@ def fails(what: str):
     return fail
 
 
+def guarded_basis(domain: Domain, modes: int):
+    """_basis, failing on more than BAND_MAX_MODES modes of a grid of FFT_MIN_N points or more."""
+    if domain.n >= spectral.FFT_MIN_N and modes > spectral.BAND_MAX_MODES:
+        raise AssertionError(f"the heat flow built {modes} cosine modes of a {domain.n}-point grid")
+    return real_basis(domain, modes)
+
+
 @contextmanager
 def heat_path(n: int, path: str | None):
     """Sets the crossovers for path; off a path, its transform fails.
 
-    Yields True when grids of n points take the dense path.  Off it,
-    building the dense matrices fails; a forced "band" path fails on
-    numpy.fft.rfft, a forced "fft" path on the band's cosine basis.
+    Yields True when grids of n points keep all n modes.  Off that,
+    _basis fails on more than BAND_MAX_MODES modes, so a forced "fft"
+    path fails on any basis; a forced "band" path fails on numpy.fft.rfft.
     """
     with pytest.MonkeyPatch.context() as mp:
         if path is not None:
@@ -75,12 +83,8 @@ def heat_path(n: int, path: str | None):
             mp.setattr(spectral, "BAND_MAX_MODES", n if path == "band" else 0)
             if path == "band":
                 mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
-            else:
-                mp.setattr(spectral, "_band", fails("built a cosine band on the FFT path"))
-        dense = n < spectral.FFT_MIN_N
-        if not dense:
-            mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
-        yield dense
+        mp.setattr(spectral, "_basis", guarded_basis)
+        yield n < spectral.FFT_MIN_N
 
 
 def cosine_flow(f: np.ndarray, decay: np.ndarray, domain: Domain) -> np.ndarray:
@@ -165,10 +169,11 @@ def test_a_stack_of_gradient_energies_equals_its_rows_bit_for_bit(domain, r, see
     assert isinstance(got, np.ndarray) and got.shape == (r,)
     assert all(type(value) is float for value in singles)
     assert [value.hex() for value in got.tolist()] == [value.hex() for value in singles]
-    bad = rows.copy()
-    bad[-1, rng.integers(domain.n)] = 0.0
-    with pytest.raises(ValueError, match="strictly positive"):
-        gradient_energy(bad, domain)
+    for value in (0.0, np.nan):
+        bad = rows.copy()
+        bad[-1, rng.integers(domain.n)] = value
+        with pytest.raises(ValueError, match="strictly positive"):
+            gradient_energy(bad, domain)
     with pytest.raises(ValueError, match="shape"):
         gradient_energy(rows[:, 1:], domain)
 
@@ -200,11 +205,9 @@ def test_band_limit_neighbours_take_the_expected_path(modes):
     assert spectral._live_modes(decay) == modes
     on_band = modes <= BAND_MAX_MODES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        mp.setattr(spectral, "_basis", guarded_basis)
         if on_band:
             mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
-        else:
-            mp.setattr(spectral, "_band", fails("built a cosine band on the FFT path"))
         counted = spectral._heat_rows(rows, decay, domain)
         given_k = spectral._heat_rows(rows, decay, domain, modes)
     assert np.array_equal(counted, given_k)
@@ -231,41 +234,47 @@ def test_prime_wide_grid_runs_the_band_path(d, t):
         assert np.abs(out - dense_reference(row, d, t, domain)).max() <= 1e-13 * np.abs(row).max()
 
 
-def test_band_basis_is_cached_and_read_only():
-    band = spectral._band(FFT_MIN_N, 9)
-    assert spectral._band(FFT_MIN_N, 9) is band
-    assert band.cos.shape == (FFT_MIN_N, 9) and band.weight.shape == (9,)
-    for array in (band.cos, band.eps, band.weight):
+def test_basis_is_cached_and_read_only():
+    domain = Domain(L=1.0, n=FFT_MIN_N)
+    fwd, cos = spectral._basis(domain, 9)
+    assert spectral._basis(domain, 9)[0] is fwd
+    assert fwd.shape == (9, FFT_MIN_N) and cos.shape == (FFT_MIN_N, 9)
+    for array in (fwd, cos):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2.0
-
-
-def band_in_place(n: int, modes: int) -> np.ndarray:
-    """The n x K basis cos(pi (j k mod 2m) / m), built entry by entry in one buffer."""
-    m = n - 1
-    cos = np.outer(np.arange(n, dtype=float), np.arange(modes))
-    np.fmod(cos, 2 * m, out=cos)
-    cos *= np.pi
-    cos /= m
-    np.cos(cos, out=cos)
-    return cos
+    small = Domain(L=1.0, n=24)
+    ops, (fwd, cos) = spectral._operators(small), spectral._basis(small, 24)
+    assert ops.fwd is fwd and ops.cos is cos
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.one_of(
-        st.integers(2, 600),
-        st.sampled_from([FFT_MIN_N, 511, 512, 513, 1024, 1025, 2048, 4097]),
-    ),
-    modes=st.one_of(st.integers(1, BAND_MAX_MODES), st.sampled_from([1, 2, 9, 37, 84, 128])),
+    n=st.one_of(st.integers(8, 1100), st.sampled_from([FFT_MIN_N - 1, FFT_MIN_N, 1024])),
+    L=st.sampled_from([1.0, 2.5]),
+    data=st.data(),
 )
-def test_band_basis_gathered_from_its_distinct_values_equals_the_entrywise_build(n, modes):
-    """The table of 2(n - 1) values, gathered in pieces, gives the basis bit for bit."""
-    modes = min(modes, n)
-    band = spectral._band.__wrapped__(n, modes)
-    expected = band_in_place(n, modes)
-    assert band.cos.shape == (n, modes) and band.cos.flags.c_contiguous
-    assert band.cos.tobytes() == expected.tobytes()
+def test_basis_is_the_leading_modes_of_the_dense_pair_bit_for_bit(n, L, data):
+    """K modes are the first K columns of the dense basis and rows of its forward matrix.
+
+    The dense pair itself is held to its entrywise expression, in the
+    operand order that every small-grid byte rests on.
+    """
+    modes = data.draw(st.integers(1, min(n, BAND_MAX_MODES + 1)), label="modes")
+    domain = Domain(L=L, n=n)
+    fwd, cos = spectral._basis.__wrapped__(domain, modes)
+    dense_fwd, dense_cos = spectral._basis.__wrapped__(domain, n)
+    k = np.arange(n)
+    entry_cos = np.cos(np.outer(domain.grid, k * math.pi / L))
+    eps = np.where((k == 0) | (k == n - 1), 0.5, 1.0)
+    entry_fwd = (2.0 * eps / (n - 1))[:, None] * (entry_cos.T * eps)
+    assert dense_cos.tobytes() == entry_cos.tobytes()
+    assert dense_fwd.tobytes(order="F") == entry_fwd.tobytes(order="F")
+    assert fwd.shape == (modes, n) and cos.shape == (n, modes)
+    # The dense path's bytes rest on this order: products sum by it.
+    assert fwd.flags.f_contiguous and dense_fwd.flags.f_contiguous
+    assert cos.flags.c_contiguous and dense_cos.flags.c_contiguous
+    assert fwd.tobytes(order="F") == dense_fwd[:modes].tobytes(order="F")
+    assert cos.tobytes() == dense_cos[:, :modes].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,7 +297,7 @@ def test_dense_products_equal_their_matmul_form_bit_for_bit(n, d, t, seed):
     assert np.array_equal(to_modal(rows[0], domain), ops.fwd @ rows[0])
     positive = np.exp(rows[2] / np.abs(rows[2]).max())
     ratio = (ops.dcos @ (ops.fwd @ positive)) / positive
-    assert gradient_energy(positive, domain) == float(ops.w @ (ratio * ratio))
+    assert gradient_energy(positive, domain) == float(domain.trapezoid_weights @ (ratio * ratio))
 
 
 def random_history(params: ModelParams, domain: Domain, rng) -> History:
@@ -440,9 +449,8 @@ def test_run_hands_each_step_the_rows_it_would_smooth_alone(k_a, k_b, n, path, c
     window = box_window(params, domain, np.random.default_rng(seed))
     counts = []
     real_smooth, real_step = integrator._smooth_delayed, integrator.step
-    with heat_path(n, path) as dense, pytest.MonkeyPatch.context() as mp:
-        if not dense:  # certification's gradients and mass defect run dense on every grid
-            mp.setattr(spectral, "_operators", real_operators)
+    spectral._operators(domain)  # certification's gradients and mass defect run dense on every grid
+    with heat_path(n, path), pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real_smooth(*a))
         blocked = run(config, History(window, DT))
         block_counts = counts[:]
@@ -517,7 +525,7 @@ def test_wide_simulate_runs_without_rfft_or_dense_operators():
     real_smooth, real_step = integrator._smooth_delayed, integrator.step
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
-        mp.setattr(spectral, "_operators", fails("built the dense transform matrices"))
+        mp.setattr(spectral, "_basis", guarded_basis)
         mp.setattr(integrator, "_smooth_delayed", lambda *a: counts.append(a[-1]) or real_smooth(*a))
         traj = run(config, History(window, dt))
         block_counts = counts[:]
@@ -613,7 +621,7 @@ def test_heat_apply_reads_a_cached_read_only_decay(case):
 # Against the all-mode cosine_flow, the band's error is its tail, at most
 # 2^-53 sup |f|, plus the roundoff of both sides, BAND_ROUNDOFF
 # ulps of sup |f|.  Over 1200 draws of wide_decay_cases (3600 rows, n from
-# 256 to 1100) the roundoff reached 1.8 ulps.
+# 256 to 1100) the roundoff reached 5.8 ulps.
 BAND_ROUNDOFF = 16
 
 
@@ -637,7 +645,7 @@ def test_band_keeps_the_fewest_modes_its_tail_bound_allows(case, seed):
         with heat_path(domain.n, "band"):
             got = heat_apply(rows, d, t, domain)
     finally:
-        spectral._band.cache_clear()  # the forced band caches bases no run uses
+        spectral._basis.cache_clear()  # the forced band caches bases no run uses
     allowed = 2.0**-53 + BAND_ROUNDOFF * np.finfo(float).eps
     for row, out in zip(rows, got):
         expected = cosine_flow(row, raw_decay(d, t, domain), domain)
@@ -718,10 +726,10 @@ def test_floor_moves_no_bit_of_step(params, domain, path, seed):
 
 def raw_mass_defect(d: float, times: np.ndarray, domain: Domain) -> float:
     """kernel_mass_defect's formula with its own unfloored np.exp factors."""
-    ops = spectral._operators(domain)
+    ops, w = spectral._operators(domain), domain.trapezoid_weights
     decay = ops.weight * np.exp(-d * times[:, None] * spectral._eigenvalues(domain)[None, :])
-    col = ops.w * ((decay * (ops.cos.T @ ops.w)) @ ops.cos.T)
-    return float(np.abs(col - ops.w).max() / ops.w.max())
+    col = w * ((decay * (ops.cos.T @ w)) @ ops.cos.T)
+    return float(np.abs(col - w).max() / w.max())
 
 
 @settings(max_examples=40, deadline=None)
