@@ -284,9 +284,10 @@ class History:
 
     def lookup_arrays(self, k: int) -> np.ndarray:
         """Raw (3, n) view of the state k steps ago; callers must not write."""
-        if not (0 <= k <= self.n_lags):
-            raise ValueError(f"lag {k} outside stored window 0..{self.n_lags}")
-        return self._buf[(self._head - k) % self._buf.shape[0]]
+        size = self._buf.shape[0]
+        if not (0 <= k < size):
+            raise ValueError(f"lag {k} outside stored window 0..{size - 1}")
+        return self._buf[(self._head - k) % size]
 
     def lookup_block(self, k: int, count: int, rows: int | slice = slice(None)) -> np.ndarray:
         """Copies of the count states from lag k down to lag k - count + 1, oldest first.
@@ -301,22 +302,36 @@ class History:
         size = self._buf.shape[0]
         return self._buf[np.arange(self._head - k, self._head - k + count) % size, rows]
 
-    def append(self, state: Sequence[np.ndarray]) -> np.ndarray:
-        """Writes the state at time t_now + dt over the oldest slot.
+    def advance(self, write: Callable[[np.ndarray], object]) -> np.ndarray:
+        """Writes the state at time t_now + dt over the oldest slot, through write.
 
-        state is a (3, n) array or a sequence of three length-n rows.
-        Returns the stored state as a read-only view of its slot, valid
-        until the slot is reused n_lags + 1 appends later.
+        write(slot) receives the slot, a writable (3, n) view of the ring,
+        and must fill all of it; the history then commits the slot as its
+        newest state and freezes it.  Returns the stored state as a
+        read-only view of its slot, valid until the slot is reused
+        n_lags + 1 advances later.  Every write into the ring goes through
+        here.  If write raises, nothing is committed, though the oldest
+        state may hold part of what write wrote.
         """
-        if len(state) != 3:
-            raise ValueError(f"a state has 3 rows, got {len(state)}")
         head = (self._head + 1) % self._buf.shape[0]
         slot = self._buf[head]
-        slot[...] = state
+        write(slot)
         self._head = head
         self._t_now += self._dt
         slot.flags.writeable = False
         return slot
+
+    def append(self, state: Sequence[np.ndarray]) -> np.ndarray:
+        """Copies the state at time t_now + dt over the oldest slot (see advance).
+
+        state is a (3, n) array or a sequence of three length-n rows; any
+        other shape is rejected, even one that would broadcast.
+        """
+        state = np.asarray(state, dtype=float)
+        shape = self._buf.shape[1:]
+        if state.shape != shape:
+            raise ValueError(f"a state has 3 rows of n points, shape {shape}, got {state.shape}")
+        return self.advance(lambda slot: np.copyto(slot, state))
 
     def entries(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yields (lag, state copy) pairs from lag 0 back to the oldest."""

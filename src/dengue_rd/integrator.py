@@ -27,11 +27,19 @@ n = 2048.  The stacked transforms give each row the bytes of its own
 call (spectral module docstring), so the split of a run into blocks
 moves no bit.
 
-Outside certification a step pays, besides step itself, only for an
-exact stop test of its new state (run's docstring) and a copy of it.
-What run records of the states, their per-component bounds, their
-distances to the equilibria and the snapshots, it derives once per block
-from those copies.
+A step resolves nothing and, on the matrix path, allocates no array.
+Its heat flows are planned once per (params, domain, dt) in _step_plan,
+each with its path, K, transform pair and decay block (spectral
+_HeatFlow).  The reaction runs in a _Workspace of scratch buffers that
+belongs to the run, not to the shared plan, and the flow's second
+product is written straight into the history's next ring slot
+(History.advance), so no state is copied on the way in.  The FFT path
+copies its inverse transform into the slot once.  Outside certification
+a step pays, besides step itself, only for an exact stop test of its new
+state (run's docstring) and run's one copy of it for the books.  What
+run records of the states, their per-component bounds, their distances
+to the equilibria and the snapshots, it derives once per block from
+those copies.
 
 The explicit reaction substep keeps states in the invariant box when
 
@@ -65,7 +73,7 @@ from .core import (
 from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import RECORD_DTYPE, StateBlock, block_rows, eval_V, lag_values, prepare_kernels
 from .lyapunov import two_path_rel_err, window_W
-from .spectral import _heat_decay, _heat_rows, _live_modes
+from .spectral import _HeatFlow, _heat_decay, _heat_flow
 from .spectral import heat_apply  # unused here; perfbench/tracing.py wraps this binding
 
 if TYPE_CHECKING:
@@ -118,37 +126,44 @@ def stability_dt_bound(params: ModelParams) -> float:
 class _StepPlan:
     """What step derives from (params, domain, dt) alone, built once per run.
 
-    decay holds the heat flow over dt for the rows u1, u2, u3.  The
+    flow is the plan of the heat flow over dt for the rows u1, u2, u3.  The
     delayed fields (u3 at lag k_a, u1 u2 at lag k_b) are smoothed by the
     kernels over tau_a and tau_b; lag_rows lists which of the two have a
-    nonzero delay, with their decays in lag_decay, so a zero delay skips
-    its transform.  modes and lag_modes are the K of each batch of flows,
-    the leading cosine modes the band keeps (spectral._live_modes), so
-    step never recounts them; grids below spectral.FFT_MIN_N points never
-    read them, since their products keep all n modes.  block is
-    B, the steps whose delayed fields one smoothing call covers:
-    min(1 + the shortest nonzero lag, RUN_BLOCK_STEPS,
-    RUN_BLOCK_CELLS // n), at least 1.  With both delays zero it only
-    groups run's loop.  B sizes run's memory, about 6 B n doubles (0.35 MB
-    at n = 1024, where B = 8), not eval_V's: a plain run builds no
-    StateBlock, so B does not follow block_rows.  beta_m,
+    nonzero delay, and lag_flow is the plan of their kernels, one decay
+    row each, so a zero delay skips its transform (None with both delays
+    zero).  Each plan holds its path, its K and its pair (spectral
+    _HeatFlow), so step resolves nothing.  block is B, the steps whose
+    delayed fields one smoothing call covers: min(1 + the shortest nonzero
+    lag, RUN_BLOCK_STEPS, RUN_BLOCK_CELLS // n), at least 1.  With both
+    delays zero it only groups run's loop.  B sizes run's memory, about
+    6 B n doubles (0.35 MB at n = 1024, where B = 8), not eval_V's: a plain
+    run builds no StateBlock, so B does not follow block_rows.  beta_m,
     beta_h, gain_b = beta_h exp(-mu_h tau_b) and the loss column (mu_m,
     mu_h, rho_h) are the reaction's coefficients, so step reads no
-    derived parameter.
+    derived parameter.  The plan is shared through its cache, so it holds
+    no scratch: that is the run's _Workspace.
     """
 
     k_a: int
     k_b: int
-    decay: np.ndarray      # (3, n)
-    modes: int
+    flow: _HeatFlow
     lag_rows: tuple[int, ...]
-    lag_decay: np.ndarray  # (len(lag_rows), n)
-    lag_modes: int
+    lag_flow: _HeatFlow | None
     block: int
     beta_m: float
     beta_h: float
     gain_b: float
     loss: np.ndarray       # (3, 1)
+
+    @property
+    def modes(self) -> int:
+        """K of the step's flow."""
+        return self.flow.modes
+
+    @property
+    def lag_modes(self) -> int:
+        """K of the delays' flow, 0 without one."""
+        return self.lag_flow.modes if self.lag_flow else 0
 
 
 @lru_cache(maxsize=32)
@@ -162,23 +177,42 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     # at step s while j <= k for every nonzero k.
     reach = [1 + k for k in (k_a, k_b) if k]
     budget = max(1, RUN_BLOCK_CELLS // domain.n)
-    plan = _StepPlan(
+    loss = np.array([[params.mu_m], [params.mu_h], [params.rho_h]])
+    loss.flags.writeable = False
+    return _StepPlan(
         k_a=k_a,
         k_b=k_b,
-        decay=decay,
-        modes=_live_modes(decay),
+        flow=_heat_flow(decay, domain),
         lag_rows=lag_rows,
-        lag_decay=lag_decay,
-        lag_modes=_live_modes(lag_decay),
+        lag_flow=_heat_flow(lag_decay, domain) if lag_rows else None,
         block=min(RUN_BLOCK_STEPS, budget, *reach),
         beta_m=params.beta_m,
         beta_h=params.beta_h,
         gain_b=params.beta_h * params.survival_b,
-        loss=np.array([[params.mu_m], [params.mu_h], [params.rho_h]]),
+        loss=loss,
     )
-    for array in (plan.decay, plan.lag_decay, plan.loss):
-        array.flags.writeable = False
-    return plan
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """Scratch of one run's steps, so that a step allocates no array.
+
+    post holds the reaction substep and rows its three row views, lost
+    the product loss * state, and spec the spectrum of the step's flow on
+    the matrix path (None on the FFT path).  A run owns its workspace, as
+    it owns its history; the shared _StepPlan holds none.
+    """
+
+    post: np.ndarray            # (3, n)
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    lost: np.ndarray            # (3, n)
+    spec: np.ndarray | None     # (3, K, 1)
+
+    @classmethod
+    def of(cls, plan: _StepPlan, n: int) -> _Workspace:
+        post = np.empty((3, n))
+        spec = None if plan.flow.fwd is None else np.empty((3, plan.flow.modes, 1))
+        return cls(post, (post[0], post[1], post[2]), np.empty((3, n)), spec)
 
 
 def _smooth_delayed(history: History, plan: _StepPlan, domain: Domain, count: int) -> np.ndarray:
@@ -190,18 +224,13 @@ def _smooth_delayed(history: History, plan: _StepPlan, domain: Domain, count: in
     plan.block.  All of them go through one transform call.  The history
     gathers only the rows a delay reads: u3 at lag k_a, u1 and u2 at k_b.
     """
-    fields = []
+    rows = np.empty((count, len(plan.lag_rows), domain.n))
     if plan.k_a:
-        fields.append(history.lookup_block(plan.k_a, count, 2))
+        rows[:, 0] = history.lookup_block(plan.k_a, count, 2)
     if plan.k_b:
         lag_b = history.lookup_block(plan.k_b, count, slice(0, 2))
-        fields.append(lag_b[:, 0] * lag_b[:, 1])
-    if len(fields) == 1:
-        rows, decay = fields[0], plan.lag_decay[0]
-    else:
-        rows, decay = np.concatenate(fields), np.repeat(plan.lag_decay, count, axis=0)
-    smoothed = _heat_rows(rows, decay, domain, plan.lag_modes)
-    return smoothed.reshape(len(fields), count, domain.n).transpose(1, 0, 2)
+        np.multiply(lag_b[:, 0], lag_b[:, 1], out=rows[:, -1])
+    return plan.lag_flow.apply(rows)
 
 
 def step(
@@ -212,16 +241,17 @@ def step(
     *,
     plan: _StepPlan | None = None,
     smoothed: np.ndarray | None = None,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Advances the history by one split step and returns the new state.
 
     An explicit Euler substep of the reaction, with the delayed infection
     terms beta_m (A - u1) Gamma(d_m tau_a) u3(t - tau_a) and
     beta_h exp(-mu_h tau_b) Gamma(d_h tau_b) (u1 u2)(t - tau_b), then the
-    heat flow over dt of each component.  The decays, their live mode
-    counts and the reaction's coefficients come from a plan cached per
-    (params, domain, dt); run passes the one it holds as plan, which must
-    be _step_plan(params, domain, dt), and other callers leave it out.
+    heat flow over dt of each component.  The flows' plans and the
+    reaction's coefficients come from a plan cached per (params, domain,
+    dt); run passes the one it holds as plan, which must be
+    _step_plan(params, domain, dt), and other callers leave it out.
     Without a plan, step first checks dt against the history's; run has
     checked it already.
 
@@ -229,11 +259,15 @@ def step(
     nonzero delay (u3's first).  run smooths them for a block of
     plan.block steps in one transform call and hands each step its rows;
     a step called without them smooths its own, as a block of one, and
-    with both delays zero there is nothing to smooth.  The three heat
-    flows go to the transform as one batch: one pair of stacked products
-    on the matrix path, one rfft and one irfft call on the FFT path.  The
-    substep runs in one (3, n) buffer, each product in the operand order
-    of the terms above, so it keeps their bits.
+    with both delays zero there is nothing to smooth.  work is the run's
+    scratch, _Workspace.of(plan, n); a step called without it makes its
+    own.  The substep runs in work.post, each product in the operand order
+    of the terms above, so it keeps their bits.  The three heat flows go
+    to the transform as one batch: on the matrix path one pair of stacked
+    products, the second written straight into the history's next ring
+    slot, on the FFT path one rfft and one irfft call, copied into it
+    once.  So with run's plan and workspace a matrix-path step allocates
+    no array and copies no state.
 
     The new state is a (3, n) array, rows u1, u2, u3: a read-only view of
     the history's ring slot, valid until the slot is reused n_lags + 1
@@ -243,15 +277,18 @@ def step(
         if abs(dt - history.dt) > 1e-15 * max(dt, history.dt):
             raise ValueError(f"dt={dt!r} disagrees with the history step {history.dt!r}")
         plan = _step_plan(params, domain, dt)
+    if work is None:
+        work = _Workspace.of(plan, domain.n)
     if smoothed is None and plan.lag_rows:
         smoothed = _smooth_delayed(history, plan, domain, 1)[0]
     state = history.lookup_arrays(0)
-    u1, u2, u3 = state
+    # Indexing, not unpacking: iterating an array costs more per row.
+    u1, u2, u3 = state[0], state[1], state[2]
 
     # Euler substep u + dt r, formed as r * dt + u: the same two roundings
     # per element, so the same bits.  r is the gain less loss * state.
-    post = np.empty_like(state)
-    r1, r2, r3 = post
+    post = work.post
+    r1, r2, r3 = work.rows
     np.subtract(params.A, u1, out=r1)
     r1 *= plan.beta_m
     r1 *= smoothed[0] if plan.k_a else u3
@@ -263,10 +300,10 @@ def step(
     else:
         np.multiply(u1, u2, out=r3)
         r3 *= plan.gain_b
-    post -= plan.loss * state
+    post -= np.multiply(plan.loss, state, out=work.lost)
     post *= dt
     post += state
-    return history.append(_heat_rows(post, plan.decay, domain, plan.modes))
+    return history.advance(lambda slot: plan.flow.apply(post, slot, work.spec))
 
 
 @dataclass
@@ -358,6 +395,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     if abs(initial.dt - dt) > 1e-15 * max(initial.dt, dt):
         raise ValueError(f"history dt {initial.dt!r} does not match config dt {dt!r}")
     plan = _step_plan(params, domain, dt)
+    work = _Workspace.of(plan, domain.n)
     k_a, k_b = plan.k_a, plan.k_b
     if initial.n_lags < max(k_a, k_b):
         raise ValueError(
@@ -424,7 +462,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 )
             bounds_ok = False
         if config.certify:
-            block.put(filled, k, initial)
+            block.put(filled, k, state, initial)
             filled += 1
             # A nonpositive state fails eval_V's check at its own step.
             if filled == len(block) or k == n_steps or not low > 0.0:
@@ -455,7 +493,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         count = min(plan.block, size - first)
         delayed = _smooth_delayed(initial, plan, domain, count) if plan.lag_rows else [None] * count
         for j, smoothed in enumerate(delayed):
-            state = step(initial, params, domain, dt, plan=plan, smoothed=smoothed)
+            state = step(initial, params, domain, dt, plan=plan, smoothed=smoothed, work=work)
             states[j] = state
             check(first + j, state)
         keep_books(first, count)

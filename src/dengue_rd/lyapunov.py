@@ -315,10 +315,14 @@ class StateBlock:
         arrays = (self.step[rows], self.state[:, rows], self.lag_a[rows], self.lag_b[rows])
         return StateBlock(self.dt, self.k_a, self.k_b, *arrays)
 
-    def put(self, i: int, step: int, history: History) -> None:
-        """Copies what eval_V reads of the history's newest state, that of step, into row i."""
+    def put(self, i: int, step: int, state: np.ndarray, history: History) -> None:
+        """Copies what eval_V reads of the history's newest state, that of step, into row i.
+
+        state is that newest state, as step returned it; the two lag rows
+        are read from views of the history's ring.
+        """
         self.step[i] = step
-        self.state[:, i] = history.lookup_arrays(0)
+        self.state[:, i] = state
         self.lag_a[i] = history.lookup_arrays(self.k_a)[2]
         np.multiply(*history.lookup_arrays(self.k_b)[:2], out=self.lag_b[i])
 
@@ -331,11 +335,11 @@ def lag_values(
     K = max(k_a, k_b), and column i holds the values of the state at lag
     K - i: row 0 the integral of g(u3 / u3*), row 1 that of
     g(u1 u2 / (u1* u2*)).  The row of a delay of zero steps is NaN, as no
-    W reads it.  The ratios of the delays that have lag steps are written
-    from views of the history's states into one buffer, which takes one
-    check, one g pass and one stacked product, each value equal to its own
-    dot product.  On a failed check the states are checked again one by
-    one, oldest first, so the error names the lag.
+    W reads it.  Each delay that has lag steps gathers the rows it reads
+    of the whole window in one call and writes its ratios into one
+    buffer, which takes one check, one g pass and one stacked product,
+    each value equal to its own dot product.  On a failed check the states
+    are checked again one by one, oldest first, so the error names the lag.
 
     Raises:
         ValueError: if the history spans fewer than K lags, the endemic
@@ -354,22 +358,21 @@ def lag_values(
         return values
     w = domain.trapezoid_weights
     ratio = np.empty((len(delays), size, w.size))
-    a_ratio, b_ratio = ratio[0], ratio[-1]
-    for j in range(size):
-        state = history.lookup_arrays(j)
-        if k_a:
-            np.divide(state[2], u3s, out=a_ratio[size - 1 - j])
-        if k_b:
-            np.multiply(state[0], state[1], out=b_ratio[size - 1 - j])
+    # One gather per delay, oldest first: row i is the state at lag K - i.
+    if k_a:
+        u3 = history.lookup_block(size - 1, size, 2)
+        np.divide(u3, u3s, out=ratio[0])
     if k_b:
-        b_ratio /= u1s * u2s
+        u12 = history.lookup_block(size - 1, size, slice(0, 2))
+        np.multiply(u12[:, 0], u12[:, 1], out=ratio[-1])
+        ratio[-1] /= u1s * u2s
     if not _all_positive(ratio):
-        for j in range(size - 1, -1, -1):
-            state = history.lookup_arrays(j)
+        for i in range(size):
+            lag = size - 1 - i
             if k_a:
-                _require_positive(f"u3 at lag {j}", state[2])
+                _require_positive(f"u3 at lag {lag}", u3[i])
             if k_b:
-                _require_positive(f"u1*u2 at lag {j}", state[0] * state[1])
+                _require_positive(f"u1*u2 at lag {lag}", u12[i, 0] * u12[i, 1])
     values[delays] = np.matmul(g(ratio)[:, :, None, :], w[:, None]).reshape(-1, size)
     return values
 
@@ -457,7 +460,7 @@ def eval_V(
         k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
         lags = lag_values(history, ustar, domain, k_a, k_b)
         block = StateBlock.empty(1, history.n, dt, k_a, k_b)
-        block.put(0, 0, history)
+        block.put(0, 0, history.lookup_arrays(0), history)
     k_a, k_b = block.k_a, block.k_b
     star = np.asarray(ustar, dtype=float).tolist()
     u1s, u2s, u3s = star

@@ -62,9 +62,20 @@ No wide flow forms the n x n matrices.  On the sweep base at n = 1024
 (d = 1) the step's flow over dt = 0.005 keeps 28 modes and the flow over
 tau_a = 0.5 keeps 3 (84 and 9 of their factors are at least
 HEAT_DECAY_FLOOR), so a plain wide step runs on K-mode products only.
-The step plan and heat_apply's cache count K once per decay.  Only wide
-grids read K: smaller ones and the FFT path keep every mode, so no grid
-below FFT_MIN_N points moves a bit with the rule for K.
+Only wide grids read K: smaller ones and the FFT path keep every mode,
+so no grid below FFT_MIN_N points moves a bit with the rule for K.
+
+The path is resolved where a flow is planned, not where it runs.
+_heat_flow turns a decay into a read-only _HeatFlow: the path, K, the
+K-mode pair from _basis and the factors of the first K modes as one
+contiguous (r, K, 1) block.  heat_apply's cache keeps one plan per
+(d, t, grid), and the integrator's step plan keeps those of the step's
+flow and of the delays' kernels, so a call of _HeatFlow.apply makes no
+cache lookup, counts no K and slices no decay.  apply writes into a
+caller's out and spectrum buffers when given them: the step writes its
+flow straight into the history's ring slot.  A plan is shared through
+its cache, so it holds no scratch.  The plan reads FFT_MIN_N and
+BAND_MAX_MODES when it is built; a cached plan keeps the path it took.
 
 Stacks keep the bits of single rows.  On small grids a product's cost is
 numpy's fixed cost per call, so a stack of r fields goes through one call
@@ -138,7 +149,7 @@ runs keep states above 1e-10 of the box ceiling).  Every sum the term
 would have entered rounds to the same double, and the tests hold
 heat_apply, step and kernel_mass_defect bit for bit against unfloored
 factors, on both paths.  The floor does not set the band, and the
-factors below it are far too small to move K, so _heat_rows picks the
+factors below it are far too small to move K, so _heat_flow picks the
 same band from a raw decay as from its floored form.  On the sweep base
 at n = 1024 (dt = 0.005, tau_a = 0.5) the subnormals cost about a third
 of an FFT-path step: step took 285 us with the floor against 412 us
@@ -298,47 +309,79 @@ def _live_modes(decay: np.ndarray) -> int:
     return int(np.count_nonzero(2.0 * tail > BAND_TAIL_BOUND, axis=-1).max())
 
 
-@lru_cache(maxsize=64)
-def _cached_heat_flow(d: float, t: float, domain: Domain) -> tuple[np.ndarray, int]:
-    """_heat_decay(d, t, domain) for one time, read-only, and its band's K."""
-    decay = _heat_decay(d, t, domain)
-    decay.flags.writeable = False
-    return decay, _live_modes(decay)
+@dataclass(frozen=True)
+class _HeatFlow:
+    """A heat flow resolved once into its path, K, pair and factors, read-only.
+
+    On the matrix path fwd and cos are the K-mode pair from _basis, K = n
+    on grids below FFT_MIN_N and the band's live modes above.  On the FFT
+    path both are None and K = n.  decay holds the factors of the first K
+    modes as a contiguous (r, K, 1) block: one row per field of an
+    (..., r, n) stack, or a single row for any stack.  A plan is shared
+    through the caches that build it, so it holds no scratch.
+    """
+
+    modes: int
+    fwd: np.ndarray | None   # (K, n)
+    cos: np.ndarray | None   # (n, K)
+    decay: np.ndarray        # (r, K, 1)
+
+    def apply(
+        self, rows: np.ndarray, out: np.ndarray | None = None, spec: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Scales the cosine modes of each grid field in rows by its decay.
+
+        rows is an (..., r, n) stack of grid fields, r the rows of decay,
+        or any (..., m, n) stack when decay has a single row; each field's
+        flow has the bytes of its own call (module docstring).  The result
+        has the shape of rows.  out, when given, receives it: the matrix path
+        writes its second product straight into out, the FFT path copies
+        its inverse transform once.  spec, when given, holds the matrix
+        path's (..., r, K, 1) spectrum, so the call allocates no array.
+        """
+        if self.fwd is None:
+            n = rows.shape[-1]
+            spectrum = np.fft.rfft(np.concatenate((rows, rows[..., -2:0:-1]), axis=-1), axis=-1)
+            spectrum *= self.decay[..., 0]
+            flow = np.fft.irfft(spectrum, 2 * (n - 1), axis=-1)[..., :n]
+            if out is None:
+                return flow
+            out[...] = flow
+            return out
+        # A stacked matrix-vector product equals the per-row ndarray.dot,
+        # bit for bit (module docstring), in one call for every row.
+        spec = np.matmul(self.fwd, rows[..., None], out=spec)
+        spec *= self.decay
+        if out is None:
+            return np.matmul(self.cos, spec)[..., 0]
+        np.matmul(self.cos, spec, out=out[..., None])
+        return out
 
 
-def _heat_rows(
-    rows: Sequence[np.ndarray],
-    decay: np.ndarray,
-    domain: Domain,
-    modes: int | None = None,
-) -> np.ndarray:
-    """Scales the cosine modes of each grid field in rows by its decay, (r, n).
+def _heat_flow(decay: np.ndarray, domain: Domain) -> _HeatFlow:
+    """Resolves the flow with per-mode factors decay into a plan.
 
-    The transform pair behind every heat flow, on one of two paths.  A
-    grid below FFT_MIN_N points, or a wider one whose band keeps K (see
-    _live_modes) at most BAND_MAX_MODES modes, runs as two products with
-    the pair of its first K modes, K = n on the small grid.  Any other
-    flow runs through rfft.  rows is a sequence of r fields of length n;
-    decay is one (n,) vector for every row or an (r, n) array with a
-    vector per row.  modes is K when the caller has it cached, counted
-    from decay otherwise.  The result is an (r, n) array.
+    decay is one (n,) vector for every field or an (r, n) array with a
+    vector per field.  A grid below FFT_MIN_N points, or a wider one whose
+    band keeps K (see _live_modes) at most BAND_MAX_MODES modes, takes the
+    matrix path with the pair of its first K modes, K = n on the small
+    grid.  Any other flow takes the FFT path.
     """
     n = domain.n
-    f = np.asarray(rows)
-    if n < FFT_MIN_N:
-        modes = n
-    elif modes is None:
-        modes = _live_modes(decay)
+    modes = n if n < FFT_MIN_N else _live_modes(decay)
     if n < FFT_MIN_N or modes <= BAND_MAX_MODES:
         fwd, cos = _basis(domain, modes)
-        # A stacked matrix-vector product equals the per-row ndarray.dot,
-        # bit for bit (module docstring), in one call for all r rows.
-        spec = np.matmul(fwd, f[:, :, None])
-        spec *= decay[..., :modes, None]
-        return np.matmul(cos, spec)[:, :, 0]
-    spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
-    spec *= decay
-    return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
+    else:
+        modes, fwd, cos = n, None, None
+    block = np.array(np.reshape(decay, (-1, n))[:, :modes, None])
+    block.flags.writeable = False
+    return _HeatFlow(modes, fwd, cos, block)
+
+
+@lru_cache(maxsize=64)
+def _cached_heat_flow(d: float, t: float, domain: Domain) -> _HeatFlow:
+    """The plan of the heat flow over d t, one decay row for every field."""
+    return _heat_flow(_heat_decay(d, t, domain), domain)
 
 
 def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
@@ -346,9 +389,10 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
 
     Diagonal in the cosine basis: mode k picks up exp(-d t lam_k), so the
     semigroup property in time is exact and constants are fixed points for
-    every t.  t = 0 returns f unchanged.  The factors for each (d, t,
-    domain) are computed once and kept read-only, so a repeated flow, one
-    delay's smoothing at every certifying step, computes no exp.
+    every t.  t = 0 returns f unchanged.  The flow for each (d, t,
+    domain) is planned once and kept read-only, so a repeated flow, one
+    delay's smoothing at every certifying step, computes no exp and
+    resolves no path.
 
     Args:
         f: Grid field of length n, or an (r, n) stack of fields, each of
@@ -370,8 +414,7 @@ def heat_apply(f: np.ndarray, d: float, t: float, domain: Domain) -> np.ndarray:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return f.copy()
-    decay, modes = _cached_heat_flow(float(d), float(t), domain)
-    out = _heat_rows(f if f.ndim == 2 else f[None, :], decay, domain, modes)
+    out = _cached_heat_flow(float(d), float(t), domain).apply(f if f.ndim == 2 else f[None, :])
     return out if f.ndim == 2 else out[0]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dengue_rd import Domain, ModelParams, heat_apply
+import dengue_rd.spectral as spectral
+from dengue_rd import Domain, History, ModelParams, heat_apply, lag_steps
 
 
 # Worked parameter point: R0 = sqrt(2) exactly, endemic (1/2, 4/3, 1/3),
@@ -87,3 +88,66 @@ def infection_term_u3(u1_lagged, u2_lagged, params: ModelParams, domain: Domain)
     """
     smoothed = heat_apply(u1_lagged * u2_lagged, params.d_h, params.tau_b, domain)
     return params.beta_h * params.survival_b * smoothed
+
+
+def written_out_heat_rows(rows, decay: np.ndarray, domain: Domain) -> np.ndarray:
+    """The heat flow of each row, resolving its path on every call.
+
+    decay is one (n,) vector or an (r, n) array.  The path follows the
+    crossovers in force: the pair of the first K modes from _basis below
+    FFT_MIN_N (K = n) or for a band of at most BAND_MAX_MODES modes, and
+    otherwise rfft and irfft of the even extension.
+    """
+    n = domain.n
+    f = np.asarray(rows)
+    modes = n if n < spectral.FFT_MIN_N else spectral._live_modes(decay)
+    if n < spectral.FFT_MIN_N or modes <= spectral.BAND_MAX_MODES:
+        fwd, cos = spectral._basis(domain, modes)
+        spec = np.matmul(fwd, f[:, :, None])
+        spec *= decay[..., :modes, None]
+        return np.matmul(cos, spec)[:, :, 0]
+    spec = np.fft.rfft(np.concatenate((f, f[:, -2:0:-1]), axis=1), axis=1)
+    spec *= decay
+    return np.fft.irfft(spec, 2 * (n - 1), axis=1)[:, :n]
+
+
+def written_out_step(history: History, params: ModelParams, domain: Domain, dt: float) -> np.ndarray:
+    """One split step written out, with its flows resolved per call and appended as a copy.
+
+    The reference the planned in-place step is held to byte for byte: the
+    same products in the same order, each on fresh temporaries, the delayed
+    fields smoothed as a stack of the nonzero delays' rows, and the new
+    state copied into the history by History.append.
+    """
+    kernels = ((params.d_m, params.tau_a), (params.d_h, params.tau_b))
+    k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+    fields = []
+    if k_a:
+        fields.append(history.lookup_block(k_a, 1, 2))
+    if k_b:
+        lag_b = history.lookup_block(k_b, 1, slice(0, 2))
+        fields.append(lag_b[:, 0] * lag_b[:, 1])
+    if fields:
+        lag_decay = np.array([spectral._heat_decay(d, tau, domain) for d, tau in kernels if tau > 0.0])
+        smoothed = written_out_heat_rows(np.concatenate(fields), lag_decay, domain)
+    state = history.lookup_arrays(0)
+    u1, u2, u3 = state
+    post = np.empty_like(state)
+    r1, r2, r3 = post
+    np.subtract(params.A, u1, out=r1)
+    r1 *= params.beta_m
+    r1 *= smoothed[0] if k_a else u3
+    np.multiply(u1, params.beta_h, out=r2)
+    r2 *= u2
+    np.subtract(params.H, r2, out=r2)
+    gain_b = params.beta_h * params.survival_b
+    if k_b:
+        np.multiply(smoothed[-1], gain_b, out=r3)
+    else:
+        np.multiply(u1, u2, out=r3)
+        r3 *= gain_b
+    post -= np.array([[params.mu_m], [params.mu_h], [params.rho_h]]) * state
+    post *= dt
+    post += state
+    decay = np.array([spectral._heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)])
+    return history.append(written_out_heat_rows(post, decay, domain))

@@ -162,6 +162,10 @@ def test_history_state_layout(domain):
         History([arr[:2]], 0.1)
     with pytest.raises(ValueError, match="3 rows"):
         h.append(arr[0])  # one row would broadcast over all three
+    narrow = History.constant(arr[:, :8], 1, 0.1)
+    with pytest.raises(ValueError, match=r"shape \(3, 8\), got \(3, 1\)"):
+        narrow.append([[2.0], [3.0], [4.0]])  # a column would broadcast over the grid
+    assert narrow.t_now == 0.0 and np.array_equal(narrow.lookup(0), arr[:, :8])
 
 
 def test_sup_distance(domain):

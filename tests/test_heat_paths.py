@@ -40,7 +40,13 @@ from dengue_rd import (
 )
 from dengue_rd.spectral import BAND_MAX_MODES, FFT_MIN_N
 
-from conftest import WORKED, infection_term_u1, infection_term_u3, random_smooth_field
+from conftest import (
+    WORKED,
+    infection_term_u1,
+    infection_term_u3,
+    random_smooth_field,
+    written_out_step,
+)
 
 DT = 0.05
 
@@ -69,6 +75,12 @@ def guarded_basis(domain: Domain, modes: int):
     return real_basis(domain, modes)
 
 
+def clear_plans():
+    """Drops every cached heat flow plan, so the next one resolves under the crossovers in force."""
+    spectral._cached_heat_flow.cache_clear()
+    integrator._step_plan.cache_clear()
+
+
 @contextmanager
 def heat_path(n: int, path: str | None):
     """Sets the crossovers for path; off a path, its transform fails.
@@ -76,15 +88,21 @@ def heat_path(n: int, path: str | None):
     Yields True when grids of n points keep all n modes.  Off that,
     _basis fails on more than BAND_MAX_MODES modes, so a forced "fft"
     path fails on any basis; a forced "band" path fails on numpy.fft.rfft.
+    Plans resolve their path once, so the cached ones are dropped on the
+    way in and on the way out.
     """
-    with pytest.MonkeyPatch.context() as mp:
-        if path is not None:
-            mp.setattr(spectral, "FFT_MIN_N", 8)
-            mp.setattr(spectral, "BAND_MAX_MODES", n if path == "band" else 0)
-            if path == "band":
-                mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
-        mp.setattr(spectral, "_basis", guarded_basis)
-        yield n < spectral.FFT_MIN_N
+    clear_plans()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if path is not None:
+                mp.setattr(spectral, "FFT_MIN_N", 8)
+                mp.setattr(spectral, "BAND_MAX_MODES", n if path == "band" else 0)
+                if path == "band":
+                    mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
+            mp.setattr(spectral, "_basis", guarded_basis)
+            yield n < spectral.FFT_MIN_N
+    finally:
+        clear_plans()
 
 
 def cosine_flow(f: np.ndarray, decay: np.ndarray, domain: Domain) -> np.ndarray:
@@ -208,9 +226,10 @@ def test_band_limit_neighbours_take_the_expected_path(modes):
         mp.setattr(spectral, "_basis", guarded_basis)
         if on_band:
             mp.setattr(np.fft, "rfft", fails("ran an rfft on the band path"))
-        counted = spectral._heat_rows(rows, decay, domain)
-        given_k = spectral._heat_rows(rows, decay, domain, modes)
-    assert np.array_equal(counted, given_k)
+        flow = spectral._heat_flow(decay, domain)
+        counted = flow.apply(rows)
+    assert (flow.fwd is not None) is on_band
+    assert flow.modes == (modes if on_band else domain.n)
     for row, got in zip(rows, counted):
         expected = cosine_flow(row, decay, domain)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(row).max()
@@ -221,8 +240,7 @@ def test_prime_wide_grid_runs_the_band_path(d, t):
     """n - 1 = 263 is prime, where numpy.fft would fall back to Bluestein."""
     domain = Domain(L=1.0, n=264)
     rows = np.random.default_rng(7).standard_normal((3, domain.n))
-    decay, modes = spectral._cached_heat_flow(d, t, domain)
-    assert modes <= BAND_MAX_MODES
+    assert spectral._live_modes(spectral._heat_decay(d, t, domain)) <= BAND_MAX_MODES
     with heat_path(domain.n, None) as dense:
         assert not dense
         with pytest.MonkeyPatch.context() as mp:
@@ -291,7 +309,7 @@ def test_dense_products_equal_their_matmul_form_bit_for_bit(n, d, t, seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 1))
     decay = spectral._heat_decay(np.array([d, 0.5 * d, 2.0 * d])[:, None], t, domain)
-    flows = spectral._heat_rows(rows, decay, domain)
+    flows = spectral._heat_flow(decay, domain).apply(rows)
     for row, scale, got in zip(rows, decay, flows):
         assert np.array_equal(got, ops.cos @ (scale * (ops.fwd @ row)))
     assert np.array_equal(to_modal(rows[0], domain), ops.fwd @ rows[0])
@@ -365,10 +383,10 @@ def test_parameter_sets_do_not_share_a_plan():
     assert plan1 is not plan2
     assert (plan1.k_a, plan1.k_b, plan1.lag_rows) == (10, 2, (0, 1))
     assert (plan2.k_a, plan2.k_b, plan2.lag_rows) == (0, 2, (1,))
-    assert not np.array_equal(plan1.decay[0], plan2.decay[0])
+    assert not np.array_equal(plan1.flow.decay[0], plan2.flow.decay[0])
     for plan in (plan1, plan2):
-        assert plan.modes == spectral._live_modes(plan.decay)
-        assert plan.lag_modes == spectral._live_modes(plan.lag_decay)
+        assert plan.flow.decay.shape == (3, domain.n, 1)
+        assert plan.lag_flow.decay.shape == (len(plan.lag_rows), domain.n, 1)
     assert integrator._step_plan(dataclasses.replace(p1), domain, DT) is plan1
 
     rng = np.random.default_rng(3)
@@ -409,6 +427,121 @@ def test_run_looks_its_plan_up_once_and_steps_through_the_module(monkeypatch):
     for _ in range(10):  # the positional form looks the same plan up itself
         real_step(plain, params, domain, DT)
     assert np.array_equal(plain.latest, traj.final_state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(8, 300), st.just(1024)),
+    path=heat_paths,
+    lags=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+    k=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    d=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+    b=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planned_step_writes_the_written_out_step_into_its_slot(n, path, lags, k, d, b, seed):
+    """run's form of step, plan and workspace, against the per-call form, byte for byte.
+
+    The new state is the history's next ring slot, read-only, and every
+    other slot keeps its state, one lag older.
+    """
+    (on_a, on_b), (k_a, k_b) = lags, k
+    params = ModelParams(
+        **{**WORKED, "d_m": d[0], "d_h": d[1], "b": b, "tau_a": on_a * k_a * DT, "tau_b": on_b * k_b * DT}
+    )
+    domain = Domain(L=1.0, n=n)
+    rng = np.random.default_rng(seed)
+    n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
+    window = np.array([smooth_box_rows(domain, rng, 3) for _ in range(n_lags + 1)])
+    planned, written = History(window, DT), History(window, DT)
+    try:
+        with heat_path(n, path):
+            plan = integrator._step_plan(params, domain, DT)
+            work = integrator._Workspace.of(plan, n)
+            for _ in range(3):
+                before = [planned.lookup(j) for j in range(n_lags + 1)]
+                got = step(planned, params, domain, DT, plan=plan, work=work)
+                expected = written_out_step(written, params, domain, DT)
+                assert got.tobytes() == expected.tobytes()
+                assert np.shares_memory(got, planned.lookup_arrays(0))
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = 0.0
+                for j in range(n_lags):
+                    assert planned.lookup(j + 1).tobytes() == before[j].tobytes()
+    finally:
+        spectral._basis.cache_clear()  # the forced band caches bases no run uses
+
+
+def plan_arrays(plan) -> list[np.ndarray]:
+    """Every array a step plan or a heat flow plan holds."""
+    if isinstance(plan, spectral._HeatFlow):
+        return [a for a in (plan.fwd, plan.cos, plan.decay) if a is not None]
+    flows = [f for f in (plan.flow, plan.lag_flow) if f is not None]
+    return [plan.loss] + [a for flow in flows for a in plan_arrays(flow)]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [24, FFT_MIN_N + 8])
+def test_every_array_a_cached_plan_holds_is_read_only(path, n):
+    domain = Domain(L=1.0, n=n)
+    params = ModelParams(**{**WORKED, "tau_b": 0.1})
+    with heat_path(n, path):
+        plans = [integrator._step_plan(params, domain, DT), spectral._cached_heat_flow(0.7, 0.3, domain)]
+        arrays = [a for plan in plans for a in plan_arrays(plan)]
+    assert len(arrays) >= 4
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 2.0
+
+
+def test_heat_path_resolves_plans_under_its_crossovers():
+    """The plans cached outside heat_path are not those its forced path uses."""
+    domain = Domain(L=1.0, n=24)
+    assert spectral._cached_heat_flow(1.0, 0.1, domain).fwd is not None
+    with heat_path(domain.n, "fft"):
+        assert spectral._cached_heat_flow(1.0, 0.1, domain).fwd is None
+        assert integrator._step_plan(ModelParams(**WORKED), domain, DT).flow.fwd is None
+    assert spectral._cached_heat_flow(1.0, 0.1, domain).fwd is not None
+    assert integrator._step_plan(ModelParams(**WORKED), domain, DT).flow.fwd is not None
+
+
+@pytest.mark.parametrize("n", [16, FFT_MIN_N + 8])
+def test_histories_stepped_alternately_equal_their_solo_runs(n):
+    """Two runs' states, stepped in turn through one cached plan, keep the bytes of each run alone."""
+    params = ModelParams(**{**WORKED, "tau_b": 0.1})
+    domain = Domain(L=1.0, n=n)
+    config = SimConfig(params=params, domain=domain, dt=DT, t_end=12 * DT, snapshot_every=1)
+    windows = [box_window(params, domain, np.random.default_rng(seed)) for seed in (1, 2)]
+    solo = [[s.tobytes() for _, s in run(config, History(w, DT)).snapshots] for w in windows]
+    plan = integrator._step_plan(params, domain, DT)
+    for planned in (True, False):  # run's form, and step's own plan and workspace
+        histories = [History(w, DT) for w in windows]
+        works = [integrator._Workspace.of(plan, n) for _ in windows]
+        states = [[h.latest.tobytes()] for h in histories]
+        for _ in range(12):
+            for h, work, kept in zip(histories, works, states):
+                form = {"plan": plan, "work": work} if planned else {}
+                kept.append(step(h, params, domain, DT, **form).tobytes())
+        assert states == solo
+
+
+@pytest.mark.parametrize("n", [48, 1024])
+def test_a_planned_run_needs_no_basis_and_no_flow_cache(n):
+    """Once run's plan exists, its steps resolve nothing: _basis and the flow cache may fail."""
+    params = ModelParams(**WORKED)
+    domain = Domain(L=1.0, n=n)
+    dt = 0.005
+    config = SimConfig(params=params, domain=domain, dt=dt, t_end=10 * dt, snapshot_every=5)
+    window = np.array([smooth_box_rows(domain, np.random.default_rng(k), 3) for k in range(101)])
+    first = run(config, History(window, dt))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_basis", fails("built a transform pair"))
+        mp.setattr(spectral, "_cached_heat_flow", fails("looked a flow up"))
+        again = run(config, History(window, dt))
+    assert len(again.times) == 11
+    assert trajectory_bytes(again) == trajectory_bytes(first)
 
 
 def box_window(params: ModelParams, domain: Domain, rng) -> list[np.ndarray]:
@@ -540,8 +673,7 @@ def test_wide_simulate_runs_without_rfft_or_dense_operators():
     assert [t for t, _ in traj.snapshots] == [t for t, _ in looped.snapshots]
     for (t, got), (_, expected) in zip(traj.snapshots, looped.snapshots):
         assert got.tobytes() == expected.tobytes() == states[round(t / dt)].tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "BAND_MAX_MODES", 0)
+    with heat_path(domain.n, "fft"):
         on_fft = run(config, History(window, dt))
     assert np.abs(traj.final_state - on_fft.final_state).max() <= 1e-13 * 2.0
 
@@ -603,19 +735,27 @@ def test_heat_decay_is_the_raw_factor_or_zero_never_subnormal(case, extra):
 @given(case=decay_cases())
 def test_heat_apply_reads_a_cached_read_only_decay(case):
     domain, d, t = case
-    cached, modes = spectral._cached_heat_flow(d, t, domain)
-    assert spectral._cached_heat_flow(d, t, domain)[0] is cached
-    assert modes == spectral._live_modes(cached)
-    assert band_tail(cached, modes) <= 2.0**-53 < band_tail(cached, modes - 1)
-    assert not cached.flags.writeable
-    assert np.array_equal(cached, spectral._heat_decay(d, t, domain))
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0] = 2.0
+    flow = spectral._cached_heat_flow(d, t, domain)
+    assert spectral._cached_heat_flow(d, t, domain) is flow
+    decay = spectral._heat_decay(d, t, domain)
+    modes = spectral._live_modes(decay)
+    assert band_tail(decay, modes) <= 2.0**-53 < band_tail(decay, modes - 1)
+    if domain.n < FFT_MIN_N or modes > BAND_MAX_MODES:
+        modes = domain.n
+    assert flow.modes == modes
+    assert flow.decay.shape == (1, modes, 1) and flow.decay.flags.c_contiguous
+    assert np.array_equal(flow.decay[0, :, 0], decay[:modes])
+    for array in (flow.decay, flow.fwd, flow.cos):
+        if array is not None:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
     f = np.linspace(1.0, 2.0, domain.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_heat_decay", None)  # a recomputation would fail
+        mp.setattr(spectral, "_basis", None)
         got = heat_apply(f, d, t, domain)
-    assert np.array_equal(got, spectral._heat_rows(f[None, :], cached, domain)[0])
+    assert np.array_equal(got, spectral._heat_flow(decay, domain).apply(f[None, :])[0])
 
 
 # Against the all-mode cosine_flow, the band's error is its tail, at most
@@ -639,11 +779,13 @@ def test_band_keeps_the_fewest_modes_its_tail_bound_allows(case, seed):
     domain, d, t = case
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((3, domain.n)) * 10.0 ** rng.integers(-8, 9, size=(3, 1))
-    decay, modes = spectral._cached_heat_flow(d, t, domain)
+    decay = spectral._heat_decay(d, t, domain)
+    modes = spectral._live_modes(decay)
     assert band_tail(decay, modes) <= 2.0**-53 < band_tail(decay, modes - 1)
     try:
         with heat_path(domain.n, "band"):
             got = heat_apply(rows, d, t, domain)
+            assert spectral._cached_heat_flow(d, t, domain).modes == modes
     finally:
         spectral._basis.cache_clear()  # the forced band caches bases no run uses
     allowed = 2.0**-53 + BAND_ROUNDOFF * np.finfo(float).eps
@@ -680,7 +822,6 @@ def test_small_grids_never_read_the_band_cut(params, n, d, t, seed):
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "_live_modes", live)
-                mp.setattr(integrator, "_live_modes", live)
                 assert flows() == expected
         finally:  # no cached K of the stand-in outlives the test
             spectral._cached_heat_flow.cache_clear()
@@ -695,7 +836,7 @@ def test_floor_moves_no_bit_of_heat_apply(case, path, seed):
     with heat_path(domain.n, path):
         got = heat_apply(rows, d, t, domain)
         raw = np.broadcast_to(raw_decay(d, t, domain), rows.shape)
-        expected = np.asarray(spectral._heat_rows(rows, raw, domain))
+        expected = spectral._heat_flow(raw, domain).apply(rows)
     assert np.array_equal(got, expected)
 
 

@@ -85,7 +85,7 @@ def column_eval_V(hist, params, star, domain, lags, step):
     A block of one over lags, which the call extends by that state's column.
     """
     block = StateBlock.empty(1, domain.n, hist.dt, *lag_counts(params, hist.dt))
-    block.put(0, step, hist)
+    block.put(0, step, hist.lookup_arrays(0), hist)
     return eval_V(block, params, star, domain, lags=lags)[0]
 
 
