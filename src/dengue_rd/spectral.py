@@ -80,9 +80,11 @@ BAND_MAX_MODES when it is built; a cached plan keeps the path it took.
 Stacks keep the bits of single rows.  On small grids a product's cost is
 numpy's fixed cost per call, so a stack of r fields goes through one call
 rather than r, and it must give each row's bytes exactly.  Two stacked
-forms do: np.matmul(M, X[:, :, None]) runs the same BLAS matrix-vector
-product (gemv) per row as M.dot(x), and np.matmul(R[:, None, :],
-w[:, None]) the same dot product per row as float(w @ r).  Two forms do
+forms do: np.matmul(M, X[..., None]) runs the same BLAS matrix-vector
+product (gemv) per row as M.dot(x), whatever the stack's leading shape
+and whether or not it writes into an out array, and
+np.matmul(R[:, None, :], w[:, None]) the same dot product per row as
+float(w @ r).  Two forms do
 not: a matrix-matrix product (gemm) such as M.dot(X.T), and R @ w, a
 single gemv over the whole stack, both sum in another order, and they
 differed from the per-row values on nearly every draw.  Never batch the
@@ -167,7 +169,6 @@ kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
