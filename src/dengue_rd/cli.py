@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import (
@@ -59,14 +59,7 @@ class SweepRow:
     error: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "r0": self.r0,
-            "regime": self.regime,
-            "final_dist": self.final_dist,
-            "certified": self.certified,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def load_sweep(source: str | Path | dict) -> SweepSpec:

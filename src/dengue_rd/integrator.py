@@ -15,17 +15,20 @@ delayed product u1 u2 is formed pointwise on the grid before the kernel
 is applied.  Spatially constant equilibria are fixed points of the step
 to roundoff because constants are exact fixed points of the heat flow.
 
-The delayed fields of the next B steps already sit in the history: the
-step from state s + j reads the states s + j - k_a and s + j - k_b, which
-exist at step s while j is at most the smaller nonzero lag.  So run
-smooths them a block at a time, B steps in one transform call, and hands
-each step its rows.  B is run's own, min(1 + that lag, RUN_BLOCK_STEPS,
+A run goes a block of B steps at a time, B = min(RUN_BLOCK_STEPS,
 RUN_BLOCK_CELLS // n) and at least 1 (the constants say how they were
-measured).  A lag of 24 steps or more gives 25 on grids of up to 327
-points, so 25 on the sweep base at n = 48, 8 at n = 1024 and 4 at
-n = 2048.  The stacked transforms give each row the bytes of its own
-call (spectral module docstring), so the split of a run into blocks
-moves no bit.
+measured): 25 steps on grids of up to 327 points, 8 at n = 1024 and 4
+at n = 2048.  Each state is copied once into the run's StateBlock, a
+field-first (3, B, n) array, and after the block's last step the books
+and, in a certifying run, eval_V read it.  The delayed fields of the
+next steps already sit in the history: the step from state s + j reads
+the states s + j - k_a and s + j - k_b, which exist at step s while j is
+at most the smaller nonzero lag.  So run smooths them in one transform
+call for each S = min(1 + that lag, B) steps of a block and hands each
+step its rows.  The stacked transforms give each row the bytes of its
+own call (spectral module docstring), and eval_V each state the bytes
+of its own evaluation (lyapunov module docstring), so the split of a
+run into blocks moves no bit.
 
 A step resolves nothing and, on the matrix path, allocates no array.
 Its heat flows are planned once per (params, domain, dt) in _step_plan,
@@ -36,10 +39,10 @@ product is written straight into the history's next ring slot
 (History.advance), so no state is copied on the way in.  The FFT path
 copies its inverse transform into the slot once.  Outside certification
 a step pays, besides step itself, only for an exact stop test of its new
-state (run's docstring) and run's one copy of it for the books.  What
-run records of the states, their per-component bounds, their distances
-to the equilibria and the snapshots, it derives once per block from
-those copies.
+state (run's docstring) and its one copy into the block.  What run
+records of the states, their per-component bounds, their distances to
+the equilibria and the snapshots, it derives once per block from the
+block.
 
 The explicit reaction substep keeps states in the invariant box when
 
@@ -71,7 +74,7 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import RECORD_DTYPE, StateBlock, block_rows, eval_V, lag_values, prepare_kernels
+from .lyapunov import RECORD_DTYPE, StateBlock, eval_V, lag_values, prepare_kernels
 from .lyapunov import two_path_rel_err, window_W
 from .spectral import _HeatFlow, _heat_decay, _heat_flow
 from .spectral import heat_apply  # unused here; perfbench/tracing.py wraps this binding
@@ -94,14 +97,15 @@ __all__ = [
 # process, plain runs of the sweep base (2-core x86-64, one BLAS thread,
 # fastest of 7) gained nothing past 25 steps at n = 48 (B = 25, 50 and 101
 # within 2%); at n = 1024 B = 8 took 156 against 191 us per step at B = 1,
-# and B = 16 and 25 were within 5% of it.  Each step of a block holds
-# about 6n doubles: its state copy for the books, its delayed row and two
+# and B = 16 and 25 were within 5% of it.  A plain step of a block holds
+# about 6n doubles: its state in the block, its delayed row and two
 # transform rows.  Over B = 1 the run's traced peak rose 0.35 MB at B = 8
 # and 1.16 MB at B = 25, at n = 1024.  The cell budget keeps that rise
 # flat on wider grids: at n = 2048, B = 4 took 287 against 316 us, and
 # its peak rose 0.24 MB.  These figures were taken when the band kept every
 # mode above HEAT_DECAY_FLOOR (84 at n = 1024), not the modes its tail
-# bound needs (28).
+# bound needs (28).  The same B sizes eval_V's blocks (README gives the
+# certifying figures).
 RUN_BLOCK_STEPS = 25
 RUN_BLOCK_CELLS = 8192
 
@@ -132,12 +136,11 @@ class _StepPlan:
     nonzero delay, and lag_flow is the plan of their kernels, one decay
     row each, so a zero delay skips its transform (None with both delays
     zero).  Each plan holds its path, its K and its pair (spectral
-    _HeatFlow), so step resolves nothing.  block is B, the steps whose
-    delayed fields one smoothing call covers: min(1 + the shortest nonzero
-    lag, RUN_BLOCK_STEPS, RUN_BLOCK_CELLS // n), at least 1.  With both
-    delays zero it only groups run's loop.  B sizes run's memory, about
-    6 B n doubles (0.35 MB at n = 1024, where B = 8), not eval_V's: a plain
-    run builds no StateBlock, so B does not follow block_rows.  beta_m,
+    _HeatFlow), so step resolves nothing.  block is B, the steps of run's
+    StateBlock: min(RUN_BLOCK_STEPS, RUN_BLOCK_CELLS // n), at least 1.
+    smooth is S, the steps whose delayed fields one smoothing call covers:
+    min(1 + the shortest nonzero lag, B), and B with both delays zero,
+    where it only groups run's loop.  beta_m,
     beta_h, gain_b = beta_h exp(-mu_h tau_b) and the loss column (mu_m,
     mu_h, rho_h) are the reaction's coefficients, so step reads no
     derived parameter.  The plan is shared through its cache, so it holds
@@ -150,6 +153,7 @@ class _StepPlan:
     lag_rows: tuple[int, ...]
     lag_flow: _HeatFlow | None
     block: int
+    smooth: int
     beta_m: float
     beta_h: float
     gain_b: float
@@ -173,10 +177,10 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
     decay = np.array([_heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)])
     lag_decay = np.array([_heat_decay(*kernels[i], domain) for i in lag_rows])
     k_a, k_b = lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt)
+    block = min(RUN_BLOCK_STEPS, max(1, RUN_BLOCK_CELLS // domain.n))
     # The step from state s + j reads states s + j - k, all in the history
     # at step s while j <= k for every nonzero k.
     reach = [1 + k for k in (k_a, k_b) if k]
-    budget = max(1, RUN_BLOCK_CELLS // domain.n)
     loss = np.array([[params.mu_m], [params.mu_h], [params.rho_h]])
     loss.flags.writeable = False
     return _StepPlan(
@@ -185,7 +189,8 @@ def _step_plan(params: ModelParams, domain: Domain, dt: float) -> _StepPlan:
         flow=_heat_flow(decay, domain),
         lag_rows=lag_rows,
         lag_flow=_heat_flow(lag_decay, domain) if lag_rows else None,
-        block=min(RUN_BLOCK_STEPS, budget, *reach),
+        block=block,
+        smooth=min([block, *reach]),
         beta_m=params.beta_m,
         beta_h=params.beta_h,
         gain_b=params.beta_h * params.survival_b,
@@ -221,7 +226,7 @@ def _smooth_delayed(history: History, plan: _StepPlan, domain: Domain, count: in
     Row j holds those of the step from the history's newest state plus j:
     Gamma(d_m tau_a) u3 at lag k_a - j and Gamma(d_h tau_b) (u1 u2) at lag
     k_b - j, for the delays in plan.lag_rows, so count is at most
-    plan.block.  All of them go through one transform call.  The history
+    plan.smooth.  All of them go through one transform call.  The history
     gathers only the rows a delay reads: u3 at lag k_a, u1 and u2 at k_b.
     """
     rows = np.empty((count, len(plan.lag_rows), domain.n))
@@ -256,8 +261,8 @@ def step(
     checked it already.
 
     smoothed holds this step's smoothed delayed fields, one row per
-    nonzero delay (u3's first).  run smooths them for a block of
-    plan.block steps in one transform call and hands each step its rows;
+    nonzero delay (u3's first).  run smooths them for plan.smooth
+    steps at a time in one transform call and hands each step its rows;
     a step called without them smooths its own, as a block of one, and
     with both delays zero there is nothing to smooth.  work is the run's
     scratch, _Workspace.of(plan, n); a step called without it makes its
@@ -349,29 +354,28 @@ class Trajectory:
 def run(config: SimConfig, initial: History) -> Trajectory:
     """Integrates from the initial history to t_end, recording every step.
 
-    Steps go in blocks of B = min(1 + the shortest nonzero lag,
-    RUN_BLOCK_STEPS, RUN_BLOCK_CELLS // n), at least 1 (the module
-    docstring): before a block's first step one call smooths the delayed
-    fields of the whole block, and each step gets its rows.  A block holds
-    about 6 B n doubles: 0.35 MB of traced peak over B = 1 at n = 1024,
-    where B = 8.  After every step an exact stop test reads the new
-    state: a non-finite value raises, and so does a value outside the
-    invariant box in strict mode; otherwise such a value clears bounds_ok.
-    So a failing run stops at the step of its first failing state, and
-    step is never called after it.  The state is also copied into a
-    (B, 3, n) buffer, and after the block's last step the bookkeeping reads
-    the buffer: one min and one max call give the block's per-component
-    bounds, one sup_distance call their distances to the DFE and to u*,
-    and the snapshots are copied from it.  State 0 is a block of one.
-    min and max are exact and each stacked distance is that of its state
-    alone, so the split of a run into blocks moves no recorded bit.
+    Steps go in blocks of B = plan.block steps (the module docstring),
+    and each state is copied once into a StateBlock of B rows, field
+    first, (3, B, n).  Before every S = plan.smooth steps of a block one
+    call smooths their delayed fields, and each step gets its rows.  After
+    every step an exact stop test reads the new state: a non-finite value
+    raises, and so does a value outside the invariant box in strict mode;
+    otherwise such a value clears bounds_ok.  So a failing run stops at the
+    step of its first failing state, and step is never called after it.
+    After the block's last step the bookkeeping reads the block: one min
+    and one max call give its per-component bounds, one sup_distance call
+    their distances to the DFE and to u*, and the snapshots are copied
+    from it.  State 0 is a block of one.  min and max are exact and each
+    stacked distance is that of its state alone, so the split of a run
+    into blocks moves no recorded bit.
 
     Certifying runs additionally evaluate the Lyapunov functional and the
-    dissipation identity at every step, right after its stop test: each
-    step's state goes into a StateBlock, and one eval_V call evaluates the
-    block and returns its record rows when it is full, at the last step or
-    at a state that is not strictly positive, whose error then stops the
-    run at its own step.
+    dissipation identity at every step: put copies the state with the two
+    lag rows eval_V reads into its row of the block (a plain run copies the
+    state alone), and the bookkeeping makes one eval_V call for the
+    block's record rows.  A state that is not strictly
+    positive gets an eval_V call of its own block at once, whose check
+    stops the run at that state's step.
     eval_V reads the W integrals from lags, a column of per-lag values
     indexed by step that the initial window fills and eval_V extends.  At
     checkpoint steps, every min(k_a, k_b) steps (over the nonzero ones,
@@ -409,7 +413,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
     checkpoints = np.zeros(size, dtype=bool)
-    kernels = block = lags = fresh_W = None
+    kernels = lags = fresh_W = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
@@ -426,7 +430,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         # value in a recorded W before it leaves every window.
         checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
         checkpoints[-1] = True
-        block = StateBlock.empty(block_rows(domain.n), domain.n, dt, k_a, k_b)
         # W1 and W2 from the raw window at each checkpoint.
         fresh_W = np.full((size, 2), np.nan)
 
@@ -440,14 +443,13 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     comp_min, comp_max = extremes[..., 0], extremes[..., 1]
     lyapunov = np.full(size if config.certify else 1, np.nan, dtype=RECORD_DTYPE)
     snapshots: list[tuple[float, np.ndarray]] = []
-    # The states of the current block, for its bookkeeping.
-    states = np.empty((plan.block, 3, domain.n))
+    # The states of the current block, for its books and eval_V.
+    block = StateBlock.empty(plan.block, domain.n, dt, k_a, k_b)
     bounds_ok = True
-    filled = 0
 
-    def check(k: int, state: np.ndarray) -> None:
-        """Step k's stop test, then its certifying work."""
-        nonlocal bounds_ok, filled
+    def check(k: int, row: int, state: np.ndarray) -> None:
+        """Step k's stop test, then its copy into the block's row and its certifying work."""
+        nonlocal bounds_ok
         # min propagates NaN and -inf fails the low test; +inf fails the
         # ceiling test.  Only a failing state takes the slow path.
         low = state.min()
@@ -461,41 +463,42 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                     f"state left the invariant box at step {k}, t={times[k]:.6g}"
                 )
             bounds_ok = False
-        if config.certify:
-            block.put(filled, k, state, initial)
-            filled += 1
-            # A nonpositive state fails eval_V's check at its own step.
-            if filled == len(block) or k == n_steps or not low > 0.0:
-                rows = eval_V(block[:filled], params, eqs.endemic, domain, lags=lags)
-                lyapunov[k + 1 - filled : k + 1] = rows
-                filled = 0
-            if checkpoints[k]:
-                fresh_W[k] = window_W(initial, params, eqs.endemic, domain, k_a, k_b)
+        if not config.certify:
+            block.state[:, row] = state
+            return
+        block.put(row, k, state, initial)
+        if not low > 0.0:  # eval_V's check fails at this state's own step
+            eval_V(block[: row + 1], params, eqs.endemic, domain, lags=lags)
+        if checkpoints[k]:
+            fresh_W[k] = window_W(initial, params, eqs.endemic, domain, k_a, k_b)
 
     def keep_books(first: int, count: int) -> None:
-        """Records steps first to first + count - 1 from states[:count]."""
+        """Records steps first to first + count - 1 from the block's first count rows."""
         steps = slice(first, first + count)
-        states[:count].min(axis=2, out=comp_min[steps])
-        states[:count].max(axis=2, out=comp_max[steps])
+        states = block.state[:, :count]
+        states.min(axis=2, out=comp_min[steps].T)
+        states.max(axis=2, out=comp_max[steps].T)
         # Rounding u - p is monotone in u, so a row's sup |u - p| sits at
         # its min or max: the distance of bounds is that of state, bit for bit.
         distances[steps, known] = sup_distance(extremes[steps, None], points)
+        if config.certify:
+            lyapunov[steps] = eval_V(block[:count], params, eqs.endemic, domain, lags=lags)
         for k in range(first, first + count):
             if k == 0 or k == n_steps or (
                 config.snapshot_every and k % config.snapshot_every == 0
             ):
-                snapshots.append((float(times[k]), states[k - first].copy()))
+                snapshots.append((float(times[k]), states[:, k - first].copy()))
 
-    states[0] = initial.latest
-    check(0, states[0])
+    check(0, 0, initial.latest)
     keep_books(0, 1)
     for first in range(1, size, plan.block):
         count = min(plan.block, size - first)
-        delayed = _smooth_delayed(initial, plan, domain, count) if plan.lag_rows else [None] * count
-        for j, smoothed in enumerate(delayed):
-            state = step(initial, params, domain, dt, plan=plan, smoothed=smoothed, work=work)
-            states[j] = state
-            check(first + j, state)
+        for lead in range(0, count, plan.smooth):
+            width = min(plan.smooth, count - lead)
+            delayed = _smooth_delayed(initial, plan, domain, width) if plan.lag_rows else [None] * width
+            for row, smoothed in enumerate(delayed, lead):
+                state = step(initial, params, domain, dt, plan=plan, smoothed=smoothed, work=work)
+                check(first + row, row, state)
         keep_books(first, count)
 
     if config.certify:

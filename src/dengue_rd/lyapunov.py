@@ -62,23 +62,24 @@ written into the wrong column, or corrupted there, fails certification.
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  A certifying run
 copies what eval_V reads of each state (the (3, n) state, u3 at lag k_a,
-u1 u2 at lag k_b) into a StateBlock of B = BLOCK_CELLS // n rows, and
-evaluates it in one eval_V call when it is full, at the last step or at
-a state that is not strictly positive.  The call checks the (3, B, n)
-states once and writes every integrand of every state into one
-(r, B, n) buffer: the ratio rows of L1, L2, g_u2 and the two delay
-terms, and the per-lag values, go through one g call, in place; each
-nonzero delay smooths its numerators and their logs in one heat_apply
-call on a (2B, n) stack; one gradient_energy call takes the (3B, n)
-stack; one stacked product reduces every row against the quadrature
-weights.  These stacked forms equal a row-by-row evaluation bit for bit
-(spectral module docstring), each element sees the same operations in
-the same order, and each state's scalar sums run left to right from
-0.0, as Python 3.11's sum does.  So every number is that of a
-term-by-term evaluation of one state, bit for bit, whatever B and
-whatever the Python version.  Only a failed check goes back field by
-field, so its message still names the field.  README gives the cost of
-B.
+u1 u2 at lag k_b) into a row of its StateBlock, the run's one block of B
+states (integrator module docstring), and evaluates the block in one
+eval_V call after its last step.  A state that is not strictly positive
+is evaluated at once, with the rows before it, so its error stops the
+run at its own step.  The call checks the (3, B, n) states once and
+writes every integrand of every state into one (r, B, n) buffer: the
+ratio rows of L1, L2, g_u2 and the two delay terms, and the per-lag
+values, go through one g call, in place; each nonzero delay smooths its
+numerators and their logs in one heat_apply call on a (2B, n) stack; one
+gradient_energy call takes the (3B, n) stack; one stacked product
+reduces every row against the quadrature weights.  These stacked forms
+equal a row-by-row evaluation bit for bit (spectral module docstring),
+each element sees the same operations in the same order, and each
+state's scalar sums run left to right from 0.0, as Python 3.11's sum
+does.  So every number is that of a term-by-term evaluation of one
+state, bit for bit, whatever B and whatever the Python version.  Only a
+failed check goes back field by field, so its message still names the
+field.  README gives the cost of B.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
 the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
@@ -104,7 +105,6 @@ __all__ = [
     "RECORD_DTYPE",
     "StateBlock",
     "TERM_NAMES",
-    "block_rows",
     "eval_V",
     "g",
     "lag_values",
@@ -140,11 +140,6 @@ _ROWS = ("L1", "L2", "a", "g_delay_a", "g_delay_b", "g_u2", "b", "quad_u1", "qua
 
 # g takes w - 1 - ln w as it stands below this argument (see g).
 G_DIRECT_BELOW = 0.5
-
-# A certifying run evaluates its states in blocks of at most this many
-# grid values per field, B n, which bounds the memory of a block's
-# stacked pass (README gives the measurements).
-BLOCK_CELLS = 1200
 
 
 def g(omega, out=None):
@@ -279,20 +274,15 @@ def _delay_W(
     return out
 
 
-def block_rows(n: int) -> int:
-    """The rows B of the StateBlock a certifying run fills on an n-point grid."""
-    return max(1, BLOCK_CELLS // n)
-
-
 @dataclass(frozen=True)
 class StateBlock:
-    """Consecutive states of a certifying run, held for one eval_V pass.
+    """Consecutive states of a run, held for its books and one eval_V pass.
 
     Row i holds what eval_V reads of the history at its i-th state, copied
     out because the history reuses its slots: the state's step index, the
     state itself (field first: state[:, i] is the (3, n) state), u3 at lag
-    k_a and u1 u2 at lag k_b.  dt, k_a and k_b are the run's.  Slicing
-    gives a block of views of the rows.
+    k_a and u1 u2 at lag k_b.  A plain run fills only the states.  dt, k_a
+    and k_b are the run's.  Slicing gives a block of views of the rows.
     """
 
     dt: float

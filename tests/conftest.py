@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+import dengue_rd.integrator as integrator
 import dengue_rd.spectral as spectral
 from dengue_rd import Domain, History, ModelParams, heat_apply, lag_steps
 
@@ -46,6 +49,22 @@ def config_doc(**overrides) -> dict:
     doc.update({"L": 1.0, "n": 48, "dt": 0.05, "t_end": 2.0})
     doc.update(overrides)
     return doc
+
+
+@contextmanager
+def run_block_steps(steps: int):
+    """Runs in blocks of at most steps steps: integrator.RUN_BLOCK_STEPS patched.
+
+    The step plan, which holds the block, is cached, so the cache is
+    cleared on the way in and on the way out.
+    """
+    integrator._step_plan.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "RUN_BLOCK_STEPS", steps)
+            yield
+    finally:
+        integrator._step_plan.cache_clear()
 
 
 def constant_state(values, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dengue_rd.integrator as integrator
@@ -45,6 +45,7 @@ from conftest import (
     infection_term_u1,
     infection_term_u3,
     random_smooth_field,
+    run_block_steps,
     written_out_step,
 )
 
@@ -544,9 +545,9 @@ def test_a_planned_run_needs_no_basis_and_no_flow_cache(n):
     assert trajectory_bytes(again) == trajectory_bytes(first)
 
 
-def box_window(params: ModelParams, domain: Domain, rng) -> list[np.ndarray]:
+def box_window(params: ModelParams, domain: Domain, rng, dt: float = DT) -> list[np.ndarray]:
     """A smooth window of states, oldest first, inside the box and off its walls."""
-    n_lags = max(lag_steps(params.tau_a, DT), lag_steps(params.tau_b, DT))
+    n_lags = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
     ceilings = bound_vector(params)
     return [
         np.array([smooth_box_rows(domain, rng, 1, m)[0] for m in ceilings]) for _ in range(n_lags + 1)
@@ -559,6 +560,15 @@ def trajectory_bytes(traj) -> list[bytes]:
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
+def smoothing_counts(n_steps: int, block: int, smooth: int) -> list[int]:
+    """The steps each of run's smoothing calls covers: every block in calls of up to smooth steps."""
+    counts = []
+    for first in range(0, n_steps, block):
+        size = min(block, n_steps - first)
+        counts += [min(smooth, size - lead) for lead in range(0, size, smooth)]
+    return counts
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     k_a=st.integers(0, 6),
@@ -566,14 +576,15 @@ def trajectory_bytes(traj) -> list[bytes]:
     n=st.integers(8, 40),
     path=heat_paths,
     certify=st.booleans(),
-    n_steps=st.integers(1, 20),
+    n_steps=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_run_hands_each_step_the_rows_it_would_smooth_alone(k_a, k_b, n, path, certify, n_steps, seed):
-    """Smoothing a block of steps at once moves no bit of the run."""
+    """Smoothing the steps of a block a few at a time moves no bit of the run."""
     params = ModelParams(**{**WORKED, "tau_a": k_a * DT, "tau_b": k_b * DT})
     domain = Domain(L=1.0, n=n)
-    block = integrator._step_plan(params, domain, DT).block
+    plan = integrator._step_plan(params, domain, DT)
+    block = plan.block
     if n_steps % block == 0:
         n_steps += 1  # a short last block
     config = SimConfig(
@@ -596,7 +607,8 @@ def test_run_hands_each_step_the_rows_it_would_smooth_alone(k_a, k_b, n, path, c
     for (t, got), (_, expected) in zip(blocked.snapshots, looped.snapshots):
         assert got.tobytes() == expected.tobytes() == states[round(t / DT)].tobytes()
     if k_a or k_b:
-        assert block_counts == [block] * (n_steps // block) + [n_steps % block]
+        assert plan.smooth == 1 + min(k for k in (k_a, k_b) if k)
+        assert block_counts == smoothing_counts(n_steps, block, plan.smooth)
     else:
         assert block_counts == []
 
@@ -627,6 +639,71 @@ def test_one_smoothing_call_per_block_of_steps(monkeypatch, tau_a, calls, certif
     looped = run(config, History(window, dt))
     assert trajectory_bytes(traj) == trajectory_bytes(looped)
     assert [(t, s.tobytes()) for t, s in traj.snapshots] == [(t, s.tobytes()) for t, s in looped.snapshots]
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    k_a=st.integers(0, 30),
+    k_b=st.integers(0, 30),
+    n=st.sampled_from([48, 48, 48, 1024]),
+    certify=st.booleans(),
+    tail=st.integers(1, 28),
+    second=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k_a=3, k_b=0, n=1024, certify=True, tail=11, second=True, seed=1)
+@example(k_a=4, k_b=9, n=48, certify=True, tail=28, second=False, seed=2)
+def test_lags_shorter_than_the_block_keep_the_bytes_of_standalone_steps(
+    k_a, k_b, n, certify, tail, second, seed
+):
+    """Blocks of 25 steps (8 at n = 1024) that span several smoothing calls.
+
+    The run, record and snapshots included, equals a run of one step per
+    block, and its snapshots equal a loop of standalone steps, byte for
+    byte.  In a certifying run a zero at the first, a middle, a
+    stride-edge or the last row of a block stops the run at its own step,
+    and step is called exactly that many times.
+    """
+    dt = 0.01  # tau_b up to 0.3 keeps R0 above 1
+    params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
+    domain = Domain(L=1.0, n=n)
+    plan = integrator._step_plan(params, domain, dt)
+    block, smooth = plan.block, plan.smooth
+    assert block == (25 if n == 48 else 8)
+    n_steps = block + min(tail, block + 3)  # a full block, then a short or full one and more
+    config = SimConfig(
+        params=params, domain=domain, dt=dt, t_end=n_steps * dt, snapshot_every=2, certify=certify
+    )
+    window = box_window(params, domain, np.random.default_rng(seed), dt)
+    blocked = run(config, History(window, dt))
+    with run_block_steps(1):
+        one = run(config, History(window, dt))
+    alone = History(window, dt)
+    states = [alone.latest] + [step(alone, params, domain, dt).copy() for _ in range(n_steps)]
+    assert trajectory_bytes(blocked) == trajectory_bytes(one)
+    assert [t for t, _ in blocked.snapshots] == [t for t, _ in one.snapshots]
+    for (t, got), (_, expected) in zip(blocked.snapshots, one.snapshots):
+        assert got.tobytes() == expected.tobytes() == states[round(t / dt)].tobytes()
+    if not certify:
+        return
+    first = 1 + block * second  # the first step of the first or the second block
+    real_step = integrator.step
+    for row in sorted({0, block // 2, smooth - 1, min(smooth, block - 1), block - 1}):
+        k, calls = first + row, []
+
+        def zero_u1_at_k(history, *args, **kwargs):
+            calls.append(1)
+            if len(calls) < k:
+                return real_step(history, *args, **kwargs)
+            state = history.latest
+            state[0, 3] = 0.0
+            return history.append(state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "step", zero_u1_at_k)
+            with pytest.raises(ValueError, match="strictly positive u1; min value is 0$"):
+                run(dataclasses.replace(config, t_end=(2 * block + 1) * dt), History(window, dt))
+        assert len(calls) == k
 
 
 def test_wide_run_builds_no_dense_operators():

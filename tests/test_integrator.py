@@ -244,8 +244,9 @@ def test_record_box_check_at_the_ceiling(delayed_params, domain):
 def run_through_states(states, strict_box=False, calls=None):
     """Runs the worked point with step replaced by appending the given states.
 
-    k_a = 10 at dt = 0.05, so run's blocks hold 11 steps.  calls, a list,
-    collects the states the stand-in step appended.
+    k_a = 10 at dt = 0.05 on grids of up to 327 points, so run's blocks
+    hold 25 steps, and one smoothing call covers 11 of them.  calls, a
+    list, collects the states the stand-in step appended.
     """
     params = ModelParams(**WORKED)
     domain = Domain(L=1.0, n=states[0].shape[1])
@@ -287,11 +288,10 @@ def state_rows(draw, centre: float, n: int) -> list[float]:
 
 @st.composite
 def wild_runs(draw) -> list[np.ndarray]:
-    """One to 25 (3, n) states, each row centred on u* or the DFE.
+    """One to 28 (3, n) states, each row centred on u* or the DFE.
 
-    The states are picked in any order from one to three drawn ones.  25
-    states are three of run_through_states' 11-step blocks, the last one
-    short.
+    The states are picked in any order from one to three drawn ones.  28
+    states are one of run_through_states' 25-step blocks and a short one.
     """
     params = ModelParams(**WORKED)
     points = (endemic_equilibrium(params), disease_free_equilibrium(params))
@@ -300,7 +300,7 @@ def wild_runs(draw) -> list[np.ndarray]:
         np.array([draw(state_rows(float(draw(st.sampled_from(points))[i]), n)) for i in range(3)])
         for _ in range(draw(st.integers(1, 3)))
     ]
-    size = draw(st.one_of(st.just(25), st.integers(1, 25)))
+    size = draw(st.one_of(st.sampled_from([25, 28]), st.integers(1, 28)))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
     return [pool[i].copy() for i in picks]
 
@@ -321,14 +321,15 @@ def test_record_distances_from_row_bounds_match_the_full_state(states):
     assert traj.bounds_ok is inside
 
 
-# Runs of up to 2 * 11 + 3 states: the first and last steps of blocks
-# of 11 are 1, 11, 12, 22 and 23, and of the last, short block 25.
-BLOCK_EDGES = st.sampled_from([1, 11, 12, 22, 23, 25])
+# Runs of up to 25 + 3 states: blocks of 25 steps begin at 1 and 26, and
+# smoothing calls of 11 steps begin at 1, 12, 23 and 26.  The first and
+# last steps of each are 1, 11, 12, 22, 23, 25, 26 and 28.
+BLOCK_EDGES = st.sampled_from([1, 11, 12, 22, 23, 25, 26, 28])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    k=st.one_of(BLOCK_EDGES, st.integers(1, 25)),
+    k=st.one_of(BLOCK_EDGES, st.integers(1, 28)),
     data=st.data(),
     where=st.tuples(st.integers(0, 2), st.integers(0, 7)),
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -336,16 +337,21 @@ BLOCK_EDGES = st.sampled_from([1, 11, 12, 22, 23, 25])
 )
 def test_non_finite_state_is_reported_before_a_box_violation(k, data, where, bad, also):
     params = ModelParams(**WORKED)
-    assert integrator._step_plan(params, Domain(L=1.0, n=8), 0.05).block == 11
-    length = data.draw(st.one_of(st.sampled_from([k, 25]), st.integers(k, 25)), label="length")
+    plan = integrator._step_plan(params, Domain(L=1.0, n=8), 0.05)
+    assert (plan.block, plan.smooth) == (25, 11)
+    length = data.draw(st.one_of(st.sampled_from([k, 28]), st.integers(k, 28)), label="length")
     states = [constant_state(endemic_equilibrium(params), 8) for _ in range(length)]
     states[k - 1][where] = bad
     if also is not None:  # a second entry outside the box at the same step
         states[k - 1][(where[0] + 1) % 3, (where[1] + 1) % 8] = also
-    calls = []
-    with pytest.raises(SimulationError, match=rf"^non-finite state at step {k}, t="):
-        run_through_states(states, strict_box=True, calls=calls)
+    calls, starts = [], []
+    real_smooth = integrator._smooth_delayed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_smooth_delayed", lambda *a: starts.append(len(calls) + 1) or real_smooth(*a))
+        with pytest.raises(SimulationError, match=rf"^non-finite state at step {k}, t="):
+            run_through_states(states, strict_box=True, calls=calls)
     assert len(calls) == k
+    assert starts == [s for s in (1, 12, 23, 26) if s <= k]
 
 
 def test_sim_config_enforces_stability_bound(domain):

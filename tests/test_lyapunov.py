@@ -39,7 +39,6 @@ from dengue_rd.lyapunov import (
     G_DIRECT_BELOW,
     RECORD_DTYPE,
     StateBlock,
-    block_rows,
     lag_values,
     two_path_rel_err,
     window_W,
@@ -47,7 +46,7 @@ from dengue_rd.lyapunov import (
 
 from dengue_rd.spectral import FFT_MIN_N
 
-from conftest import WORKED, constant_state
+from conftest import WORKED, constant_state, run_block_steps
 
 
 def endemic_history(params, domain, dt, transform=lambda a: a):
@@ -795,7 +794,8 @@ def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
 
 def test_checkpoints_at_every_step_leave_the_blocks_full(worked_params, monkeypatch):
     # A one-step delay puts a checkpoint on every step; the run still
-    # evaluates its states in full blocks, one eval_V call per block.
+    # evaluates its states in full blocks, one eval_V call per block of
+    # its books: state 0 alone, then blocks of 25 steps.
     import dengue_rd.integrator as integrator
 
     real_eval_V = integrator.eval_V
@@ -807,11 +807,11 @@ def test_checkpoints_at_every_step_leave_the_blocks_full(worked_params, monkeypa
 
     monkeypatch.setattr(integrator, "eval_V", counting)
     params = dataclasses.replace(worked_params, tau_a=0.05)  # k_a = 1
-    traj = certifying_trajectory(params, Domain(L=1.0, n=48), t_end=3.0)  # 60 steps
+    domain = Domain(L=1.0, n=48)
+    assert integrator._step_plan(params, domain, 0.05).block == 25
+    traj = certifying_trajectory(params, domain, t_end=3.0)  # 60 steps
     assert checkpoint_steps(traj) == list(range(61))
-    rows = block_rows(48)
-    assert len(sizes) == math.ceil(61 / rows)
-    assert sizes == [rows] * (61 // rows) + [61 % rows]
+    assert sizes == [1, 25, 25, 10]
     assert certify(traj).passed
 
 
@@ -1284,10 +1284,11 @@ def test_certify_passes_at_random_supercritical_points(
     assert cert.passed, cert.violations
 
 
-def certifying_record(config, seed, block_cells=None):
-    """The run's Lyapunov record, with lyapunov.BLOCK_CELLS patched when given."""
-    cells = lyapunov.BLOCK_CELLS if block_cells is None else block_cells
-    with mock.patch.object(lyapunov, "BLOCK_CELLS", cells):
+def certifying_record(config, seed, block_steps=None):
+    """The run's Lyapunov record, with integrator.RUN_BLOCK_STEPS patched when given."""
+    if block_steps is None:
+        return run(config, build_initial_history(config, seed)).lyapunov
+    with run_block_steps(block_steps):
         return run(config, build_initial_history(config, seed)).lyapunov
 
 
@@ -1316,17 +1317,17 @@ def test_blocks_give_the_bytes_of_one_state_at_a_time(k_a, k_b, n, rows, blocks,
         params=params, domain=Domain(L=1.0, n=n), dt=dt, t_end=steps * dt, certify=True,
         history_mode="modulated",
     )
-    one = certifying_record(config, seed, block_cells=1)
+    one = certifying_record(config, seed, block_steps=1)
     assert len(one) == steps + 1
     assert certifying_record(config, seed).tobytes() == one.tobytes()
-    few = certifying_record(config, seed, block_cells=rows * n)
+    few = certifying_record(config, seed, block_steps=rows)
     assert few.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("at_step", [1, 7, 30])
 def test_a_nonpositive_state_stops_the_run_at_its_step(worked_params, monkeypatch, at_step):
-    # Checkpoints every k_a = 40 steps, and at n = 48 full blocks end
-    # before them: the state of step at_step, with one zero of u1, is
+    # Checkpoints every k_a = 40 steps, and at n = 48 blocks of 25 steps
+    # end before them: the state of step at_step, with one zero of u1, is
     # still evaluated before step runs again.
     import dengue_rd.integrator as integrator
 
@@ -1344,7 +1345,6 @@ def test_a_nonpositive_state_stops_the_run_at_its_step(worked_params, monkeypatc
 
     monkeypatch.setattr(integrator, "step", zero_u1_at)
     domain = Domain(L=1.0, n=48)
-    assert 1 < lyapunov.block_rows(domain.n) < 40
     params = dataclasses.replace(worked_params, tau_a=2.0)
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=5.0, certify=True)
     with pytest.raises(ValueError, match="strictly positive u1; min value is 0$"):
