@@ -373,9 +373,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     dissipation identity at every step: put copies the state with the two
     lag rows eval_V reads into its row of the block (a plain run copies the
     state alone), and the bookkeeping makes one eval_V call for the
-    block's record rows.  A state that is not strictly
-    positive gets an eval_V call of its own block at once, whose check
-    stops the run at that state's step.
+    block's record rows.  A state that is not strictly positive gets an
+    eval_V call of its block's rows up to it at once, whose check stops
+    the run at that state's step.
     eval_V reads the W integrals from lags, a column of per-lag values
     indexed by step that the initial window fills and eval_V extends.  At
     checkpoint steps, every min(k_a, k_b) steps (over the nonzero ones,
