@@ -251,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=None if not out_required else argparse.SUPPRESS,
             help="output directory",
         )
-        p.add_argument("--seed", type=int, default=0, help="perturbation seed")
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="nonnegative seed of the initial perturbation (default 0)",
+        )
 
     p_sim = sub.add_parser("simulate", help="integrate and write time series")
     common(p_sim, out_required=True)

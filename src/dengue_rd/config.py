@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import random
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -233,16 +235,29 @@ def build_initial_history(config: SimConfig, seed: int = 0) -> History:
     """Seeded admissible initial history around the predicted attractor.
 
     Each component is the attractor value times 1 + amplitude * xi(x),
-    where xi is a random combination of the first few cosine modes
+    where xi is a random combination of cosine modes 1 .. perturb_modes
     normalised to unit sup; components crossing the box ceiling are
-    rescaled back inside.  Below threshold the infected components start
+    rescaled back inside.  The coefficients come from the standard
+    library's Mersenne Twister, random.Random(seed), as
+    2 * random() - 1: uniform on [-1, 1) and exact in binary.  They are
+    drawn for u1, then u2, then u3, each in mode order, and Python
+    promises the same random() sequence for an int seed in every
+    version.  Earlier versions drew standard normals from numpy's
+    default_rng, so their histories differ from these wherever the
+    amplitude is nonzero.  Below threshold the infected components start
     at a tenth of their ceiling instead of zero, so extinction runs start
     strictly positive.  history_mode "modulated" multiplies the
     perturbation by cos(omega s) in the time argument, exercising
     genuinely time-varying histories; "constant" freezes it.
+
+    Raises:
+        ValueError: if seed is negative.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     params, domain, dt = config.params, config.domain, config.dt
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     bound = bound_vector(params)
     eqs = compute_equilibria(params)
     if eqs.endemic is not None:
@@ -254,7 +269,7 @@ def build_initial_history(config: SimConfig, seed: int = 0) -> History:
     amp = config.perturb_amplitude
     shapes = []
     for i in range(3):
-        coeffs = rng.standard_normal(config.perturb_modes)
+        coeffs = [2.0 * rng.random() - 1.0 for _ in range(config.perturb_modes)]
         xi = np.zeros_like(x)
         for k, c in enumerate(coeffs, start=1):
             xi += c * np.cos(k * math.pi * x / domain.L)

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -210,6 +214,62 @@ def test_initial_history_modes():
     arrays = [s for _, s in wavy.entries()]
     assert np.abs(arrays[0] - arrays[-1]).max() > 1e-3
     assert validate_initial_history(wavy, wavy_config.params, strict_positive=True).ok
+
+
+def test_initial_history_draws_uniform_coefficients_from_random_random():
+    # 2 random() - 1 from random.Random(seed): u1, then u2, then u3, each
+    # in mode order.  At amplitude 0.01 no component reaches its ceiling,
+    # so none is rescaled.
+    config = load_config(config_doc(perturb_amplitude=0.01, perturb_modes=4))
+    hist = build_initial_history(config, seed=11)
+    star = endemic_equilibrium(config.params)
+    rng, x = random.Random(11), config.domain.grid
+    for i in range(3):
+        modes = [np.cos(k * math.pi * x / config.domain.L) for k in range(1, 5)]
+        xi = sum((2.0 * rng.random() - 1.0) * mode for mode in modes)
+        xi /= np.abs(xi).max()
+        np.testing.assert_allclose(hist.latest[i], star[i] * (1.0 + 0.01 * xi), rtol=1e-14)
+
+
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    message = "seed must be a nonnegative integer, got -1"
+    with pytest.raises(ValueError, match=message):
+        build_initial_history(load_config(config_doc()), seed=-1)
+    path = write_doc(tmp_path, config_doc(t_end=0.1))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    # Sweep row i draws with seed + i, so only the first row fails.
+    rows = run_sweep(load_sweep(sweep_doc(certify=False)), seed=-1)
+    assert [r.error for r in rows] == [message, None, None]
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "nonnegative seed" in capsys.readouterr().out
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from dengue_rd.cli import main
+run, sweep, out = sys.argv[1:]
+jobs = (("simulate", run), ("certify", run), ("sweep", sweep))
+codes = [main([command, "--config", path, "--out", f"{out}/{command}"]) for command, path in jobs]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_cli_runs_never_import_numpy_random(tmp_path):
+    # Importing numpy.random costs about 6 MB of peak memory, and no
+    # subcommand needs it: the perturbation comes from random.Random.
+    run_path = write_doc(tmp_path, config_doc(n=16))
+    sweep_path = write_doc(tmp_path, sweep_doc(n=16, t_end=0.05), name="sweep.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, run_path, sweep_path, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 # ----------------------------------------------------------------- formatting
