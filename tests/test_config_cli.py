@@ -224,8 +224,8 @@ def test_initial_history_draws_uniform_coefficients_from_random_random():
     hist = build_initial_history(config, seed=11)
     star = endemic_equilibrium(config.params)
     rng, x = random.Random(11), config.domain.grid
+    modes = [np.cos(k * math.pi * x / config.domain.L) for k in range(1, 5)]
     for i in range(3):
-        modes = [np.cos(k * math.pi * x / config.domain.L) for k in range(1, 5)]
         xi = sum((2.0 * rng.random() - 1.0) * mode for mode in modes)
         xi /= np.abs(xi).max()
         np.testing.assert_allclose(hist.latest[i], star[i] * (1.0 + 0.01 * xi), rtol=1e-14)
