@@ -2,7 +2,9 @@
 
 A certifying run keeps one lyapunov.RECORD_DTYPE row per step (see the
 lyapunov module).  certify checks whole columns of that record, never
-step by step, and returns a Certificate, which certificate.json holds.
+step by step, and the kernels' column mass that the record's W
+integrals rest on.  It returns a Certificate, which certificate.json
+holds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ FINITE_COLUMNS = ("V", *CHECKED_TERMS)
 # relative to V at the start; the dissipation sign slack is absolute.
 DEFAULT_V_TOL = 1e-8
 DEFAULT_D_TOL = 1e-12
-DEFAULT_TWO_PATH_TOL = 1e-8
+
+# The largest relative column-mass defect of the kernels that certify
+# accepts.  The W integrals collapse to one scalar per lag by that mass.
+KERNEL_MASS_TOL = 1e-8
 
 # A start counts as off-equilibrium, and must strictly decrease V, when
 # V(0) exceeds this absolute level.
@@ -50,24 +55,19 @@ def check_tolerances(**tolerances: float) -> None:
 class Certificate:
     """Outcome of the attractivity checks on one recorded trajectory.
 
-    two_path_max_rel_err is the worst checkpoint disagreement between the
-    recorded and the recomputed W integrals; kernel_mass_max_rel_err is the
-    kernels' worst column-mass defect over the lags (None when the run
-    did not record it).
+    kernel_mass_max_rel_err is the kernels' worst column-mass defect over
+    the lags (None when the run did not record it).
     """
 
     passed: bool
     v_monotone: bool
     dissipation_nonpositive: bool
     v_decreased: bool | None
-    two_path_ok: bool | None
     v_initial: float
     v_final: float
-    two_path_max_rel_err: float | None
     kernel_mass_max_rel_err: float | None
     v_tol: float
     d_tol: float
-    two_path_tol: float
     violations: list[dict]
     term_ranges: dict[str, tuple[float, float]]
 
@@ -77,15 +77,13 @@ class Certificate:
             "v_monotone": self.v_monotone,
             "dissipation_nonpositive": self.dissipation_nonpositive,
             "v_decreased": self.v_decreased,
-            "two_path_ok": self.two_path_ok,
             "v_initial": self.v_initial,
             "v_final": self.v_final,
-            "two_path_max_rel_err": self.two_path_max_rel_err,
             "kernel_mass_max_rel_err": self.kernel_mass_max_rel_err,
             "tolerances": {
                 "v_step_slack": self.v_tol,
                 "dissipation_sign": self.d_tol,
-                "two_path": self.two_path_tol,
+                "kernel_mass": KERNEL_MASS_TOL,
             },
             "violations": self.violations,
             "term_ranges": {k: list(v) for k, v in self.term_ranges.items()},
@@ -108,7 +106,6 @@ def certify(
     *,
     v_tol: float = DEFAULT_V_TOL,
     d_tol: float = DEFAULT_D_TOL,
-    two_path_tol: float = DEFAULT_TWO_PATH_TOL,
 ) -> Certificate:
     """Checks the recorded Lyapunov data for the attractivity conditions.
 
@@ -117,11 +114,9 @@ def certify(
     floor), (ii) the dissipation and
     each of its eight terms stay below d_tol at every step, and (iii) V
     strictly decreased over the run when the start was off equilibrium.
-    The worst checkpoint disagreement between the recorded and the
-    recomputed W integrals, and the kernels' column-mass defect, must
-    each stay within two_path_tol when recorded.  A NaN or infinity in
-    a FINITE_COLUMNS column, or a NaN disagreement at a checkpoint,
-    fails its check.
+    The kernels' column-mass defect must stay within KERNEL_MASS_TOL when
+    recorded.  A NaN or infinity in a FINITE_COLUMNS column fails its
+    check.
 
     Each check reads columns of trajectory.lyapunov, the record that
     timeseries.csv prints V and dissipation from.  Violations come by
@@ -132,9 +127,6 @@ def certify(
         trajectory: A run recorded with Lyapunov evaluation enabled.
         v_tol: Per-step monotonicity slack, relative to V(0).
         d_tol: Absolute sign slack for dissipation terms.
-        two_path_tol: Relative agreement required of the recorded W
-            integrals with the raw window, and of the kernels' column
-            mass with the quadrature weights.
 
     Returns:
         The certificate; passed is True only if every check holds.
@@ -143,7 +135,7 @@ def certify(
         ValueError: on a negative or non-finite tolerance, or a trajectory
             without Lyapunov data.
     """
-    check_tolerances(v_tol=v_tol, d_tol=d_tol, two_path_tol=two_path_tol)
+    check_tolerances(v_tol=v_tol, d_tol=d_tol)
     record = trajectory.lyapunov
     v = record["V"]
     if np.isnan(v).all():
@@ -175,23 +167,10 @@ def certify(
         if not v_decreased:
             violations += _violations(times, ["v_not_decreased"], [v.size - 1], [v[-1] - v[0]], 0.0)
 
-    checkpoints = np.flatnonzero(trajectory.checkpoints)
-    two_path_ok: bool | None = None
-    max_rel = None
-    if checkpoints.size:
-        # argmax takes the first NaN, else the first of equal maxima.
-        worst_step = int(checkpoints[np.argmax(record["two_path_rel_err"][checkpoints])])
-        max_rel = float(record["two_path_rel_err"][worst_step])
-        two_path_ok = max_rel <= two_path_tol
-        if not two_path_ok:
-            violations += _violations(
-                times, ["two_path_disagreement"], [worst_step], [max_rel], two_path_tol
-            )
-
     mass = trajectory.kernel_mass_defect
-    mass_ok = mass is None or mass <= two_path_tol
+    mass_ok = mass is None or mass <= KERNEL_MASS_TOL
     if not mass_ok:
-        violations += _violations(times, ["kernel_mass_defect"], [0], [mass], two_path_tol)
+        violations += _violations(times, ["kernel_mass_defect"], [0], [mass], KERNEL_MASS_TOL)
 
     lows, highs = terms.min(axis=0).tolist(), terms.max(axis=0).tolist()
     v_monotone = rises.size == 0 and bool(finite[:, 0].all())
@@ -200,7 +179,6 @@ def certify(
         v_monotone
         and dissipation_nonpositive
         and v_decreased is not False
-        and two_path_ok is not False
         and mass_ok
     )
     return Certificate(
@@ -208,14 +186,11 @@ def certify(
         v_monotone=v_monotone,
         dissipation_nonpositive=dissipation_nonpositive,
         v_decreased=v_decreased,
-        two_path_ok=two_path_ok,
         v_initial=float(v[0]),
         v_final=float(v[-1]),
-        two_path_max_rel_err=max_rel,
         kernel_mass_max_rel_err=mass,
         v_tol=v_tol,
         d_tol=d_tol,
-        two_path_tol=two_path_tol,
         violations=violations,
         term_ranges=dict(zip(CHECKED_TERMS, zip(lows, highs))),
     )

@@ -75,7 +75,6 @@ from .core import (
 )
 from .equilibria import EquilibriumSet, compute_equilibria
 from .lyapunov import RECORD_DTYPE, StateBlock, eval_V, lag_values, prepare_kernels
-from .lyapunov import two_path_rel_err, window_W
 from .spectral import _HeatFlow, _heat_decay, _heat_flow
 from .spectral import heat_apply  # unused here; perfbench/tracing.py wraps this binding
 
@@ -317,15 +316,14 @@ class Trajectory:
 
     Distances are sup-norm over components and grid; dist_endemic is NaN
     when no endemic state exists.  lyapunov holds one RECORD_DTYPE row per
-    step: V, L1-L3, W1, W2, the eight TERM_NAMES, dissipation and
-    two_path_rel_err (NaN off checkpoints); V and dissipation are views
-    of it, so timeseries.csv and certify read one buffer.  Without
-    certification it is one NaN row, broadcast read-only.  checkpoints
-    marks the steps that record two_path_rel_err.  snapshots holds
-    (time, state) pairs at the configured stride plus the first and last
-    step; each state, like final_state, is a (3, n) array, rows u1, u2,
-    u3, owned by the trajectory.  kernel_mass_defect is the kernels'
-    worst column-mass defect, recorded by certifying runs.
+    step: V, L1-L3, W1, W2, the eight TERM_NAMES and dissipation; V and
+    dissipation are views of it, so timeseries.csv and certify read one
+    buffer.  Without certification it is one NaN row, broadcast
+    read-only.  snapshots holds (time, state) pairs at the configured
+    stride plus the first and last step; each state, like final_state,
+    is a (3, n) array, rows u1, u2, u3, owned by the trajectory.
+    kernel_mass_defect is the kernels' worst column-mass defect, recorded
+    by certifying runs.
     """
 
     times: np.ndarray
@@ -334,7 +332,6 @@ class Trajectory:
     comp_min: np.ndarray
     comp_max: np.ndarray
     lyapunov: np.ndarray
-    checkpoints: np.ndarray
     snapshots: list[tuple[float, np.ndarray]]
     bounds_ok: bool
     final_state: np.ndarray
@@ -377,13 +374,9 @@ def run(config: SimConfig, initial: History) -> Trajectory:
     eval_V call of its block's rows up to it at once, whose check stops
     the run at that state's step.
     eval_V reads the W integrals from lags, a column of per-lag values
-    indexed by step that the initial window fills and eval_V extends.  At
-    checkpoint steps, every min(k_a, k_b) steps (over the nonzero ones,
-    and every step when both delays are zero) plus the first and the
-    last, the run stores W1 and W2 recomputed from the raw window by
-    separate code; at the end each checkpoint's two_path_rel_err compares
-    them with the record.  Certifying runs require a strictly positive
-    initial history; SimConfig checks R0.
+    indexed by step that one lag_values call fills from the initial
+    window and eval_V extends.  Certifying runs require a strictly
+    positive initial history; SimConfig checks R0.
 
     Raises:
         ValueError: on a history that does not fit the config, or one
@@ -412,8 +405,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
-    checkpoints = np.zeros(size, dtype=bool)
-    kernels = lags = fresh_W = None
+    kernels = lags = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
@@ -425,13 +417,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         # Column K + s holds step s's per-lag values, K = max(k_a, k_b).
         window = lag_values(initial, eqs.endemic, domain, k_a, k_b)
         lags = np.concatenate((window, np.full((2, n_steps), np.nan)), axis=1)
-        # A value of step s weighs in a delay's W through step s + k for
-        # that delay's k, so a stride of the shortest nonzero k reads each
-        # value in a recorded W before it leaves every window.
-        checkpoints[:: min((k for k in (k_a, k_b) if k), default=1)] = True
-        checkpoints[-1] = True
-        # W1 and W2 from the raw window at each checkpoint.
-        fresh_W = np.full((size, 2), np.nan)
 
     times = np.arange(size) * dt
     # Row k holds step k's distances to the DFE and to u* (NaN without u*).
@@ -469,8 +454,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         block.put(row, k, state, initial)
         if not low > 0.0:  # eval_V's check fails at this state's own step
             eval_V(block[: row + 1], params, eqs.endemic, domain, lags=lags)
-        if checkpoints[k]:
-            fresh_W[k] = window_W(initial, params, eqs.endemic, domain, k_a, k_b)
 
     def keep_books(first: int, count: int) -> None:
         """Records steps first to first + count - 1 from the block's first count rows."""
@@ -501,11 +484,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 check(first + row, row, state)
         keep_books(first, count)
 
-    if config.certify:
-        lyapunov["two_path_rel_err"][checkpoints] = two_path_rel_err(
-            lyapunov[checkpoints], fresh_W[checkpoints], params, eqs.endemic, domain
-        )
-    else:
+    if not config.certify:
         lyapunov = np.broadcast_to(lyapunov, (size,))
 
     return Trajectory(
@@ -515,7 +494,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         comp_min=comp_min,
         comp_max=comp_max,
         lyapunov=lyapunov,
-        checkpoints=checkpoints,
         snapshots=snapshots,
         bounds_ok=bounds_ok,
         final_state=initial.latest,

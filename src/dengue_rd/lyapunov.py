@@ -52,12 +52,11 @@ K + s holds the values of step s.  lag_values fills the first K + 1
 columns from the initial window; after that eval_V is the only writer,
 and each state's values are computed once.
 
-Two checks stand behind the shortcut.  The column mass is checked once
-per run at every lag, in the cosine basis, and reported in the
-certificate.  At checkpoint steps window_W recomputes W1 and W2 from the
-raw window, in code of its own (lag_values), and two_path_rel_err
-compares them with the recorded ones at the end of the run, so a value
-written into the wrong column, or corrupted there, fails certification.
+The shortcut rests on the column mass, which is checked once per run at
+every lag, in the cosine basis, and reported in the certificate.  The
+column's indexing is a property of the code, not of a run: the tests
+hold the recorded W1 and W2 to a recomputation through assembled kernel
+matrices that reads neither the column nor its trapezoid code.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  A certifying run
@@ -82,10 +81,9 @@ failed check goes back field by field, so its message still names the
 field.  README gives the cost of B.
 
 A certifying run keeps one RECORD_DTYPE row per step: V, L1-L3, W1, W2,
-the eight TERM_NAMES, dissipation and two_path_rel_err (NaN off
-checkpoints).  timeseries.csv and certificate.json both read that
-buffer, and certificate.certify checks whole columns of it, never step
-by step.
+the eight TERM_NAMES and dissipation.  timeseries.csv and
+certificate.json both read that buffer, and certificate.certify checks
+whole columns of it, never step by step.
 """
 
 from __future__ import annotations
@@ -109,8 +107,6 @@ __all__ = [
     "g",
     "lag_values",
     "prepare_kernels",
-    "two_path_rel_err",
-    "window_W",
 ]
 
 TERM_NAMES = (
@@ -129,8 +125,7 @@ CHECKED_TERMS = (*TERM_NAMES, "dissipation")
 
 # One row per step of a certifying run: integrator.Trajectory.lyapunov.
 RECORD_DTYPE = np.dtype([
-    (name, np.float64)
-    for name in ("V", "L1", "L2", "L3", "W1", "W2", *CHECKED_TERMS, "two_path_rel_err")
+    (name, np.float64) for name in ("V", "L1", "L2", "L3", "W1", "W2", *CHECKED_TERMS)
 ])
 
 # The integrand rows eval_V reduces for each state: the a and b rows are
@@ -367,33 +362,6 @@ def lag_values(
     return values
 
 
-def window_W(
-    history: History, params: ModelParams, ustar: np.ndarray, domain: Domain, k_a: int, k_b: int
-) -> np.ndarray:
-    """W1 and W2 of the history's newest state, from lag_values of its raw window."""
-    u1s, u2s = (float(v) for v in ustar[:2])
-    lags = lag_values(history, ustar, domain, k_a, k_b)
-    return _delay_W(lags, 1, k_a, k_b, history.dt, params.beta_h * u1s * u2s)[:, 0]
-
-
-def two_path_rel_err(
-    record: np.ndarray, fresh: np.ndarray, params: ModelParams, ustar: np.ndarray, domain: Domain
-) -> np.ndarray:
-    """Relative disagreement of recorded W1, W2 with fresh ones, row by row.
-
-    record holds RECORD_DTYPE rows and fresh the (W1, W2) pairs of
-    window_W at the same steps.  A row reads the larger of
-    |W - W_fresh| / max(|W_fresh|, floor) over the two delays, NaN if
-    either is.  A delay without lag steps has W = 0 on both paths, so it
-    gives 0.0.
-    """
-    u1s, u2s = (float(v) for v in ustar[:2])
-    taus = np.array([params.tau_a, params.tau_b])
-    floors = 1e-12 * (params.beta_h * u1s * u2s) * taus * domain.L + 1e-300
-    recorded = np.stack((record["W1"], record["W2"]), axis=1)
-    return np.max(np.abs(recorded - fresh) / np.maximum(np.abs(fresh), floors), axis=1)
-
-
 def eval_V(
     history: History | StateBlock,
     params: ModelParams,
@@ -436,8 +404,7 @@ def eval_V(
 
     Returns:
         One RECORD_DTYPE row per state of a StateBlock, or the single row
-        of a History, with two_path_rel_err NaN; V equals
-        L1 + L2 + L3 + W1 + W2 by construction.
+        of a History; V equals L1 + L2 + L3 + W1 + W2 by construction.
 
     Raises:
         ValueError: on a nonpositive state or endemic triple, or a
@@ -543,7 +510,7 @@ def eval_V(
         + _add_left_to_right(terms[5:])
     )
     out = np.empty(size, RECORD_DTYPE)
-    columns = (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation, math.nan)
+    columns = (l1 + l2 + l3 + w1 + w2, l1, l2, l3, w1, w2, *terms, dissipation)
     for name, column in zip(RECORD_DTYPE.names, columns):
         out[name] = column
     return out[0] if single else out

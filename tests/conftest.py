@@ -1,11 +1,13 @@
+import dataclasses
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import dengue_rd.integrator as integrator
 import dengue_rd.spectral as spectral
-from dengue_rd import Domain, History, ModelParams, heat_apply, lag_steps
+from dengue_rd import Domain, History, ModelParams, g, heat_apply, kernel_matrix, lag_steps, run
 
 
 # Worked parameter point: R0 = sqrt(2) exactly, endemic (1/2, 4/3, 1/3),
@@ -170,3 +172,75 @@ def written_out_step(history: History, params: ModelParams, domain: Domain, dt: 
     post += state
     decay = np.array([spectral._heat_decay(d, dt, domain) for d in (params.d_m, params.d_h, params.d_h)])
     return history.append(written_out_heat_rows(post, decay, domain))
+
+
+@lru_cache(maxsize=None)
+def _kernel(d: float, t: float, domain: Domain) -> np.ndarray:
+    """kernel_matrix(d, t, domain), assembled once per argument triple and read-only."""
+    matrix = kernel_matrix(d, t, domain)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def kernel_weighted_W(window, params: ModelParams, star, domain: Domain, dt: float) -> list[float]:
+    """W1 and W2 of window[0] through assembled per-lag kernel matrices, without the collapse.
+
+    window holds (3, n) states newest first, window[j] the state j steps
+    back, as far back as the longer delay reaches.  Lag j contributes the
+    x-integral of [K(d j dt) g(.)](x), the integral that the collapsed
+    form replaces by a plain y-integral of g; lag 0 is the identity.  The
+    time integral is the trapezoid rule, written out.  Nothing here reads
+    the run's per-lag column or its trapezoid code.
+    """
+    w = domain.trapezoid_weights
+    u1s, u2s, u3s = (float(v) for v in star)
+    out = []
+    for tau, d, field_at in (
+        (params.tau_a, params.d_m, lambda s: s[2] / u3s),
+        (params.tau_b, params.d_h, lambda s: s[0] * s[1] / (u1s * u2s)),
+    ):
+        k = lag_steps(tau, dt)
+        per_lag = [float(w @ g(field_at(window[0])))]
+        per_lag += [
+            float(w @ (_kernel(d, j * dt, domain) @ g(field_at(window[j])))) for j in range(1, k + 1)
+        ]
+        acc = 0.5 * (per_lag[0] + per_lag[-1]) + sum(per_lag[1:-1]) if k else 0.0
+        out.append(params.beta_h * u1s * u2s * dt * acc)
+    return out
+
+
+def run_every_state(config, initial: History):
+    """A run of config from initial, with every state it saw, oldest first.
+
+    The run takes a snapshot at every step (snapshot_every=1), which does
+    not change its record.  The states start with the initial window's
+    lags, copied before the run advances the history, so state s of the
+    run sits at index initial.n_lags + s.
+    """
+    earlier = [initial.lookup_arrays(j).copy() for j in range(initial.n_lags, 0, -1)]
+    traj = run(dataclasses.replace(config, snapshot_every=1), initial)
+    assert len(traj.snapshots) == len(traj.times)
+    return traj, earlier + [state for _, state in traj.snapshots]
+
+
+def W_rel_errors(traj, states) -> np.ndarray:
+    """Per step, the larger relative disagreement of the recorded W1, W2 with kernel_weighted_W.
+
+    states are the run's, oldest first, as run_every_state gives them.  A
+    W that is 0 on both sides (a delay of zero steps) disagrees by 0; a
+    NaN on either side gives NaN.
+    """
+    config = traj.config
+    params, dt = config.params, config.dt
+    lead = len(states) - len(traj.times)
+    reach = max(lag_steps(params.tau_a, dt), lag_steps(params.tau_b, dt))
+    star = traj.equilibria.endemic
+    oracle = np.array([
+        kernel_weighted_W(states[lead + s - reach : lead + s + 1][::-1], params, star, config.domain, dt)
+        for s in range(len(traj.times))
+    ])
+    recorded = np.stack((traj.lyapunov["W1"], traj.lyapunov["W2"]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errs = np.abs(recorded - oracle) / np.abs(oracle)
+    errs[recorded == oracle] = 0.0
+    return errs.max(axis=1)

@@ -31,9 +31,12 @@ from dengue_rd import (
     solve_endemic_newton,
 )
 
-from conftest import WORKED, constant_state
+from conftest import WORKED, W_rel_errors, constant_state, run_every_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# The seed of the initial histories of cert_run and halved_runs.
+SEED = 42
 
 
 def _criterion(number, title, ok, detail):
@@ -46,7 +49,7 @@ def _criterion(number, title, ok, detail):
 def cert_run():
     """The shipped certification scenario, shared by criteria 4 and 8."""
     config = load_config(CONFIG_DIR / "worked_sqrt2.json")
-    initial = build_initial_history(config, seed=42)
+    initial = build_initial_history(config, seed=SEED)
     start = time.perf_counter()
     traj = run(config, initial)
     elapsed = time.perf_counter() - start
@@ -61,7 +64,7 @@ def halved_runs():
         doc = dict(WORKED)
         doc.update({"L": 1.0, "n": 48, "dt": dt, "t_end": 2.0, "certify": True})
         config = load_config(doc)
-        out[dt] = run(config, build_initial_history(config, seed=42))
+        out[dt] = run(config, build_initial_history(config, seed=SEED))
     return out
 
 
@@ -293,22 +296,28 @@ def test_criterion_7_extinction():
 
 
 def test_criterion_8_two_path_agreement(cert_run, halved_runs):
-    # The cached delay integrals agree with their recomputation from the
-    # raw window at every checkpoint, and the kernels' column mass, which
-    # lets the delay integrals collapse, holds at every lag.
+    # Two paths to the delay integrals: the run's record, which collapses
+    # W1 and W2 to one scalar per lag, and a recomputation at every step
+    # through assembled kernel matrices and a written-out trapezoid that
+    # shares no code with the run.  Each run is repeated with a snapshot
+    # at every step, which gives the states and the same record bytes.
+    # The kernels' column mass, which lets the integrals collapse, holds
+    # at every lag.
     runs = [cert_run[0], *halved_runs.values()]
-    checkpoints = [
-        errs[~np.isnan(errs)] for errs in (traj.lyapunov["two_path_rel_err"] for traj in runs)
-    ]
-    fewest = min(len(c) for c in checkpoints)
-    worst = max(max(c) for c in checkpoints)
+    errs, same_bytes = [], True
+    for traj in runs:
+        again, states = run_every_state(traj.config, build_initial_history(traj.config, seed=SEED))
+        same_bytes = same_bytes and again.lyapunov.tobytes() == traj.lyapunov.tobytes()
+        errs.append(W_rel_errors(again, states))
+    errs = np.concatenate(errs)
+    worst, steps = float(np.max(errs)), errs.size  # np.max keeps a NaN
     worst_mass = max(traj.kernel_mass_defect for traj in runs)
-    ok = fewest >= 2 and worst <= 1e-8 and worst_mass <= 1e-8
+    ok = same_bytes and worst <= 1e-12 and worst_mass <= 1e-8
     _criterion(
         8,
-        "cached and recomputed delay integrals agree",
+        "recorded delay integrals agree with a kernel-matrix recomputation",
         ok,
-        f"max relative disagreement {worst:.2e} (<=1e-8) over >= {fewest} "
-        f"checkpoints per run (>=2); kernel column-mass defect "
-        f"{worst_mass:.2e} (<=1e-8) across all certification runs",
+        f"max relative disagreement {worst:.2e} (<=1e-12) over {steps} steps of "
+        f"{len(runs)} runs, records repeat byte for byte: {same_bytes}; kernel "
+        f"column-mass defect {worst_mass:.2e} (<=1e-8) across all certification runs",
     )

@@ -556,7 +556,7 @@ def box_window(params: ModelParams, domain: Domain, rng, dt: float = DT) -> list
 
 def trajectory_bytes(traj) -> list[bytes]:
     arrays = (traj.times, traj.dist_endemic, traj.dist_dfe, traj.comp_min, traj.comp_max,
-              traj.lyapunov, traj.checkpoints, traj.final_state)
+              traj.lyapunov, traj.final_state)
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 

@@ -161,12 +161,11 @@ def test_run_record_lengths_and_snapshots(worked_params, domain):
     traj = run(config, hist)
     size = 21
     for arr in (traj.times, traj.dist_endemic, traj.dist_dfe, traj.V,
-                traj.dissipation, traj.checkpoints):
+                traj.dissipation):
         assert len(arr) == size
     assert traj.comp_min.shape == (size, 3) and traj.comp_max.shape == (size, 3)
     assert [t for t, _ in traj.snapshots] == [0.0, 0.4, 0.8, 1.0]
     assert np.isnan(traj.V).all()  # not a certifying run
-    assert not traj.checkpoints.any()
     assert traj.bounds_ok
 
 
@@ -408,10 +407,4 @@ def test_certifying_run_records_lyapunov_series(worked_params, domain, tmp_path)
     table = np.genfromtxt(tmp_path / "timeseries.csv", delimiter=",", names=True)
     assert np.isnan(table["dVdt_fd"][0])
     assert np.array_equal(table["dVdt_fd"][1:], np.diff(traj.V) / 0.05)
-    # the cache is checked against the raw window at step 0, every
-    # k_a = 10 steps and the last step; here those are steps 0 and 10
-    errs = traj.lyapunov["two_path_rel_err"]
-    assert np.flatnonzero(~np.isnan(errs)).tolist() == [0, 10]
-    assert np.flatnonzero(traj.checkpoints).tolist() == [0, 10]
-    assert errs[0] <= 1e-8 and errs[10] <= 1e-8
     assert traj.kernel_mass_defect is not None and traj.kernel_mass_defect <= 1e-8

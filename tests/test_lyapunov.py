@@ -33,20 +33,25 @@ from dengue_rd import (
 )
 
 import dengue_rd.lyapunov as lyapunov
-from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS
+from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS, KERNEL_MASS_TOL
 from dengue_rd.lyapunov import (
     CHECKED_TERMS,
     G_DIRECT_BELOW,
     RECORD_DTYPE,
     StateBlock,
     lag_values,
-    two_path_rel_err,
-    window_W,
 )
 
 from dengue_rd.spectral import FFT_MIN_N
 
-from conftest import WORKED, constant_state, run_block_steps
+from conftest import (
+    WORKED,
+    W_rel_errors,
+    constant_state,
+    kernel_weighted_W,
+    run_block_steps,
+    run_every_state,
+)
 
 
 def endemic_history(params, domain, dt, transform=lambda a: a):
@@ -58,8 +63,8 @@ def endemic_history(params, domain, dt, transform=lambda a: a):
 
 
 def values(row):
-    """A record row's fields as a dict, without the run-filled two_path_rel_err."""
-    return {name: row[name] for name in RECORD_DTYPE.names if name != "two_path_rel_err"}
+    """A record row's fields as a dict."""
+    return {name: row[name] for name in RECORD_DTYPE.names}
 
 
 def lag_counts(params, dt):
@@ -67,9 +72,22 @@ def lag_counts(params, dt):
 
 
 def window_rel_err(row, hist, params, star, domain):
-    """The checkpoint comparison of a record row with W recomputed from the history's window."""
-    fresh = window_W(hist, params, star, domain, *lag_counts(params, hist.dt))
-    return float(two_path_rel_err(row[None], fresh[None], params, star, domain)[0])
+    """The larger relative disagreement of a row's W1 and W2 with W recomputed from the history's window.
+
+    The recomputation is reference_eval_V's: per-lag integrals of the raw
+    window and a written-out trapezoid, without a per-lag column.  A W
+    that is 0 on both sides disagrees by 0, and a NaN gives NaN.
+    """
+    expected = reference_eval_V(hist, params, star, domain)
+    return float(np.max([
+        0.0 if row[name] == expected[name] else abs(row[name] - expected[name]) / abs(expected[name])
+        for name in ("W1", "W2")
+    ]))
+
+
+def newest_first(hist):
+    """The history's states, newest first: element j is the state at lag j."""
+    return [hist.lookup_arrays(j) for j in range(hist.n_lags + 1)]
 
 
 def start_column(hist, params, star, domain, n_steps):
@@ -197,7 +215,6 @@ def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     assert abs(row["dissipation"]) < 1e-15
     for name in TERM_NAMES:
         assert abs(row[name]) < 1e-15
-    assert math.isnan(row["two_path_rel_err"])  # the run fills it at checkpoints
     assert window_rel_err(row, hist, delayed_params, star, domain) < 1e-12
     assert prepare_kernels(delayed_params, domain, 0.05).mass_defect < 1e-12
 
@@ -262,30 +279,6 @@ def test_eval_V_quadrature_consistency_under_refinement(delayed_params):
     assert build(48) == pytest.approx(build(95), abs=1e-6)
 
 
-def kernel_weighted_W(history, params, star, domain, dt):
-    """W1 and W2 through assembled per-lag kernel matrices, without the collapse.
-
-    Lag j contributes the x-integral of [K(d j dt) g(.)](x), the integral
-    the collapsed form replaces by a plain y-integral of g.
-    """
-    w = domain.trapezoid_weights
-    bstar = params.beta_h * star[0] * star[1]
-    out = []
-    for tau, d, field_at in (
-        (params.tau_a, params.d_m, lambda s: s[2] / star[2]),
-        (params.tau_b, params.d_h, lambda s: s[0] * s[1] / (star[0] * star[1])),
-    ):
-        k = lag_steps(tau, dt)
-        per_lag = [float(w @ g(field_at(history.lookup_arrays(0))))]
-        per_lag += [
-            float(w @ (kernel_matrix(d, j * dt, domain) @ g(field_at(history.lookup_arrays(j)))))
-            for j in range(1, k + 1)
-        ]
-        acc = 0.5 * (per_lag[0] + per_lag[-1]) + sum(per_lag[1:-1]) if k else 0.0
-        out.append(bstar * dt * acc)
-    return out
-
-
 def test_eval_V_two_path_agreement(delayed_params, domain):
     rng = np.random.default_rng(21)
     hist, star = endemic_history(
@@ -296,7 +289,7 @@ def test_eval_V_two_path_agreement(delayed_params, domain):
     lags = start_column(hist, delayed_params, star, domain, 0)
     assert values(row) == values(column_eval_V(hist, delayed_params, star, domain, lags, 0))
     assert window_rel_err(row, hist, delayed_params, star, domain) == 0.0
-    w1, w2 = kernel_weighted_W(hist, delayed_params, star, domain, 0.05)
+    w1, w2 = kernel_weighted_W(newest_first(hist), delayed_params, star, domain, 0.05)
     assert row["W1"] > 0.0 and row["W2"] > 0.0
     assert abs(row["W1"] - w1) / row["W1"] < 1e-12
     assert abs(row["W2"] - w2) / row["W2"] < 1e-12
@@ -366,7 +359,6 @@ def test_certify_passes_on_decaying_run(worked_params, domain):
     assert cert.passed
     assert cert.v_monotone and cert.dissipation_nonpositive
     assert cert.v_decreased is True
-    assert cert.two_path_ok is True
     assert cert.v_final < cert.v_initial
     assert cert.violations == []
     assert set(cert.term_ranges) == set(TERM_NAMES) | {"dissipation"}
@@ -422,7 +414,7 @@ def test_certify_equilibrium_start_trivially_passes(worked_params, domain):
 
 def test_certify_rejects_nonfinite_or_negative_tolerances(worked_params, domain):
     traj = certifying_trajectory(worked_params, domain, t_end=0.2)
-    for name in ("v_tol", "d_tol", "two_path_tol"):
+    for name in ("v_tol", "d_tol"):
         for bad in (math.nan, math.inf, -1e-12):
             with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
                 certify(traj, **{name: bad})
@@ -444,7 +436,7 @@ def test_certificate_round_trips_through_json(worked_params, domain):
     assert doc["tolerances"] == {
         "v_step_slack": cert.v_tol,
         "dissipation_sign": cert.d_tol,
-        "two_path": cert.two_path_tol,
+        "kernel_mass": KERNEL_MASS_TOL,
     }
     assert doc["v_initial"] == cert.v_initial
     assert set(doc["term_ranges"]) == set(cert.term_ranges)
@@ -463,13 +455,8 @@ def clean_records(draw):
     for name in TERM_NAMES:
         record[name] = -rng.uniform(1e-9, 1.0, size)
     record["dissipation"] = sum(record[name] for name in TERM_NAMES)
-    checkpoints = np.zeros(size, dtype=bool)
-    checkpoints[[0, -1]] = True
-    record["two_path_rel_err"][checkpoints] = 0.0
     times = np.arange(size) * 0.05
-    return SimpleNamespace(
-        lyapunov=record, times=times, checkpoints=checkpoints, kernel_mass_defect=0.0
-    )
+    return SimpleNamespace(lyapunov=record, times=times, kernel_mass_defect=0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -527,21 +514,6 @@ def test_certify_fails_on_a_nonfinite_value_at_its_step(traj, data):
     assert cert.violations[0] is nonfinite[0]  # the first check in the list
 
 
-@settings(max_examples=40, deadline=None)
-@given(clean_records(), st.data())
-def test_certify_fails_on_a_nan_disagreement_at_a_checkpoint(traj, data):
-    errs = traj.lyapunov["two_path_rel_err"]
-    steps = np.flatnonzero(traj.checkpoints)
-    errs[steps] = data.draw(st.floats(0.0, 1e-9))
-    step = int(data.draw(st.sampled_from(steps.tolist())))
-    errs[step] = math.nan
-    cert = certify(traj)
-    assert not cert.passed and cert.two_path_ok is False
-    [violation] = cert.violations
-    assert violation["kind"] == "two_path_disagreement" and violation["step"] == step
-    assert math.isnan(violation["value"]) and math.isnan(cert.two_path_max_rel_err)
-
-
 def loop_certify(traj, v_tol, d_tol):
     """certify's V and sign checks and term ranges, one step at a time."""
     v, times = traj.lyapunov["V"], traj.times
@@ -590,14 +562,13 @@ def _reject_constant(name):
 
 
 def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
-    """Makes run's eval_V call corrupt(column) right after it writes the column of step at_step.
+    """Makes run's eval_V call corrupt(lags, column) right after it writes the column of step at_step.
 
-    column is the (2,) view of lags that holds that step's a and b values.
-    The block that holds step at_step is evaluated in two calls, split
-    after that step, with corrupt(column) between them.  The row of that
-    step is already formed, so the corrupted value first reaches V and W
-    one step later, and the first checkpoint that sees it is the first
-    one after at_step.
+    lags is the run's per-lag array and column the index of the column
+    that holds that step's a and b values.  The block that holds step
+    at_step is evaluated in two calls, split after that step, with the
+    corruption between them.  The row of that step is already formed, so
+    a corrupted value first reaches V and W one step later.
     """
     import dengue_rd.integrator as integrator
 
@@ -609,7 +580,7 @@ def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
             return real_eval_V(block, *args, lags=lags, **kwargs)
         cut = steps.index(at_step) + 1
         rows = [real_eval_V(block[:cut], *args, lags=lags, **kwargs)]
-        corrupt(lags[:, max(block.k_a, block.k_b) + at_step])
+        corrupt(lags, max(block.k_a, block.k_b) + at_step)
         if cut < len(block):
             rows.append(real_eval_V(block[cut:], *args, lags=lags, **kwargs))
         return np.concatenate(rows)
@@ -617,90 +588,81 @@ def corrupt_after_eval_V(monkeypatch, at_step, corrupt):
     monkeypatch.setattr(integrator, "eval_V", corrupting)
 
 
-def test_certify_flags_corrupted_lag_cache_at_next_checkpoint(
-    worked_params, domain, monkeypatch, tmp_path
-):
-    from dengue_rd.output import write_json
+def shift_by_one_step(lags, column):
+    """An indexing slip: the values of every step up to column's sit one column later."""
+    lags[:, 1 : column + 1] = lags[:, :column].copy()
 
-    # k_a = 10, so checkpoints fall on 0, 10, 20, ...
-    def shift(column):
-        column[0] += 1.0
 
-    corrupt_after_eval_V(monkeypatch, 13, shift)
-    traj = certifying_trajectory(worked_params, domain, t_end=2.0)
-    cert = certify(traj)
-    assert not cert.passed and cert.two_path_ok is False
-    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
-    assert violation["step"] == 20
-    assert violation["time"] == traj.times[20]
-    assert violation["value"] == cert.two_path_max_rel_err > cert.two_path_tol
-    # the corrupted value left the window before the next checkpoint
-    assert traj.lyapunov["two_path_rel_err"][30] == 0.0
+def add_at(row, bad):
+    """A corruption that adds bad to the column's value in the given row (0 for a, 1 for b)."""
+    def corrupt(lags, column):
+        lags[row, column] += bad
+    return corrupt
 
-    write_json(tmp_path / "certificate.json", cert.to_dict())
-    doc = json.loads(
-        (tmp_path / "certificate.json").read_text(), parse_constant=_reject_constant
+
+def flagged_steps(monkeypatch, params, domain, n_steps, at_step, corrupt):
+    """The steps at which criterion 8's comparison flags a run corrupted after step at_step.
+
+    The run certifies a seeded modulated history, so consecutive states,
+    and their per-lag values, differ from the first lag on.
+    """
+    corrupt_after_eval_V(monkeypatch, at_step, corrupt)
+    config = SimConfig(
+        params=params, domain=domain, dt=0.05, t_end=n_steps * 0.05, certify=True,
+        history_mode="modulated",
     )
-    assert doc["violations"] == cert.violations
+    traj, states = run_every_state(config, build_initial_history(config, 5))
+    assert len(traj.times) == n_steps + 1
+    return np.flatnonzero(~(W_rel_errors(traj, states) <= 1e-12)).tolist()
+
+
+@pytest.mark.parametrize("tau_a, tau_b", [(0.5, 0.0), (0.1, 0.25)], ids=["k_a=10", "k_a=2,k_b=5"])
+def test_criterion_8_flags_a_lag_column_shifted_by_one_step(worked_params, monkeypatch, tau_a, tau_b):
+    # Step s's values weigh in a delay's W from step s + 1 through step
+    # s + k, so a slip in the values up to step 13 shows from step 14 until
+    # the longer delay's window has left them behind.
+    params = dataclasses.replace(worked_params, tau_a=tau_a, tau_b=tau_b)
+    reach = max(lag_counts(params, 0.05))
+    flagged = flagged_steps(monkeypatch, params, Domain(L=1.0, n=12), 30, 13, shift_by_one_step)
+    assert flagged == list(range(14, 14 + reach))
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("tau_a, tau_b", [(0.5, 0.0), (0.1, 0.25)], ids=["k_a=10", "k_a=2,k_b=5"])
+def test_criterion_8_flags_a_lag_value_raised_by_one(worked_params, monkeypatch, row, tau_a, tau_b):
+    # The value stays in the row's W for that delay's k steps: two for a
+    # at k_a = 2, not the five of the longer delay.  A delay of zero steps
+    # reads no value, so its row can hold anything.
+    params = dataclasses.replace(worked_params, tau_a=tau_a, tau_b=tau_b)
+    k = lag_counts(params, 0.05)[row]
+    flagged = flagged_steps(monkeypatch, params, Domain(L=1.0, n=12), 30, 13, add_at(row, 1.0))
+    assert flagged == list(range(14, 14 + k))
 
 
 def test_certify_fails_closed_on_a_nan_lag_cache(worked_params, domain, monkeypatch, tmp_path):
-    # A NaN per-lag value makes V NaN until it leaves the window and the
-    # next checkpoint's disagreement NaN: the run fails at both places,
-    # and certificate.json stays strict JSON, with null for each NaN.
+    # A NaN per-lag value makes V NaN until it leaves the window: the run
+    # fails there, and certificate.json stays strict JSON, with null for
+    # each NaN.
     from dengue_rd.output import write_json
 
-    def poison(column):
-        column[0] = math.nan
-
-    corrupt_after_eval_V(monkeypatch, 13, poison)
+    corrupt_after_eval_V(monkeypatch, 13, add_at(0, math.nan))
     traj = certifying_trajectory(worked_params, domain, t_end=2.0)
     cert = certify(traj)
-    assert not cert.passed and cert.v_monotone is False and cert.two_path_ok is False
+    assert not cert.passed and cert.v_monotone is False
     nan_steps = np.flatnonzero(np.isnan(traj.V)).tolist()
     # step 13's value counts in W1 from step 14 on, and while at lag <= k_a = 10
     assert nan_steps == list(range(14, 24))
     assert [v["step"] for v in cert.violations if v["kind"] == "nonfinite_V"] == nan_steps
-    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
-    assert violation["step"] == 20 and math.isnan(violation["value"])
 
     write_json(tmp_path / "certificate.json", cert.to_dict())
     doc = json.loads(
         (tmp_path / "certificate.json").read_text(), parse_constant=_reject_constant
     )
-    assert doc["passed"] is False and doc["two_path_max_rel_err"] is None
+    assert doc["passed"] is False
     assert doc["violations"][0] == {
         "kind": "nonfinite_V", "step": 14, "time": traj.times[14],
         "value": None, "threshold": None,
     }
-
-
-def checkpoint_steps(traj):
-    return np.flatnonzero(~np.isnan(traj.lyapunov["two_path_rel_err"])).tolist()
-
-
-def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
-    # k_a = 2, k_b = 5: a value of the shorter delay weighs in W1 for two
-    # steps only, so the stride must be 2, not 5.
-    params = dataclasses.replace(worked_params, tau_a=0.1, tau_b=0.25)
-    domain = Domain(L=1.0, n=12)
-
-    def shift(column):
-        column[0] += 1.0
-
-    corrupt_after_eval_V(monkeypatch, 6, shift)
-    traj = certifying_trajectory(params, domain, t_end=0.75)  # 15 steps
-    assert checkpoint_steps(traj) == [0, 2, 4, 6, 8, 10, 12, 14, 15]
-    cert = certify(traj)
-    assert cert.two_path_ok is False
-    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
-    assert violation["step"] == 8
-    errs = traj.lyapunov["two_path_rel_err"]
-    # step 6's W1 was formed before the corruption; W1 reads the value at
-    # lags 1 and 2, steps 7 and 8, and has left it behind by step 10
-    assert errs[6] == 0.0
-    assert errs[8] > cert.two_path_tol
-    assert errs[10] == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -710,34 +672,19 @@ def test_checkpoint_stride_covers_the_shorter_delay(worked_params, monkeypatch):
     n_steps=st.integers(2, 20),
     data=st.data(),
 )
-def test_a_corrupted_column_is_flagged_at_the_first_checkpoint_after_its_step(
-    k_a, k_b, n_steps, data
-):
-    # The stride argument in run: a value of step s weighs in W through
-    # step s + k, and the next checkpoint comes at most min(k) steps on.
-    # The certificate names the worst checkpoint, so the first one to
-    # disagree is read from the record.
+def test_a_corrupted_lag_value_is_flagged_from_the_first_step_that_reads_it(k_a, k_b, n_steps, data):
+    # A value of step s weighs in its delay's W at steps s + 1 .. s + k,
+    # and criterion 8's comparison flags each of those steps, NaN included.
     assume(k_a or k_b)
     at_step = data.draw(st.integers(0, n_steps - 1))
+    row = data.draw(st.sampled_from([r for r, k in enumerate((k_a, k_b)) if k]))
     bad = data.draw(st.sampled_from([1.0, math.nan]))
     params = ModelParams(**{**WORKED, "tau_a": k_a * 0.05, "tau_b": k_b * 0.05})
     domain = Domain(L=1.0, n=data.draw(st.integers(8, 16)))
-
-    def corrupt(column):
-        column += bad
-
     with pytest.MonkeyPatch.context() as monkeypatch:
-        corrupt_after_eval_V(monkeypatch, at_step, corrupt)
-        traj = certifying_trajectory(params, domain, t_end=n_steps * 0.05)
-    steps = np.flatnonzero(traj.checkpoints).tolist()
-    first = min(s for s in steps if s > at_step)
-    errs = traj.lyapunov["two_path_rel_err"]
-    assert [errs[s] for s in steps if s < first] == [0.0] * steps.index(first)
-    cert = certify(traj)
-    assert not errs[first] <= cert.two_path_tol  # NaN included
-    [violation] = [v for v in cert.violations if v["kind"] == "two_path_disagreement"]
-    if math.isnan(bad):
-        assert violation["step"] == first
+        flagged = flagged_steps(monkeypatch, params, domain, n_steps, at_step, add_at(row, bad))
+    last = min(at_step + (k_a, k_b)[row], n_steps)
+    assert flagged == list(range(at_step + 1, last + 1))
 
 
 def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
@@ -748,11 +695,9 @@ def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     assert lag_counts(params, 0.05) == (0, 0)
     window = lag_values(hist, star, domain, 0, 0)
     assert window.shape == (2, 1) and np.isnan(window).all()  # no W reads it
-    assert window_W(hist, params, star, domain, 0, 0).tolist() == [0.0, 0.0]
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=0.3, certify=True)
     traj = run(config, hist)
     assert (traj.lyapunov["W1"] == 0.0).all() and (traj.lyapunov["W2"] == 0.0).all()
-    assert checkpoint_steps(traj) == list(range(7))  # stride 1
     assert traj.kernel_mass_defect == 0.0
     assert certify(traj).passed
 
@@ -776,41 +721,40 @@ def test_ring_sized_for_the_longer_delay(worked_params):
         assert values[0, 5 - j] == float(w @ g(lag[2] / star[2]))
         assert values[1, 5 - j] == float(w @ g(lag[0] * lag[1] / (star[0] * star[1])))
     row = eval_V(hist, params, star, domain)
-    w1, w2 = kernel_weighted_W(hist, params, star, domain, 0.05)
+    w1, w2 = kernel_weighted_W(newest_first(hist), params, star, domain, 0.05)
     assert row["W1"] == pytest.approx(w1, rel=1e-12)
     assert row["W2"] == pytest.approx(w2, rel=1e-12)
 
 
-def test_checkpoints_follow_the_stride_and_end_on_the_last_step(worked_params):
-    domain = Domain(L=1.0, n=12)
-    traj = certifying_trajectory(worked_params, domain, t_end=1.35)  # 27 steps
-    stride = lag_steps(worked_params.tau_a, 0.05)
-    assert stride == 10
-    steps = checkpoint_steps(traj)
-    assert steps == [0, 10, 20, 27]
-    assert len(steps) == 27 // stride + 2  # multiples of the stride, plus the last
-    assert (traj.lyapunov["two_path_rel_err"][steps] == 0.0).all()
-
-
-def test_checkpoints_at_every_step_leave_the_blocks_full(worked_params, monkeypatch):
-    # A one-step delay puts a checkpoint on every step; the run still
-    # evaluates its states in full blocks, one eval_V call per block of
-    # its books: state 0 alone, then blocks of 25 steps.
+@pytest.mark.parametrize("k_a", [1, 10])
+def test_a_certifying_run_reads_the_initial_window_once(worked_params, monkeypatch, k_a):
+    # lag_values fills the per-lag column from the initial window, and
+    # eval_V extends it by each new state's values: no later call goes
+    # back to the raw window.  Calls are counted through the integrator's
+    # and the lyapunov module's bindings.  The run still evaluates its
+    # states in full blocks, one eval_V call per block of its books: state
+    # 0 alone, then blocks of 25 steps.
     import dengue_rd.integrator as integrator
 
-    real_eval_V = integrator.eval_V
-    sizes = []
+    real_lag_values, real_eval_V = lyapunov.lag_values, integrator.eval_V
+    windows, sizes = [], []
 
-    def counting(block, *args, **kwargs):
+    def counting_lag_values(history, *args, **kwargs):
+        windows.append(history.n_lags)
+        return real_lag_values(history, *args, **kwargs)
+
+    def counting_eval_V(block, *args, **kwargs):
         sizes.append(len(block))
         return real_eval_V(block, *args, **kwargs)
 
-    monkeypatch.setattr(integrator, "eval_V", counting)
-    params = dataclasses.replace(worked_params, tau_a=0.05)  # k_a = 1
+    monkeypatch.setattr(integrator, "lag_values", counting_lag_values)
+    monkeypatch.setattr(lyapunov, "lag_values", counting_lag_values)
+    monkeypatch.setattr(integrator, "eval_V", counting_eval_V)
+    params = dataclasses.replace(worked_params, tau_a=k_a * 0.05)
     domain = Domain(L=1.0, n=48)
     assert integrator._step_plan(params, domain, 0.05).block == 25
     traj = certifying_trajectory(params, domain, t_end=3.0)  # 60 steps
-    assert checkpoint_steps(traj) == list(range(61))
+    assert windows == [k_a]
     assert sizes == [1, 25, 25, 10]
     assert certify(traj).passed
 
@@ -1151,11 +1095,12 @@ def test_window_rel_err_is_exactly_zero_after_many_pushes(worked_params):
         row = column_eval_V(hist, params, star, domain, lags, k)
     assert lags[:, 40:].tobytes() == lag_values(hist, star, domain, 2, 5).tobytes()
     assert window_rel_err(row, hist, params, star, domain) == 0.0
-    # a NaN per-lag value of either delay reaches the disagreement, which
-    # a Python max over (W1 error, W2 error) drops when it comes second
+    # a NaN per-lag value of either delay reaches its W and the
+    # disagreement, whichever of the two delays it is
     for delay in (0, 1):
         kept, lags[delay, 44] = lags[delay, 44], math.nan
         row = column_eval_V(hist, params, star, domain, lags, 40)
+        assert math.isnan(row[("W1", "W2")[delay]]) and math.isnan(row["V"])
         assert math.isnan(window_rel_err(row, hist, params, star, domain))
         lags[delay, 44] = kept
 
@@ -1201,12 +1146,6 @@ def test_lag_ring_names_the_nonpositive_lag(worked_params, lag, row, name):
 # ------------------------------------------------- boundary properties
 
 
-def row_bits(row):
-    """A record row's bytes, without the run-filled two_path_rel_err (the last field)."""
-    assert RECORD_DTYPE.names[-1] == "two_path_rel_err"
-    return row.tobytes()[: -RECORD_DTYPE["two_path_rel_err"].itemsize]
-
-
 @st.composite
 def random_windows(draw):
     """Lag counts 0 .. 5 each, n in [8, 20] and a random positive window around u*."""
@@ -1238,10 +1177,9 @@ def test_eval_V_keeps_the_ring_equal_to_a_fresh_one_at_any_lag_count(window, rou
         row = column_eval_V(hist, params, star, domain, lags, k)
         fresh = lag_values(hist, star, domain, *lag_counts(params, hist.dt))
         assert lags[:, k : k + k_max + 1].tobytes() == fresh.tobytes()
-        assert row_bits(row) == row_bits(eval_V(hist, params, star, domain))
-        assert math.isnan(row["two_path_rel_err"])
+        assert row.tobytes() == eval_V(hist, params, star, domain).tobytes()
         cached = lags.tobytes()
-        assert row_bits(column_eval_V(hist, params, star, domain, lags, k)) == row_bits(row)
+        assert column_eval_V(hist, params, star, domain, lags, k).tobytes() == row.tobytes()
         assert lags.tobytes() == cached
 
 
@@ -1306,10 +1244,9 @@ def certifying_record(config, seed, block_steps=None):
 @example(k_a=6, k_b=3, n=256, rows=4, blocks=2, rest=3, seed=2)
 @example(k_a=60, k_b=0, n=48, rows=2, blocks=65, rest=1, seed=3)  # default blocks fill
 def test_blocks_give_the_bytes_of_one_state_at_a_time(k_a, k_b, n, rows, blocks, rest, seed):
-    # The record, two_path_rel_err included, is the same with one state
-    # per eval_V call, with blocks of a few states and at the default
-    # bound.  Blocks end when full and at the last step, which the step
-    # count puts inside a block.
+    # The record is the same with one state per eval_V call, with blocks
+    # of a few states and at the default bound.  Blocks end when full and
+    # at the last step, which the step count puts inside a block.
     dt = 0.05 if k_a < 10 else 0.005
     params = ModelParams(**{**WORKED, "tau_a": k_a * dt, "tau_b": k_b * dt})
     steps = blocks * rows + min(rest, rows - 1)
