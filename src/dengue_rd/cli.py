@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from .config import (
     validate_for_certification,  # unused here; perfbench/tracing.py wraps this binding
 )
 from .core import NONNEGATIVE_PARAMS, ModelParams
-from .equilibria import basic_reproduction_number, compute_equilibria, regime_classify
+from .equilibria import basic_reproduction_number, endemic_equilibrium, regime_classify
 from .integrator import SimulationError, run
 from .certificate import certify as certify_trajectory, check_tolerances
 from .output import (
@@ -94,10 +95,10 @@ def load_sweep(source: str | Path | dict) -> SweepSpec:
         not isinstance(values, list)
         or not values
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)
-        or any(v < 0 if zero_ok else v <= 0 for v in values)
+        or any(not math.isfinite(v) or (v < 0 if zero_ok else v <= 0) for v in values)
     ):
         kind = "nonnegative" if zero_ok else "positive"
-        raise ConfigError(f"sweep values must be a nonempty list of {kind} numbers")
+        raise ConfigError(f"sweep values must be a nonempty list of finite {kind} numbers")
     if not isinstance(doc["tag"], str):
         raise ConfigError("sweep tag must be a string")
     return SweepSpec(
@@ -111,11 +112,11 @@ def load_sweep(source: str | Path | dict) -> SweepSpec:
 def _sweep_one(spec: SweepSpec, value: float, seed: int) -> SweepRow:
     doc = dict(spec.base)
     doc[spec.parameter] = value
-    # Only rows above threshold certify; load_config rejects a non-boolean.
+    # Only rows with an endemic state certify; load_config rejects a non-boolean.
     certify = doc.get("certify") is True
     try:
         config = load_config({**doc, "certify": False} if certify else doc)
-        if certify and basic_reproduction_number(config.params) > 1.0:
+        if certify and endemic_equilibrium(config.params) is not None:
             config = replace(config, certify=True)
         traj = run(config, build_initial_history(config, seed))
         eqs = traj.equilibria

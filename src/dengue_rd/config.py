@@ -197,12 +197,14 @@ def load_config(source: str | Path | dict) -> SimConfig:
 def validate_for_certification(config: SimConfig) -> None:
     """Checks the extra constraints a certifying run needs.
 
-    SimConfig calls this last when certify is set.  Certification applies
-    the heat kernel at the delay times and checks its column mass at
-    every multiple of dt up to them, so the smallest of those times,
-    min(dt, tau), must sit above the minimal resolvable time of the
-    truncated series; and an endemic state must exist.  Raises
-    ConfigError naming the first failure.
+    SimConfig calls this last when certify is set.  An endemic state must
+    exist, and for each nonzero delay min(dt, tau) must sit above the
+    minimal resolvable time of the truncated series, so that every kernel
+    V weights by is resolved: the one at tau, which eval_V applies to the
+    delay terms, and those at the lags j dt, which W reads only through
+    their unit mass (true at any time) and the tests assemble as kernel
+    matrices to recompute W.  Raises ConfigError naming the first
+    failure.
     """
     params, domain = config.params, config.domain
     eqs = compute_equilibria(params)

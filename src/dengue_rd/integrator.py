@@ -74,7 +74,8 @@ from .core import (
     validate_initial_history,
 )
 from .equilibria import EquilibriumSet, compute_equilibria
-from .lyapunov import RECORD_DTYPE, StateBlock, eval_V, lag_values, prepare_kernels
+from .lyapunov import RECORD_DTYPE, StateBlock, eval_V, lag_values
+from .lyapunov import prepare_kernels  # unused here; perfbench/tracing.py wraps this binding
 from .spectral import _HeatFlow, _heat_decay, _heat_flow
 from .spectral import heat_apply  # unused here; perfbench/tracing.py wraps this binding
 
@@ -322,8 +323,6 @@ class Trajectory:
     read-only.  snapshots holds (time, state) pairs at the configured
     stride plus the first and last step; each state, like final_state,
     is a (3, n) array, rows u1, u2, u3, owned by the trajectory.
-    kernel_mass_defect is the kernels' worst column-mass defect, recorded
-    by certifying runs.
     """
 
     times: np.ndarray
@@ -337,7 +336,6 @@ class Trajectory:
     final_state: np.ndarray
     equilibria: EquilibriumSet
     config: SimConfig
-    kernel_mass_defect: float | None = None
 
     @property
     def V(self) -> np.ndarray:
@@ -405,7 +403,7 @@ def run(config: SimConfig, initial: History) -> Trajectory:
 
     n_steps = int(math.floor(config.t_end / dt * (1.0 + 1e-12) + 1e-12))
     size = n_steps + 1
-    kernels = lags = None
+    lags = None
     if config.certify:
         report = validate_initial_history(initial, params, strict_positive=True)
         if not report.ok:
@@ -413,7 +411,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
                 "certification requires a strictly positive admissible history: "
                 + "; ".join(report.violations[:5])
             )
-        kernels = prepare_kernels(params, domain, dt)
         # Column K + s holds step s's per-lag values, K = max(k_a, k_b).
         window = lag_values(initial, eqs.endemic, domain, k_a, k_b)
         lags = np.concatenate((window, np.full((2, n_steps), np.nan)), axis=1)
@@ -499,7 +496,6 @@ def run(config: SimConfig, initial: History) -> Trajectory:
         final_state=initial.latest,
         equilibria=eqs,
         config=config,
-        kernel_mass_defect=kernels.mass_defect if kernels else None,
     )
 
 

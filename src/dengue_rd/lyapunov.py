@@ -52,11 +52,13 @@ K + s holds the values of step s.  lag_values fills the first K + 1
 columns from the initial window; after that eval_V is the only writer,
 and each state's values are computed once.
 
-The shortcut rests on the column mass, which is checked once per run at
-every lag, in the cosine basis, and reported in the certificate.  The
-column's indexing is a property of the code, not of a run: the tests
-hold the recorded W1 and W2 to a recomputation through assembled kernel
-matrices that reads neither the column nor its trapezoid code.
+The shortcut rests on the column mass, a property of the heat flow, not
+of a run: the tests require every flow a run applies to conserve
+trapezoid mass, on every path and grid, at dt and at every lag time a
+config accepts.  The column's indexing is a property of the code too:
+the tests hold the recorded W1 and W2 to a recomputation through
+assembled kernel matrices that reads neither the column nor its
+trapezoid code.
 
 Evaluation is stacked, because on small grids numpy's fixed cost per
 call, not the arithmetic, sets the price of a step.  A certifying run
@@ -90,7 +92,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +101,6 @@ from .spectral import gradient_energy, heat_apply, kernel_mass_defect
 from .spectral import kernel_matrix  # unused here; perfbench/tracing.py wraps this binding
 
 __all__ = [
-    "LyapunovKernels",
     "RECORD_DTYPE",
     "StateBlock",
     "TERM_NAMES",
@@ -172,37 +173,18 @@ def g(omega, out=None):
     return float(e)
 
 
-@dataclass(frozen=True)
-class LyapunovKernels:
-    """Kernel data a certification run needs, computed once.
+def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> float:
+    """The kernels' worst relative column-mass defect at every lag of both delays.
 
-    mass_defect is the worst relative column-mass defect of the kernels
-    at lags dt, 2 dt, ..., tau of both delays (see
-    spectral.kernel_mass_defect); it bounds how far the collapsed W
-    integrals can stray from the kernel-weighted ones.
-
-    delay_a, delay_b (always None) and theta_a, theta_b (always empty)
-    are tracing-only fields.  They once held kernel matrices for the
-    delay dissipation terms and for a second evaluation of W; they stay
-    only because the benchmark's tracing sums the sizes of all four.
+    The lags are dt, 2 dt, ..., tau (see spectral.kernel_mass_defect).  No
+    run calls it; the benchmark's tracing wraps the name.
     """
-
-    mass_defect: float
-    delay_a: None = None
-    delay_b: None = None
-    theta_a: list[np.ndarray] = field(default_factory=list)
-    theta_b: list[np.ndarray] = field(default_factory=list)
-
-
-def prepare_kernels(params: ModelParams, domain: Domain, dt: float) -> LyapunovKernels:
-    """Checks the kernels' column mass at every lag of both delays."""
     k_a = lag_steps(params.tau_a, dt)
     k_b = lag_steps(params.tau_b, dt)
-    mass_defect = max(
+    return max(
         kernel_mass_defect(params.d_m, np.arange(1, k_a + 1) * dt, domain),
         kernel_mass_defect(params.d_h, np.arange(1, k_b + 1) * dt, domain),
     )
-    return LyapunovKernels(mass_defect=mass_defect)
 
 
 def _all_positive(values: np.ndarray) -> bool:

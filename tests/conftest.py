@@ -209,6 +209,23 @@ def kernel_weighted_W(window, params: ModelParams, star, domain: Domain, dt: flo
     return out
 
 
+def column_mass_defect(config) -> float:
+    """The worst relative column-mass defect ||w K - w||_inf / ||w||_inf of the assembled kernels.
+
+    K runs over the kernel matrices at every lag j dt of both delays of
+    config, the ones kernel_weighted_W weights the lags by, and w is the
+    trapezoid weights.  No delay has no defect.
+    """
+    params, domain, dt = config.params, config.domain, config.dt
+    w = domain.trapezoid_weights
+    defects = [
+        float(np.abs(w @ _kernel(d, j * dt, domain) - w).max() / w.max())
+        for tau, d in ((params.tau_a, params.d_m), (params.tau_b, params.d_h))
+        for j in range(1, lag_steps(tau, dt) + 1)
+    ]
+    return max(defects, default=0.0)
+
+
 def run_every_state(config, initial: History):
     """A run of config from initial, with every state it saw, oldest first.
 

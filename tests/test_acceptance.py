@@ -31,7 +31,7 @@ from dengue_rd import (
     solve_endemic_newton,
 )
 
-from conftest import WORKED, W_rel_errors, constant_state, run_every_state
+from conftest import WORKED, W_rel_errors, column_mass_defect, constant_state, run_every_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -301,8 +301,8 @@ def test_criterion_8_two_path_agreement(cert_run, halved_runs):
     # through assembled kernel matrices and a written-out trapezoid that
     # shares no code with the run.  Each run is repeated with a snapshot
     # at every step, which gives the states and the same record bytes.
-    # The kernels' column mass, which lets the integrals collapse, holds
-    # at every lag.
+    # The column mass of those kernel matrices, which lets the integrals
+    # collapse, holds at every lag of each run's config.
     runs = [cert_run[0], *halved_runs.values()]
     errs, same_bytes = [], True
     for traj in runs:
@@ -311,7 +311,7 @@ def test_criterion_8_two_path_agreement(cert_run, halved_runs):
         errs.append(W_rel_errors(again, states))
     errs = np.concatenate(errs)
     worst, steps = float(np.max(errs)), errs.size  # np.max keeps a NaN
-    worst_mass = max(traj.kernel_mass_defect for traj in runs)
+    worst_mass = max(column_mass_defect(traj.config) for traj in runs)
     ok = same_bytes and worst <= 1e-12 and worst_mass <= 1e-8
     _criterion(
         8,

@@ -567,6 +567,11 @@ def test_load_sweep_validation():
         (lambda d: d.update(values=[]), "nonempty list"),
         (lambda d: d.update(values=[1.0, -2.0]), "positive"),
         (lambda d: d.update(values=[1.0, True]), "positive"),
+        (lambda d: d.update(values=[1.0, math.nan]), "finite positive"),
+        (lambda d: d.update(values=[math.inf]), "finite positive"),
+        (lambda d: d.update(values=json.loads("[1e400]")), "finite positive"),  # parses as inf
+        (lambda d: d.update(parameter="tau_a", values=[0.0, math.nan]), "finite nonnegative"),
+        (lambda d: d.update(parameter="tau_b", values=[math.inf]), "finite nonnegative"),
         (lambda d: d.update(tag=7), "tag"),
         (lambda d: d.update(base=[1]), "configuration object"),
     ]:
@@ -606,6 +611,23 @@ def test_run_sweep_regimes_and_certification():
     assert [r.certified for r in rows] == [None, True, True]
     assert all(r.error is None for r in rows)
     assert all(np.isfinite(r.final_dist) for r in rows)
+
+
+def test_sweep_certifies_every_row_with_an_endemic_state():
+    # R0^2 = 2 b^2 on this base.  At b = 0.7071067811865476 R0^2 exceeds 1
+    # by an ulp, so an endemic state exists and SimConfig(certify=True)
+    # accepts the row, though R0 rounds to 1.0.  Its seeded history sits
+    # below the strict-positivity floor (u1* ~ 1.8e-16), so certification
+    # reports that error rather than being skipped.  One ulp lower no
+    # endemic state exists, and the row runs without certifying.
+    doc = sweep_doc()
+    doc["values"] = [0.7071067811865475, 0.7071067811865476]
+    below, above = run_sweep(load_sweep(doc), seed=0)
+    assert below.regime == "below_threshold"
+    assert below.certified is None and below.error is None
+    assert above.r0 == 1.0 and above.regime == "new_regime"
+    assert above.certified is not None or above.error is not None
+    assert "strictly positive" in above.error
 
 
 def test_run_sweep_isolates_failing_rows(monkeypatch):

@@ -164,6 +164,108 @@ def test_constants_are_fixed_points_on_both_paths(domain, path, d, t, value):
     assert np.abs(got - value).max() <= 1e-13 * value
 
 
+# ------------------------------------------- mass of every flow a run applies
+
+# The largest |integral of P f - integral of f| / integral of |f| a planned
+# flow P may show on a field f.  Over 20 000 draws of run_configs, grids of 8
+# to 2048 points on all three paths, the worst read 2.6e-14; a mode 0 factor
+# off by 1e-12 reads 1e-12.
+MASS_TOL = 1e-13
+
+
+@st.composite
+def run_configs(draw):
+    """A config SimConfig accepts, and the heat path to plan it on.
+
+    Every grid from 8 to 2048 points keeps the module's crossovers, so it
+    takes the dense, band or FFT path as a run would; the forced band and
+    FFT paths take grids of at most FFT_MIN_N + 65 points.  dt runs from
+    1e-6 of the stability bound up to it, and each delay from zero to
+    1e6 steps, below the kernel's resolvable floor and far above it.
+    """
+    path = draw(heat_paths)
+    domain = Domain(L=draw(st.sampled_from([1.0, 2.5])), n=draw(grid_sizes if path else st.integers(8, 2048)))
+    params = ModelParams(**{**WORKED, "d_m": draw(st.floats(0.01, 10.0)), "d_h": draw(st.floats(0.01, 10.0))})
+    # A delay only lowers the box ceiling of u3, so dt stays under the bound.
+    dt = integrator.stability_dt_bound(params) * 10.0 ** -draw(st.floats(0.0, 6.0))
+    lags = st.one_of(st.just(0), st.integers(1, 4), st.integers(1, 10**6))
+    params = dataclasses.replace(params, tau_a=draw(lags) * dt, tau_b=draw(lags) * dt)
+    return SimConfig(params=params, domain=domain, dt=dt, t_end=0.0, perturb_amplitude=0.0), path
+
+
+def run_flow_mass_defect(config: SimConfig, rng) -> float:
+    """The worst relative mass defect of the flows a run of config applies.
+
+    Each flow diffuses fields of uniform random values in [0, 1), so every
+    cosine mode carries weight and mode 0 carries the mass: the step
+    plan's flow over dt, its delays' flow over their lag times, and
+    heat_apply's cached plan over each nonzero delay, as eval_V applies it.
+    """
+    params, domain = config.params, config.domain
+    plan = integrator._step_plan(params, domain, config.dt)
+    w = domain.trapezoid_weights
+    rows = rng.uniform(0.0, 1.0, (3, domain.n))
+    pairs = [(rows, plan.flow.apply(rows))]
+    if plan.lag_flow is not None:
+        lagged = rows[: len(plan.lag_rows)]
+        pairs.append((lagged, plan.lag_flow.apply(lagged)))
+    for d, tau in ((params.d_m, params.tau_a), (params.d_h, params.tau_b)):
+        if tau > 0.0:
+            pairs.append((rows, heat_apply(rows, d, tau, domain)))
+    return max(float(np.max(np.abs(out @ w - f @ w) / (np.abs(f) @ w))) for f, out in pairs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=run_configs(), seed=st.integers(0, 2**32 - 1))
+def test_every_flow_a_run_applies_conserves_trapezoid_mass(case, seed):
+    config, path = case
+    try:
+        with heat_path(config.domain.n, path):
+            defect = run_flow_mass_defect(config, np.random.default_rng(seed))
+    finally:
+        spectral._basis.cache_clear()  # no 2048-point pair outlives the example
+    assert defect <= MASS_TOL
+
+
+def mode_zero_times(factor: float):
+    """_heat_decay with the factor of mode 0, exactly 1 in the flow, multiplied by factor."""
+    real = spectral._heat_decay
+
+    def decay(d, t, domain):
+        out = real(d, t, domain)
+        out[..., 0] *= factor
+        return out
+
+    return decay
+
+
+# Each case takes one path: dense on a small grid, and at 2048 points the
+# band over a long dt and the FFT over a short one (the lag flows take the
+# band there).
+MASS_CASES = [(48, 0.05, "dense"), (2048, 0.05, "band"), (2048, 1e-7, "fft")]
+
+
+@pytest.mark.parametrize("n, dt, taken", MASS_CASES)
+@pytest.mark.parametrize("factor", [1.0 - 1e-12, 0.0])
+def test_the_mass_property_fails_when_mode_zero_is_off_or_dropped(n, dt, taken, factor):
+    params = ModelParams(**{**WORKED, "tau_b": 3 * dt})
+    config = SimConfig(params=params, domain=Domain(L=1.0, n=n), dt=dt, t_end=0.0, perturb_amplitude=0.0)
+    defects = []
+    try:
+        for mutate in (False, True):
+            with heat_path(n, None), pytest.MonkeyPatch.context() as mp:
+                if mutate:
+                    for module in (spectral, integrator):
+                        mp.setattr(module, "_heat_decay", mode_zero_times(factor))
+                flow = integrator._step_plan(params, config.domain, dt).flow
+                defects.append(run_flow_mass_defect(config, np.random.default_rng(n)))
+    finally:
+        spectral._basis.cache_clear()
+    on = "fft" if flow.fwd is None else "dense" if flow.modes == n else "band"
+    assert on == taken
+    assert defects[0] <= MASS_TOL < defects[1]
+
+
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_a_stack_of_fields_diffuses_row_by_row_bit_for_bit(path, t):

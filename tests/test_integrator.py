@@ -407,4 +407,3 @@ def test_certifying_run_records_lyapunov_series(worked_params, domain, tmp_path)
     table = np.genfromtxt(tmp_path / "timeseries.csv", delimiter=",", names=True)
     assert np.isnan(table["dVdt_fd"][0])
     assert np.array_equal(table["dVdt_fd"][1:], np.diff(traj.V) / 0.05)
-    assert traj.kernel_mass_defect is not None and traj.kernel_mass_defect <= 1e-8

@@ -33,7 +33,7 @@ from dengue_rd import (
 )
 
 import dengue_rd.lyapunov as lyapunov
-from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS, KERNEL_MASS_TOL
+from dengue_rd.certificate import DEFAULT_V_TOL, FINITE_COLUMNS
 from dengue_rd.lyapunov import (
     CHECKED_TERMS,
     G_DIRECT_BELOW,
@@ -216,7 +216,7 @@ def test_eval_V_vanishes_at_endemic(delayed_params, domain):
     for name in TERM_NAMES:
         assert abs(row[name]) < 1e-15
     assert window_rel_err(row, hist, delayed_params, star, domain) < 1e-12
-    assert prepare_kernels(delayed_params, domain, 0.05).mass_defect < 1e-12
+    assert prepare_kernels(delayed_params, domain, 0.05) < 1e-12
 
 
 def test_eval_V_scaled_infectious_component(delayed_params, domain):
@@ -298,8 +298,7 @@ def test_eval_V_two_path_agreement(delayed_params, domain):
 def test_prepare_kernels_column_mass_defect(delayed_params):
     dt = 0.05
     for domain in (Domain(L=1.3, n=24), Domain(L=1.3, n=9)):
-        kernels = prepare_kernels(delayed_params, domain, dt)
-        assert kernels.theta_a == [] and kernels.theta_b == []
+        defect = prepare_kernels(delayed_params, domain, dt)
         w = domain.trapezoid_weights
         dense = max(
             float(np.abs(w @ kernel_matrix(d, j * dt, domain) - w).max() / w.max())
@@ -307,8 +306,8 @@ def test_prepare_kernels_column_mass_defect(delayed_params):
                            (delayed_params.tau_b, delayed_params.d_h))
             for j in range(1, lag_steps(tau, dt) + 1)
         )
-        assert kernels.mass_defect < 1e-12
-        assert abs(kernels.mass_defect - dense) < 1e-15
+        assert defect < 1e-12
+        assert abs(defect - dense) < 1e-15
 
 
 def test_eval_V_constant_fields_have_no_gradient_terms(delayed_params, domain):
@@ -436,8 +435,8 @@ def test_certificate_round_trips_through_json(worked_params, domain):
     assert doc["tolerances"] == {
         "v_step_slack": cert.v_tol,
         "dissipation_sign": cert.d_tol,
-        "kernel_mass": KERNEL_MASS_TOL,
     }
+    assert not any("kernel_mass" in key for key in doc)
     assert doc["v_initial"] == cert.v_initial
     assert set(doc["term_ranges"]) == set(cert.term_ranges)
 
@@ -456,7 +455,7 @@ def clean_records(draw):
         record[name] = -rng.uniform(1e-9, 1.0, size)
     record["dissipation"] = sum(record[name] for name in TERM_NAMES)
     times = np.arange(size) * 0.05
-    return SimpleNamespace(lyapunov=record, times=times, kernel_mass_defect=0.0)
+    return SimpleNamespace(lyapunov=record, times=times)
 
 
 @settings(max_examples=80, deadline=None)
@@ -698,7 +697,7 @@ def test_ring_zero_delays_has_one_slot_and_no_W(worked_params):
     config = SimConfig(params=params, domain=domain, dt=0.05, t_end=0.3, certify=True)
     traj = run(config, hist)
     assert (traj.lyapunov["W1"] == 0.0).all() and (traj.lyapunov["W2"] == 0.0).all()
-    assert traj.kernel_mass_defect == 0.0
+    assert prepare_kernels(params, domain, 0.05) == 0.0
     assert certify(traj).passed
 
 
@@ -884,6 +883,23 @@ def test_certifying_run_builds_no_kernel_matrix(delayed_params, monkeypatch):
     cert = certify(traj)
     assert cert.passed, cert.violations
     assert (traj.lyapunov["g_delay_b"] < 0.0).all() and (traj.lyapunov["g_delay_a"] < 0.0).all()
+
+
+def test_certifying_run_checks_no_column_mass(delayed_params, monkeypatch):
+    # The kernels' column mass is a property of the heat flow, held in
+    # tests/test_heat_paths.py, not a check of each run.
+    import dengue_rd.integrator as integrator
+    import dengue_rd.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certifying run checked the kernels' column mass")
+
+    for module, name in ((integrator, "prepare_kernels"), (lyapunov, "kernel_mass_defect"),
+                         (spectral, "kernel_mass_defect")):
+        monkeypatch.setattr(module, name, refuse)
+    config = SimConfig(params=delayed_params, domain=Domain(L=1.0, n=16), dt=0.05, t_end=0.5, certify=True)
+    traj = run(config, build_initial_history(config, 0))
+    assert certify(traj).passed
 
 
 @pytest.mark.parametrize("seed", [1, 4])
