@@ -214,7 +214,7 @@ def column_mass_defect(config) -> float:
 
     K runs over the kernel matrices at every lag j dt of both delays of
     config, the ones kernel_weighted_W weights the lags by, and w is the
-    trapezoid weights.  No delay has no defect.
+    trapezoid weights.  Without a delay the defect is 0.
     """
     params, domain, dt = config.params, config.domain, config.dt
     w = domain.trapezoid_weights

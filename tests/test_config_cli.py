@@ -626,8 +626,7 @@ def test_sweep_certifies_every_row_with_an_endemic_state():
     assert below.regime == "below_threshold"
     assert below.certified is None and below.error is None
     assert above.r0 == 1.0 and above.regime == "new_regime"
-    assert above.certified is not None or above.error is not None
-    assert "strictly positive" in above.error
+    assert above.certified is None and "strictly positive" in above.error
 
 
 def test_run_sweep_isolates_failing_rows(monkeypatch):

@@ -239,9 +239,8 @@ def mode_zero_times(factor: float):
     return decay
 
 
-# Each case takes one path: dense on a small grid, and at 2048 points the
-# band over a long dt and the FFT over a short one (the lag flows take the
-# band there).
+# Each case's step flow takes one path: dense on a small grid, and at 2048
+# points the band over a long dt and the FFT over a short one.
 MASS_CASES = [(48, 0.05, "dense"), (2048, 0.05, "band"), (2048, 1e-7, "fft")]
 
 
